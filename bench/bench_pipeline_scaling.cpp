@@ -356,9 +356,17 @@ int main(int argc, char** argv) {
       std::uint64_t batches = 0, fallbacks = 0, seam = 0;
     };
     const double conf = ref_models.reference->config().confidence_threshold;
-    const auto run_mode = [&](core::RefMode mode) {
+    const struct Mode {
+      core::RefMode mode;
+      int ref_batch_size;  ///< 0 = the config default.
+      const char* name;
+    } kModes[] = {{core::RefMode::kBatch, 1, "ref_single"},  // one-frame loop
+                  {core::RefMode::kBatch, 0, "ref_batch"},
+                  {core::RefMode::kCropPack, 0, "ref_crop_pack"}};
+    const auto run_mode = [&](const Mode& mode) {
       core::FfsVaConfig cfg;
-      cfg.ref_mode = mode;
+      cfg.ref_mode = mode.mode;
+      if (mode.ref_batch_size > 0) cfg.ref_batch_size = mode.ref_batch_size;
       core::FfsVaInstance instance(cfg);
       instance.set_output_sink([](const core::OutputEvent&) {});
       for (int s = 0; s < n; ++s) {
@@ -398,12 +406,6 @@ int main(int argc, char** argv) {
                        : 1.0;
     };
 
-    const struct {
-      core::RefMode mode;
-      const char* name;
-    } kModes[] = {{core::RefMode::kSingle, "ref_single"},
-                  {core::RefMode::kBatch, "ref_batch"},
-                  {core::RefMode::kCropPack, "ref_crop_pack"}};
     // Single-run noise on a shared host is several percent — larger than
     // the single-vs-batch delta on a low-core machine — so the methodology
     // matches the telemetry-overhead block: one discarded warmup (page
@@ -416,11 +418,11 @@ int main(int argc, char** argv) {
     std::printf("%-16s %12s %12s %12s\n", "mode", "total FPS", "p50 lat(ms)",
                 "p99 lat(ms)");
     bench::print_rule();
-    (void)run_mode(core::RefMode::kSingle);  // warmup, discarded
+    (void)run_mode(kModes[0]);  // warmup, discarded
     ModeRun best[3];
     for (int rep = 0; rep < reps; ++rep) {
       for (int m = 0; m < 3; ++m) {
-        ModeRun r = run_mode(kModes[m].mode);
+        ModeRun r = run_mode(kModes[m]);
         std::printf("%-16s %12.1f %12.1f %12.1f\n", kModes[m].name, r.fps,
                     r.p50, r.p99);
         if (r.fps > best[m].fps) best[m] = std::move(r);

@@ -31,18 +31,18 @@ enum class DegradePolicy : std::uint8_t { kDrop = 0, kBypass = 1 };
 const char* to_string(DegradePolicy p);
 
 /// How the GPU1 reference stage consumes its queue:
-///  * kSingle   — one frame per detect() call (the paper's deployment; the
-///                pre-batching engine behaviour).
 ///  * kBatch    — drain ref_q in cross-stream micro-batches of up to
 ///                ref_batch_size frames under the shared BatchPolicy and
 ///                evaluate them together (detect_batch), amortizing setup
 ///                and exploiting the device's internal parallelism.
+///                ref_batch_size = 1 is the paper's deployment: one frame
+///                per detect() call.
 ///  * kCropPack — object-level consolidation (Rivas et al.): pack padded
 ///                candidate crops (T-YOLO's boxes) from many streams into
 ///                mosaic canvases and run the reference model once per
 ///                mosaic, falling back to full-frame detection for frames
 ///                whose candidate area exceeds crop_coverage_threshold.
-enum class RefMode : std::uint8_t { kSingle = 0, kBatch = 1, kCropPack = 2 };
+enum class RefMode : std::uint8_t { kBatch = 1, kCropPack = 2 };
 
 const char* to_string(RefMode m);
 
@@ -87,13 +87,14 @@ struct FfsVaConfig {
   int num_tyolo = 4;
 
   // --- GPU1 reference stage: micro-batching + crop consolidation -----------
-  /// How the reference loop consumes ref_q (see RefMode). kBatch preserves
-  /// the single-frame path's outputs bit-for-bit (same per-frame model, same
+  /// How the reference loop consumes ref_q (see RefMode). kBatch emits the
+  /// same outputs at every ref_batch_size (same per-frame model, same
   /// per-stream FIFO order, same drop-on-error contract); kCropPack trades a
   /// bounded detection delta for running the expensive model on candidate
   /// pixels only.
   RefMode ref_mode = RefMode::kBatch;
-  /// Micro-batch cap for the reference stage (mirrors batch_size for SNM).
+  /// Micro-batch cap for the reference stage (mirrors batch_size for SNM);
+  /// 1 = one frame per reference-model call.
   int ref_batch_size = 8;
   /// Queue threshold handed to the reference DynamicBatcher (the analogue
   /// of snm_queue_depth under BatchPolicy::kFeedback). Bounded above by

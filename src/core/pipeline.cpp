@@ -44,6 +44,65 @@ struct Item {
 };
 
 telemetry::TraceBuffer& trace() { return telemetry::TraceBuffer::global(); }
+
+/// Exponential backoff: `base_ms` doubled per attempt, capped at 100 ms, and
+/// slept in 1 ms slices so `aborted()` cuts it short.
+template <typename Aborted>
+void sliced_backoff(int base_ms, int attempt, Aborted&& aborted) {
+  const auto ms = std::min<std::int64_t>(
+      static_cast<std::int64_t>(std::max(0, base_ms)) << std::min(attempt, 20), 100);
+  const auto until = Clock::now() + std::chrono::milliseconds(ms);
+  while (Clock::now() < until && !aborted()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+/// How a model call ended: with a verdict, cancelled by the watchdog (the
+/// call wedged), or with any other throw.
+enum class CallOutcome : std::uint8_t { kOk, kWedged, kFailed };
+
+/// Runs one model call the way every stage must (DESIGN.md Section 14): the
+/// stage heartbeat is busy across it, and the call is registered in the
+/// worker's in-flight slot so the watchdog can cancel exactly this call.
+/// Free so the static prefetch loop can use it too.
+template <typename Fn>
+CallOutcome model_call(runtime::Heartbeat& hb, runtime::InflightCall& slot,
+                       int stream, std::int64_t frame, Fn&& fn) {
+  CallOutcome outcome = CallOutcome::kOk;
+  hb.busy();
+  try {
+    runtime::ModelCallGuard guard(slot, stream, frame);
+    fn();
+  } catch (const runtime::CancelledError&) {
+    outcome = CallOutcome::kWedged;
+  } catch (...) {
+    outcome = CallOutcome::kFailed;
+  }
+  hb.idle();
+  return outcome;
+}
+
+/// How a frame leaves the engine. Filter drops, degraded drops and poisoned
+/// frames all end as kDropped: the failure verdict has already counted the
+/// fault (Stream::failed).
+enum class End : std::uint8_t { kEmitted, kDropped, kDiscarded, kLostAtIngest };
+
+/// Folds one stream's faults into the health rollup.
+void tally(HealthSummary& h, const FaultStats& f) {
+  if (f.quarantined) {
+    ++h.quarantined_streams;
+  } else if (f.any()) {
+    ++h.degraded_streams;
+  } else {
+    ++h.healthy_streams;
+  }
+  h.decode_errors += f.decode_errors;
+  h.retries += f.retries;
+  h.restarts += f.restarts;
+  h.degraded_frames += f.degraded_frames;
+  h.discarded_frames += f.discarded_frames;
+  h.poisoned_frames += f.poisoned_frames;
+}
 }  // namespace
 
 /// A survivor bound for the reference stage: the frame plus the candidate
@@ -76,7 +135,6 @@ const char* to_string(DegradePolicy p) {
 
 const char* to_string(RefMode m) {
   switch (m) {
-    case RefMode::kSingle: return "single";
     case RefMode::kBatch: return "batch";
     case RefMode::kCropPack: return "crop_pack";
   }
@@ -136,11 +194,9 @@ struct FfsVaInstance::Stream {
   runtime::BoundedQueue<Item> snm_q;
   runtime::BoundedQueue<Item> tyolo_q;
 
-  StreamStats stats;
-
   /// Everything the prefetch thread writes lives here as relaxed atomics:
   /// snapshot() reads them mid-run (approximate by contract) and run()
-  /// freezes them into `stats` once the thread is joined.
+  /// freezes them once the thread is joined (both via counters()).
   std::atomic<std::uint64_t> prefetch_in{0};
   std::atomic<std::uint64_t> prefetch_passed{0};
   std::atomic<std::uint64_t> dropped_ingest{0};
@@ -201,18 +257,19 @@ struct FfsVaInstance::Stream {
   /// prefetch join bounded (the thread is joined, never detached).
   runtime::InflightCall prefetch_call;
 
-  /// Per-stage frame counters as relaxed atomics so snapshot() can read
-  /// them while the stage threads run. Each is still written by one logical
-  /// owner at a time (SDD claim holder / GPU0 executor / reference thread);
-  /// the atomics buy mid-run readability, not write coordination. run()
-  /// freezes them into `stats` once the stage threads are joined.
+  /// Per-stage frame counters: the one store of the cascade funnel. Each is
+  /// written by one logical owner at a time (prefetch thread of a fused
+  /// stream or SDD claim holder / GPU0 executor / reference thread); the
+  /// atomics buy mid-run readability — snapshot() and the registry's
+  /// funnel counters read them live — not write coordination.
   std::atomic<std::uint64_t> sdd_in{0}, sdd_passed{0};
   std::atomic<std::uint64_t> snm_in{0}, snm_passed{0};
   std::atomic<std::uint64_t> tyolo_in{0}, tyolo_passed{0};
   std::atomic<std::uint64_t> ref_in{0}, ref_passed{0};
 
-  /// Liveness of the source: busy only across source->next() — blocking on
-  /// the SDD feedback queue is healthy backpressure and reads as idle.
+  /// Liveness of the prefetch thread: busy only across source->next() and a
+  /// fused stream's pixel SDD — blocking on a feedback queue is healthy
+  /// backpressure and reads as idle.
   runtime::Heartbeat hb;
   runtime::StopToken stop;  ///< Copy of the instance token.
 
@@ -250,6 +307,67 @@ struct FfsVaInstance::Stream {
                                                 cfg_.capacity(cfg_.sdd_queue_depth)))),
         snm_q(static_cast<std::size_t>(cfg_.capacity(cfg_.snm_queue_depth))),
         tyolo_q(static_cast<std::size_t>(cfg_.capacity(cfg_.tyolo_queue_depth))) {}
+
+  /// The failure verdict for a frame whose model call produced none
+  /// (DESIGN.md Section 14): a second wedge poisons the frame; otherwise it
+  /// is degraded and the degrade policy decides whether it rides on — except
+  /// at the reference stage, the last vetting stage, which always drops.
+  /// Counts the fault; true means the frame rides on to the next stage.
+  bool failed(Item& item, CallOutcome how, bool last_stage) {
+    if (how == CallOutcome::kWedged && ++item.wedges >= 2) {
+      poisoned.fetch_add(1, std::memory_order_relaxed);
+      return false;
+    }
+    degraded.fetch_add(1, std::memory_order_relaxed);
+    return !last_stage && cfg.degrade_policy == DegradePolicy::kBypass;
+  }
+
+  /// The one place a frame ends. Counts the end, records `ms` into `lat`
+  /// when one is given, and ticks `terminated` last, once the outcome is
+  /// durable (an emitted frame has been delivered).
+  void end(End how, runtime::Histogram* lat = nullptr, double ms = 0.0) {
+    switch (how) {
+      case End::kEmitted: ref_passed.fetch_add(1, std::memory_order_relaxed); break;
+      case End::kDropped: break;
+      case End::kDiscarded: discarded.fetch_add(1, std::memory_order_relaxed); break;
+      case End::kLostAtIngest:
+        dropped_ingest.fetch_add(1, std::memory_order_relaxed);
+        break;
+    }
+    if (lat != nullptr) lat->add(ms);
+    terminated.fetch_add(1, std::memory_order_release);
+  }
+
+  /// Every counter of the stream, read from its atomics: the one reader
+  /// behind both snapshot() (mid-run, approximate) and run()'s freeze.
+  StreamStats counters() const {
+    const auto get = [](const std::atomic<std::uint64_t>& a) {
+      return a.load(std::memory_order_relaxed);
+    };
+    StreamStats st;
+    st.prefetch = {get(prefetch_in), get(prefetch_passed)};
+    st.sdd = {get(sdd_in), get(sdd_passed)};
+    st.snm = {get(snm_in), get(snm_passed)};
+    st.tyolo = {get(tyolo_in), get(tyolo_passed)};
+    st.ref = {get(ref_in), get(ref_passed)};
+    st.dropped_at_ingest = get(dropped_ingest);
+    st.ingest.decode_full = get(decode_full);
+    st.ingest.decode_skipped = get(decode_skipped);
+    st.ingest.hint_passes = get(hint_passes);
+    st.ingest.hint_fallbacks = get(hint_fallbacks);
+    if (const auto cs = source->codec_stats()) {
+      st.ingest.compression_ratio = cs->compression_ratio();
+    }
+    st.fault.decode_errors = get(decode_errors);
+    st.fault.retries = get(retries);
+    st.fault.restarts = get(restarts);
+    st.fault.degraded_frames = get(degraded);
+    st.fault.discarded_frames = get(discarded);
+    st.fault.cancelled_calls = get(cancels);
+    st.fault.poisoned_frames = get(poisoned);
+    st.fault.quarantined = quarantined.load(std::memory_order_acquire);
+    return st;
+  }
 };
 
 struct FfsVaInstance::TYoloShared {
@@ -372,18 +490,6 @@ bool FfsVaInstance::export_trace(const std::string& path) const {
 }
 
 void FfsVaInstance::wire_metrics() {
-  hot_.sdd_in = &metrics_.counter("sdd.in");
-  hot_.sdd_passed = &metrics_.counter("sdd.passed");
-  hot_.snm_in = &metrics_.counter("snm.in");
-  hot_.snm_passed = &metrics_.counter("snm.passed");
-  hot_.tyolo_in = &metrics_.counter("tyolo.in");
-  hot_.tyolo_passed = &metrics_.counter("tyolo.passed");
-  hot_.ref_in = &metrics_.counter("ref.in");
-  hot_.ref_passed = &metrics_.counter("ref.passed");
-  hot_.drop_sdd = &metrics_.counter("drop.sdd");
-  hot_.drop_snm = &metrics_.counter("drop.snm");
-  hot_.drop_tyolo = &metrics_.counter("drop.tyolo");
-  hot_.drop_ref = &metrics_.counter("drop.ref");
   hot_.snm_batches = &metrics_.counter("executor.snm_batches");
   hot_.tyolo_picks = &metrics_.counter("executor.tyolo_picks");
   hot_.batch_size = &metrics_.histogram("executor.batch_size");
@@ -398,23 +504,42 @@ void FfsVaInstance::wire_metrics() {
   hot_.drop_latency_ms = &metrics_.histogram("latency.drop_ms");
   hot_.recovery_ms = &metrics_.histogram("latency.recovery_ms");
 
-  // Prefetch/fault/supervision state lives in Stream and instance atomics
-  // (single-writer cells the prefetch loop and watchdog tick without
-  // touching the registry), surfaced as gauges polled at snapshot time.
-  // Every gauge below scans the stream slots bounded by num_streams(), not
+  // Per-stream frame, fault and supervision counts live in Stream atomics
+  // only (single-writer cells the stage threads — prefetch included — tick
+  // without touching the registry); the registry reads them when sampled.
+  // Every reader below scans the stream slots bounded by num_streams(), not
   // the vector's size: the count is the release/acquire publication point
   // for dynamically added streams (see the streams_ member comment).
-  const auto sum = [this](auto member) {
+  const auto total = [this](auto member) {
     return [this, member]() {
-      std::uint64_t total = 0;
-      const int n = num_streams();
-      for (int i = 0; i < n; ++i) {
-        total += ((*streams_[static_cast<std::size_t>(i)]).*member)
-                     .load(std::memory_order_relaxed);
+      std::uint64_t n = 0;
+      const int count = num_streams();
+      for (int i = 0; i < count; ++i) {
+        n += ((*streams_[static_cast<std::size_t>(i)]).*member)
+                 .load(std::memory_order_relaxed);
       }
-      return static_cast<double>(total);
+      return n;
     };
   };
+  const auto sum = [&total](auto member) {
+    return [fn = total(member)] { return static_cast<double>(fn()); };
+  };
+  // The cascade funnel: exported as counters (rates, the simulator's shared
+  // schema); each drop.<stage> is in - passed. `passed` is read first and
+  // the difference saturates, so a mid-run sample never underflows.
+  const auto funnel = [&](const std::string& stage, auto in, auto passed) {
+    metrics_.counter(stage + ".in", total(in));
+    metrics_.counter(stage + ".passed", total(passed));
+    metrics_.counter("drop." + stage, [in_fn = total(in), passed_fn = total(passed)] {
+      const std::uint64_t p = passed_fn();
+      const std::uint64_t i = in_fn();
+      return i > p ? i - p : 0;
+    });
+  };
+  funnel("sdd", &Stream::sdd_in, &Stream::sdd_passed);
+  funnel("snm", &Stream::snm_in, &Stream::snm_passed);
+  funnel("tyolo", &Stream::tyolo_in, &Stream::tyolo_passed);
+  funnel("ref", &Stream::ref_in, &Stream::ref_passed);
   metrics_.gauge("prefetch.in", sum(&Stream::prefetch_in));
   metrics_.gauge("prefetch.passed", sum(&Stream::prefetch_passed));
   metrics_.gauge("drop.ingest", sum(&Stream::dropped_ingest));
@@ -466,9 +591,7 @@ void FfsVaInstance::wire_metrics() {
   metrics_.gauge("supervision.stage_restarts", [this] {
     return static_cast<double>(stage_restarts_.load(std::memory_order_relaxed));
   });
-  metrics_.gauge("supervision.poisoned_frames", [this] {
-    return static_cast<double>(poisoned_frames_.load(std::memory_order_relaxed));
-  });
+  metrics_.gauge("supervision.poisoned_frames", sum(&Stream::poisoned));
   const auto depth_sum = [this](runtime::BoundedQueue<Item> Stream::* q) {
     return [this, q]() {
       std::size_t total = 0;
@@ -496,68 +619,52 @@ InstanceSnapshot FfsVaInstance::snapshot() const {
                          .count();
     snap.t_sec = static_cast<double>(now - t0) * 1e-9;
   }
+  snap.health = health();
   const int n = num_streams();
   snap.streams.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     const Stream& s = *streams_[static_cast<std::size_t>(i)];
+    const StreamStats st = s.counters();
     StreamSnapshot ss;
     ss.id = s.id;
     ss.terminated = s.terminated.load(std::memory_order_relaxed);
     ss.ingest_done = s.ingest_done.load(std::memory_order_acquire);
-    ss.prefetch_in = s.prefetch_in.load(std::memory_order_relaxed);
-    ss.prefetch_passed = s.prefetch_passed.load(std::memory_order_relaxed);
-    ss.dropped_at_ingest = s.dropped_ingest.load(std::memory_order_relaxed);
-    ss.sdd_in = s.sdd_in.load(std::memory_order_relaxed);
-    ss.sdd_passed = s.sdd_passed.load(std::memory_order_relaxed);
-    ss.snm_in = s.snm_in.load(std::memory_order_relaxed);
-    ss.snm_passed = s.snm_passed.load(std::memory_order_relaxed);
-    ss.tyolo_in = s.tyolo_in.load(std::memory_order_relaxed);
-    ss.tyolo_passed = s.tyolo_passed.load(std::memory_order_relaxed);
-    ss.ref_in = s.ref_in.load(std::memory_order_relaxed);
-    ss.ref_passed = s.ref_passed.load(std::memory_order_relaxed);
+    ss.prefetch_in = st.prefetch.in;
+    ss.prefetch_passed = st.prefetch.passed;
+    ss.dropped_at_ingest = st.dropped_at_ingest;
+    ss.sdd_in = st.sdd.in;
+    ss.sdd_passed = st.sdd.passed;
+    ss.snm_in = st.snm.in;
+    ss.snm_passed = st.snm.passed;
+    ss.tyolo_in = st.tyolo.in;
+    ss.tyolo_passed = st.tyolo.passed;
+    ss.ref_in = st.ref.in;
+    ss.ref_passed = st.ref.passed;
     ss.sdd_queue_depth = s.sdd_q.depth();
     ss.snm_queue_depth = s.snm_q.depth();
     ss.tyolo_queue_depth = s.tyolo_q.depth();
-    ss.decode_full = s.decode_full.load(std::memory_order_relaxed);
-    ss.decode_skipped = s.decode_skipped.load(std::memory_order_relaxed);
-    ss.hint_passes = s.hint_passes.load(std::memory_order_relaxed);
-    ss.hint_fallbacks = s.hint_fallbacks.load(std::memory_order_relaxed);
-    if (const auto cs = s.source->codec_stats()) {
-      ss.compression_ratio = cs->compression_ratio();
-    }
-    ss.fault.decode_errors = s.decode_errors.load(std::memory_order_relaxed);
-    ss.fault.retries = s.retries.load(std::memory_order_relaxed);
-    ss.fault.restarts = s.restarts.load(std::memory_order_relaxed);
-    ss.fault.degraded_frames = s.degraded.load(std::memory_order_relaxed);
-    ss.fault.discarded_frames = s.discarded.load(std::memory_order_relaxed);
-    ss.fault.cancelled_calls = s.cancels.load(std::memory_order_relaxed);
-    ss.fault.poisoned_frames = s.poisoned.load(std::memory_order_relaxed);
-    ss.fault.quarantined = s.quarantined.load(std::memory_order_acquire);
-
-    if (ss.fault.quarantined) {
-      ++snap.health.quarantined_streams;
-    } else if (ss.fault.any()) {
-      ++snap.health.degraded_streams;
-    } else {
-      ++snap.health.healthy_streams;
-    }
-    snap.health.decode_errors += ss.fault.decode_errors;
-    snap.health.retries += ss.fault.retries;
-    snap.health.restarts += ss.fault.restarts;
-    snap.health.degraded_frames += ss.fault.degraded_frames;
-    snap.health.discarded_frames += ss.fault.discarded_frames;
+    ss.decode_full = st.ingest.decode_full;
+    ss.decode_skipped = st.ingest.decode_skipped;
+    ss.hint_passes = st.ingest.hint_passes;
+    ss.hint_fallbacks = st.ingest.hint_fallbacks;
+    ss.compression_ratio = st.ingest.compression_ratio;
+    ss.fault = st.fault;
+    tally(snap.health, st.fault);
+    snap.outputs += st.ref.passed;
     snap.streams.push_back(std::move(ss));
   }
   snap.ref_queue_depth = tyolo_shared_->ref_q.depth();
-  snap.outputs = outputs_count_.load(std::memory_order_relaxed);
-  snap.health.cancels = cancels_.load(std::memory_order_relaxed);
-  snap.health.stage_restarts = stage_restarts_.load(std::memory_order_relaxed);
-  snap.health.poisoned_frames = poisoned_frames_.load(std::memory_order_relaxed);
-  snap.health.stage_stall_ticks =
-      stage_stall_ticks_.load(std::memory_order_relaxed);
-  snap.health.stopped = stop_.stop_requested();
-  snap.health.deadline_hit = deadline_hit_.load(std::memory_order_relaxed);
   return snap;
+}
+
+HealthSummary FfsVaInstance::health() const {
+  HealthSummary h;
+  h.cancels = cancels_.load(std::memory_order_relaxed);
+  h.stage_restarts = stage_restarts_.load(std::memory_order_relaxed);
+  h.stage_stall_ticks = stage_stall_ticks_.load(std::memory_order_relaxed);
+  h.stopped = stop_.stop_requested();
+  h.deadline_hit = deadline_hit_.load(std::memory_order_relaxed);
+  return h;
 }
 
 void FfsVaInstance::stop() {
@@ -614,15 +721,9 @@ void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online,
            s->quarantined.load(std::memory_order_acquire) ||
            s->ingest_end.load(std::memory_order_acquire);
   };
-  // Exponential backoff, sliced so stop/quarantine aborts it promptly.
+  // Stop/quarantine cuts a retry/restart backoff short.
   const auto backoff = [&](int attempt) {
-    std::int64_t ms = static_cast<std::int64_t>(std::max(0, cfg.source_backoff_ms))
-                      << std::min(attempt, 20);
-    ms = std::min<std::int64_t>(ms, 100);
-    const auto until = Clock::now() + std::chrono::milliseconds(ms);
-    while (Clock::now() < until && !aborted()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+    sliced_backoff(cfg.source_backoff_ms, attempt, aborted);
   };
 
   int consecutive_retries = 0;
@@ -647,8 +748,7 @@ void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online,
         s->sdd_in.fetch_add(1, std::memory_order_relaxed);
         const double ms = ms_since(t0);
         s->decode_ms.record(ms);
-        s->lat_sdd.add(ms);
-        s->terminated.fetch_add(1, std::memory_order_release);
+        s->end(End::kDropped, &s->lat_sdd, ms);
         continue;
       }
     }
@@ -727,28 +827,20 @@ void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online,
         s->hint_passes.fetch_add(1, std::memory_order_relaxed);
       } else {
         s->hint_fallbacks.fetch_add(1, std::memory_order_relaxed);
-        try {
-          telemetry::ScopedSpan sp(trace(), "sdd.filter", telemetry::Stage::kSdd,
-                                   s->id, item.frame.index);
-          runtime::ModelCallGuard guard(s->prefetch_call, s->id,
-                                        item.frame.index);
-          const double dist = s->models.sdd->distance(item.frame.image);
-          csdd->anchor(dist);
-          pass = dist > s->models.sdd->config().delta_diff;
-        } catch (const runtime::CancelledError&) {
-          // A wedged fused pixel-SDD the watchdog cancelled: same per-frame
-          // degrade contract as a throwing SDD, plus the wedge mark — the
-          // frame is poisoned if it wedges a second stage downstream.
+        const CallOutcome oc =
+            model_call(s->hb, s->prefetch_call, s->id, item.frame.index, [&] {
+              telemetry::ScopedSpan sp(trace(), "sdd.filter",
+                                       telemetry::Stage::kSdd, s->id,
+                                       item.frame.index);
+              const double dist = s->models.sdd->distance(item.frame.image);
+              csdd->anchor(dist);
+              pass = dist > s->models.sdd->config().delta_diff;
+            });
+        if (oc != CallOutcome::kOk) {
+          // Same per-frame contract as the SDD worker pool; an unmeasured
+          // frame leaves the chain unanchored.
           csdd->invalidate();
-          ++item.wedges;
-          s->degraded.fetch_add(1, std::memory_order_relaxed);
-          pass = cfg.degrade_policy == DegradePolicy::kBypass;
-        } catch (...) {
-          // Same per-frame degrade contract as the SDD worker pool; an
-          // unmeasured frame leaves the chain unanchored.
-          csdd->invalidate();
-          s->degraded.fetch_add(1, std::memory_order_relaxed);
-          pass = cfg.degrade_policy == DegradePolicy::kBypass;
+          pass = s->failed(item, oc, /*last_stage=*/false);
         }
       }
       if (pass) {
@@ -757,15 +849,11 @@ void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online,
         // directly — with SDD fused into prefetch, this IS the feedback
         // edge the paper's bounded queues implement.
         if (!s->snm_q.push(std::move(item))) {
-          // Closed under us (stop/quarantine) — same accounting as the
-          // SDD worker's failed handoff.
-          s->discarded.fetch_add(1, std::memory_order_relaxed);
-          s->terminated.fetch_add(1, std::memory_order_release);
+          s->end(End::kDiscarded);  // closed under us (stop/quarantine)
           break;
         }
       } else {
-        s->lat_sdd.add(ms_since(item.ingest));
-        s->terminated.fetch_add(1, std::memory_order_release);
+        s->end(End::kDropped, &s->lat_sdd, ms_since(item.ingest));
       }
       s->prefetch_passed.fetch_add(1, std::memory_order_relaxed);
       continue;
@@ -778,20 +866,17 @@ void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online,
       if (!s->sdd_q.push_for(std::move(item), frame_interval)) {
         if (s->sdd_q.closed()) {
           // stop()/quarantine closed it under us; the ingested frame is lost.
-          s->discarded.fetch_add(1, std::memory_order_relaxed);
-          s->terminated.fetch_add(1, std::memory_order_release);
+          s->end(End::kDiscarded);
           break;
         }
-        s->dropped_ingest.fetch_add(1, std::memory_order_relaxed);
-        s->terminated.fetch_add(1, std::memory_order_release);
+        s->end(End::kLostAtIngest);
         continue;
       }
     } else {
       if (!s->sdd_q.push(std::move(item))) {
         // Queue closed underneath us (stop/quarantine): the frame was
         // already counted into prefetch_in, so it must terminate here.
-        s->discarded.fetch_add(1, std::memory_order_relaxed);
-        s->terminated.fetch_add(1, std::memory_order_release);
+        s->end(End::kDiscarded);
         break;
       }
     }
@@ -808,23 +893,30 @@ void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online,
   s->ingest_done.store(true, std::memory_order_release);
 }
 
-void FfsVaInstance::sdd_worker_entry(int worker) {
-  int restarts = 0;
-  for (;;) {
-    if (sdd_worker_loop(worker, restarts < config_.stage_max_restarts)) return;
-    // A watchdog cancel unwound this worker mid-call. Re-enter after a
-    // bounded backoff; the time from the cancel to serving again is the
-    // recovery latency.
+void FfsVaInstance::serve_with_restarts(
+    const runtime::InflightCall& call,
+    const std::function<bool(bool allow_restart)>& loop) {
+  for (int restarts = 0;;) {
+    if (loop(restarts < config_.stage_max_restarts)) return;
+    // A watchdog cancel unwound the stage mid-call; every popped frame was
+    // accounted before the loop returned, so re-entry resumes cleanly.
+    // Re-enter after a bounded backoff (stop() cuts it short); the time
+    // from the cancel to serving again is the recovery latency.
     ++restarts;
     stage_restarts_.fetch_add(1, std::memory_order_relaxed);
-    stage_backoff(restarts);
-    const std::int64_t cancelled_at =
-        sdd_call_[static_cast<std::size_t>(worker)].cancelled_at_ms();
+    sliced_backoff(config_.stage_restart_backoff_ms, restarts,
+                   [this] { return stop_.stop_requested(); });
+    const std::int64_t cancelled_at = call.cancelled_at_ms();
     if (cancelled_at >= 0) {
       hot_.recovery_ms->record(
           static_cast<double>(runtime::steady_now_ms() - cancelled_at));
     }
   }
+}
+
+void FfsVaInstance::sdd_worker_entry(int worker) {
+  serve_with_restarts(sdd_call_[static_cast<std::size_t>(worker)],
+                      [&](bool allow) { return sdd_worker_loop(worker, allow); });
 }
 
 bool FfsVaInstance::sdd_worker_loop(int worker, bool allow_restart) {
@@ -869,60 +961,30 @@ bool FfsVaInstance::sdd_worker_loop(int worker, bool allow_restart) {
         if (s.quarantined.load(std::memory_order_acquire)) {
           // Drain-and-discard: the watchdog closed this stream's queues;
           // its in-flight frames are dumped, not processed.
-          s.discarded.fetch_add(1, std::memory_order_relaxed);
-          s.terminated.fetch_add(1, std::memory_order_release);
+          s.end(End::kDiscarded);
           continue;
         }
         s.sdd_in.fetch_add(1, std::memory_order_relaxed);
-        hot_.sdd_in->add();
-        bool pass;
-        bool cancelled = false;
-        try {
-          hb.busy();
+        bool pass = false;
+        const CallOutcome oc = model_call(hb, call, s.id, item->frame.index, [&] {
           telemetry::ScopedSpan sp(trace(), "sdd.filter", telemetry::Stage::kSdd,
                                    s.id, item->frame.index);
-          runtime::ModelCallGuard guard(call, s.id, item->frame.index);
           pass = s.models.sdd->pass(item->frame.image);
-          hb.idle();
-        } catch (const runtime::CancelledError&) {
-          // The watchdog cancelled this call (it overran
-          // model_call_timeout_ms). First wedge: the frame follows the
-          // degrade policy like any per-frame model fault. Second wedge:
-          // the frame is poisoned and dropped regardless of policy.
-          hb.idle();
-          cancelled = true;
-          ++item->wedges;
-          if (item->wedges >= 2) {
-            s.poisoned.fetch_add(1, std::memory_order_relaxed);
-            poisoned_frames_.fetch_add(1, std::memory_order_relaxed);
-            pass = false;
-          } else {
-            s.degraded.fetch_add(1, std::memory_order_relaxed);
-            pass = config_.degrade_policy == DegradePolicy::kBypass;
-          }
-        } catch (...) {
-          hb.idle();
-          // Degrade per frame, never per stream: drop terminates the frame
-          // here (latency still recorded below); bypass rides it to SNM.
-          s.degraded.fetch_add(1, std::memory_order_relaxed);
-          pass = config_.degrade_policy == DegradePolicy::kBypass;
-        }
+        });
+        // Degrade per frame, never per stream.
+        if (oc != CallOutcome::kOk) pass = s.failed(*item, oc, /*last_stage=*/false);
         if (pass) {
           s.sdd_passed.fetch_add(1, std::memory_order_relaxed);
-          hot_.sdd_passed->add();
           // Blocking push: the SNM feedback-queue threshold throttles this
           // worker (other workers keep serving other streams meanwhile).
           if (!s.snm_q.push(std::move(*item))) {
-            s.discarded.fetch_add(1, std::memory_order_relaxed);
-            s.terminated.fetch_add(1, std::memory_order_release);
+            s.end(End::kDiscarded);
             break;  // closed by quarantine
           }
         } else {
-          hot_.drop_sdd->add();
-          s.lat_sdd.add(ms_since(item->ingest));
-          s.terminated.fetch_add(1, std::memory_order_release);
+          s.end(End::kDropped, &s.lat_sdd, ms_since(item->ingest));
         }
-        if (cancelled && allow_restart) {
+        if (oc == CallOutcome::kWedged && allow_restart) {
           // The frame is fully accounted (routed or dropped above); now
           // restart this worker under the stage budget.
           restart_requested = true;
@@ -950,21 +1012,7 @@ bool FfsVaInstance::sdd_worker_loop(int worker, bool allow_restart) {
 }
 
 void FfsVaInstance::gpu0_entry() {
-  int restarts = 0;
-  for (;;) {
-    if (gpu0_loop(restarts < config_.stage_max_restarts)) break;
-    // A watchdog cancel unwound the executor. Every popped frame was
-    // accounted before the loop returned, so re-entry resumes cleanly from
-    // the queues.
-    ++restarts;
-    stage_restarts_.fetch_add(1, std::memory_order_relaxed);
-    stage_backoff(restarts);
-    const std::int64_t cancelled_at = gpu0_call_.cancelled_at_ms();
-    if (cancelled_at >= 0) {
-      hot_.recovery_ms->record(
-          static_cast<double>(runtime::steady_now_ms() - cancelled_at));
-    }
-  }
+  serve_with_restarts(gpu0_call_, [this](bool allow) { return gpu0_loop(allow); });
   // Single exit: the reference stage always sees end-of-stream, whatever
   // path brought the executor down — and never before its final restart.
   tyolo_shared_->ref_q.close();
@@ -984,20 +1032,6 @@ bool FfsVaInstance::gpu0_loop(bool allow_restart) {
   items.reserve(static_cast<std::size_t>(std::max(1, config_.batch_size)));
   bool running = true;
   bool restart_requested = false;
-
-  // Per-frame wedge bookkeeping shared by the T-YOLO and SNM catch sites:
-  // first wedge follows the degrade policy, second wedge poisons the frame
-  // (dropped regardless of policy). Returns the frame's pass verdict.
-  const auto wedge_verdict = [&](Stream& s, Item& item) {
-    ++item.wedges;
-    if (item.wedges >= 2) {
-      s.poisoned.fetch_add(1, std::memory_order_relaxed);
-      poisoned_frames_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    s.degraded.fetch_add(1, std::memory_order_relaxed);
-    return config_.degrade_policy == DegradePolicy::kBypass;
-  };
 
   // One T-YOLO service pick: up to num_tyolo frames from the next non-empty
   // stream in round-robin order (Section 3.2.3). Executed directly — this
@@ -1021,58 +1055,41 @@ bool FfsVaInstance::gpu0_loop(bool allow_restart) {
       if (!item) break;
       progressed = true;
       if (s.quarantined.load(std::memory_order_acquire)) {
-        s.discarded.fetch_add(1, std::memory_order_relaxed);
-        s.terminated.fetch_add(1, std::memory_order_release);
+        s.end(End::kDiscarded);
         continue;  // drain, but don't run the model or feed admission
       }
       s.tyolo_in.fetch_add(1, std::memory_order_relaxed);
-      hot_.tyolo_in->add();
       // Keep the detections, not just the verdict: the boxes are the
       // candidate regions the reference stage consolidates under
       // RefMode::kCropPack. pass() is detect() + this count, so the
-      // predicate is unchanged.
-      bool pass;
+      // predicate is unchanged. A degraded frame that rides on carries no
+      // candidates, which routes it to the full-frame fallback.
+      bool pass = false;
       detect::DetectionResult det;
-      bool have_det = false;
-      bool cancelled = false;
-      try {
-        gpu0_hb_.busy();
-        runtime::ModelCallGuard guard(gpu0_call_, s.id, item->frame.index);
-        det = s.models.tyolo->detect(item->frame.image);
-        gpu0_hb_.idle();
-        pass = det.count_target(s.models.target,
-                                s.models.tyolo->config().confidence_threshold) >=
-               config_.number_of_objects;
-        have_det = true;
-      } catch (const runtime::CancelledError&) {
-        gpu0_hb_.idle();
-        cancelled = true;
-        pass = wedge_verdict(s, *item);
-      } catch (...) {
-        gpu0_hb_.idle();
-        s.degraded.fetch_add(1, std::memory_order_relaxed);
-        pass = config_.degrade_policy == DegradePolicy::kBypass;
-      }
+      const CallOutcome oc =
+          model_call(gpu0_hb_, gpu0_call_, s.id, item->frame.index, [&] {
+            det = s.models.tyolo->detect(item->frame.image);
+            pass = det.count_target(s.models.target,
+                                    s.models.tyolo->config().confidence_threshold) >=
+                   config_.number_of_objects;
+          });
+      if (oc != CallOutcome::kOk) pass = s.failed(*item, oc, /*last_stage=*/false);
       ++served;
       if (pass) {
         s.tyolo_passed.fetch_add(1, std::memory_order_relaxed);
-        hot_.tyolo_passed->add();
         auto candidates =
-            have_det ? det.boxes() : std::vector<image::Box>{};
+            oc == CallOutcome::kOk ? det.boxes() : std::vector<image::Box>{};
         if (!tyolo_shared_->ref_q.push(
                 {s.id, std::move(*item), std::move(candidates)})) {
           // ref_q closed underneath us (shutdown): the popped frame cannot
           // reach the reference stage, so it terminates here.
-          s.discarded.fetch_add(1, std::memory_order_relaxed);
-          s.terminated.fetch_add(1, std::memory_order_release);
+          s.end(End::kDiscarded);
           running = false;
         }
       } else {
-        hot_.drop_tyolo->add();
-        s.lat_tyolo.add(ms_since(item->ingest));
-        s.terminated.fetch_add(1, std::memory_order_release);
+        s.end(End::kDropped, &s.lat_tyolo, ms_since(item->ingest));
       }
-      if (cancelled && allow_restart) {
+      if (oc == CallOutcome::kWedged && allow_restart) {
         // The frame is accounted; stop picking and let the cycle end so the
         // executor restarts with no frame in hand.
         restart_requested = true;
@@ -1107,12 +1124,8 @@ bool FfsVaInstance::gpu0_loop(bool allow_restart) {
       if (s.quarantined.load(std::memory_order_acquire)) {
         // Drain-and-discard both device queues of a quarantined stream.
         // The watchdog closed them, so once empty they stay empty.
-        std::uint64_t dumped = 0;
-        while (s.snm_q.try_pop()) ++dumped;
-        while (s.tyolo_q.try_pop()) ++dumped;
-        if (dumped > 0) {
-          s.discarded.fetch_add(dumped, std::memory_order_relaxed);
-          s.terminated.fetch_add(dumped, std::memory_order_release);
+        while (s.snm_q.try_pop() || s.tyolo_q.try_pop()) {
+          s.end(End::kDiscarded);
           did_work = true;
         }
         if (s.snm_q.closed() && s.snm_q.depth() == 0) {
@@ -1144,46 +1157,27 @@ bool FfsVaInstance::gpu0_loop(bool allow_restart) {
       hot_.snm_batches->add();
       hot_.batch_size->record(static_cast<double>(items.size()));
       std::vector<double> scores;
-      bool batch_degraded = false;
-      bool batch_cancelled = false;
-      try {
-        gpu0_hb_.busy();
-        telemetry::ScopedSpan sp(trace(), "snm.batch", telemetry::Stage::kSnm,
-                                 s.id, -1, static_cast<int>(items.size()));
-        runtime::ModelCallGuard guard(gpu0_call_, s.id,
-                                      items.front().frame.index);
-        scores = s.models.snm->predict_batch(imgs);
-        gpu0_hb_.idle();
-      } catch (const runtime::CancelledError&) {
-        // A wedged batch the watchdog cancelled: every popped frame still
-        // gets a per-frame wedge verdict below (conservation holds), then
-        // the executor restarts under the stage budget.
-        gpu0_hb_.idle();
-        batch_cancelled = true;
-        if (allow_restart) restart_requested = true;
-      } catch (...) {
-        gpu0_hb_.idle();
-        // The device call is batched, so one unevaluable frame degrades the
-        // whole sub-batch: every frame in it follows the degrade policy.
-        batch_degraded = true;
-        s.degraded.fetch_add(items.size(), std::memory_order_relaxed);
-      }
+      const CallOutcome oc =
+          model_call(gpu0_hb_, gpu0_call_, s.id, items.front().frame.index, [&] {
+            telemetry::ScopedSpan sp(trace(), "snm.batch", telemetry::Stage::kSnm,
+                                     s.id, -1, static_cast<int>(items.size()));
+            scores = s.models.snm->predict_batch(imgs);
+          });
+      // A wedged batch restarts the executor under the stage budget once
+      // every popped frame has its verdict (conservation holds).
+      if (oc == CallOutcome::kWedged && allow_restart) restart_requested = true;
       const double t_pre = s.models.snm->t_pre();
       // Every popped frame is accounted, even when `running` flips false
       // mid-batch (ref_q closed at shutdown): a frame that can no longer be
-      // routed terminates as discarded rather than vanishing.
+      // routed terminates as discarded rather than vanishing. The device
+      // call is batched, so a failed call fails every frame in it.
       for (std::size_t j = 0; j < items.size(); ++j) {
         s.snm_in.fetch_add(1, std::memory_order_relaxed);
-        hot_.snm_in->add();
-        const bool pass =
-            batch_cancelled
-                ? wedge_verdict(s, items[j])
-                : (batch_degraded
-                       ? config_.degrade_policy == DegradePolicy::kBypass
-                       : scores[j] >= t_pre);
+        const bool pass = oc == CallOutcome::kOk
+                              ? scores[j] >= t_pre
+                              : s.failed(items[j], oc, /*last_stage=*/false);
         if (pass) {
           s.snm_passed.fetch_add(1, std::memory_order_relaxed);
-          hot_.snm_passed->add();
           // The executor is also the T-YOLO service, so it must never block
           // on a full T-YOLO queue (it would deadlock against itself): a
           // full queue flips GPU0 over to T-YOLO work until space opens —
@@ -1196,13 +1190,10 @@ bool FfsVaInstance::gpu0_loop(bool allow_restart) {
             serve_tyolo();
           }
           if (!running || !s.tyolo_q.push(std::move(items[j]))) {
-            s.discarded.fetch_add(1, std::memory_order_relaxed);
-            s.terminated.fetch_add(1, std::memory_order_release);
+            s.end(End::kDiscarded);
           }
         } else {
-          hot_.drop_snm->add();
-          s.lat_snm.add(ms_since(items[j].ingest));
-          s.terminated.fetch_add(1, std::memory_order_release);
+          s.end(End::kDropped, &s.lat_snm, ms_since(items[j].ingest));
         }
       }
     }
@@ -1238,70 +1229,37 @@ bool FfsVaInstance::gpu0_loop(bool allow_restart) {
 }
 
 void FfsVaInstance::reference_entry() {
-  int restarts = 0;
   // Entries already popped from ref_q live here so they survive a stage
   // restart: the re-entered loop keeps serving them in pop order (per-stream
   // FIFO and frame conservation hold through the unwind).
   std::vector<RefEntry> pending;
-  for (;;) {
-    if (reference_loop(restarts < config_.stage_max_restarts, pending)) return;
-    ++restarts;
-    stage_restarts_.fetch_add(1, std::memory_order_relaxed);
-    stage_backoff(restarts);
-    const std::int64_t cancelled_at = ref_call_.cancelled_at_ms();
-    if (cancelled_at >= 0) {
-      hot_.recovery_ms->record(
-          static_cast<double>(runtime::steady_now_ms() - cancelled_at));
-    }
-  }
+  serve_with_restarts(ref_call_, [&](bool allow) {
+    return reference_loop(allow, pending);
+  });
 }
 
 bool FfsVaInstance::reference_loop(bool allow_restart,
                                    std::vector<RefEntry>& pending) {
   auto& ref_q = tyolo_shared_->ref_q;
 
-  // The three ways a frame leaves the reference stage. Emission order is
-  // pop order in every mode, so per-stream FIFO holds batched or not.
+  // The ways a frame leaves the reference stage. Emission order is pop
+  // order, so per-stream FIFO holds batched or not. Drops and quarantine
+  // discards feed the drop-latency histogram; dropped frames feed lat_drop,
+  // NOT lat_ref — the reference-stage latency distribution describes
+  // emitted frames only, and lat_drop still merges into stats.latency_ms
+  // (every ingested frame terminates exactly once).
   const auto discard = [&](Stream& s, const Item& item) {
-    // Quarantine drain-and-discard. These frames used to vanish with no
-    // latency record at all; they now feed the drop-latency histogram
-    // (telemetry only — per-stream stats freeze at quarantine, as before).
-    s.discarded.fetch_add(1, std::memory_order_relaxed);
-    s.terminated.fetch_add(1, std::memory_order_release);
     hot_.drop_latency_ms->record(ms_since(item.ingest));
+    s.end(End::kDiscarded);
   };
   const auto drop = [&](Stream& s, const Item& item) {
-    // The reference model is the last vetting stage: a frame it cannot
-    // evaluate is always dropped (never emitted unvetted), whatever the
-    // degrade policy says about the cheap filters. Dropped frames feed
-    // lat_drop, NOT lat_ref — the reference-stage latency distribution
-    // describes emitted frames only; lat_drop still merges into
-    // stats.latency_ms, so every ingested frame terminates exactly once.
-    s.degraded.fetch_add(1, std::memory_order_relaxed);
-    s.terminated.fetch_add(1, std::memory_order_release);
-    hot_.drop_ref->add();
     const double ms = ms_since(item.ingest);
-    s.lat_drop.add(ms);
     hot_.drop_latency_ms->record(ms);
-  };
-  const auto poison = [&](Stream& s, const Item& item) {
-    // Second wedge: the frame is poisoned — same terminal accounting as a
-    // reference-stage drop, but counted as poisoned instead of degraded.
-    s.poisoned.fetch_add(1, std::memory_order_relaxed);
-    s.terminated.fetch_add(1, std::memory_order_release);
-    poisoned_frames_.fetch_add(1, std::memory_order_relaxed);
-    hot_.drop_ref->add();
-    const double ms = ms_since(item.ingest);
-    s.lat_drop.add(ms);
-    hot_.drop_latency_ms->record(ms);
+    s.end(End::kDropped, &s.lat_drop, ms);
   };
   const auto emit = [&](Stream& s, Item&& item,
                         detect::DetectionResult&& result) {
-    s.ref_passed.fetch_add(1, std::memory_order_relaxed);
-    hot_.ref_passed->add();
-    outputs_count_.fetch_add(1, std::memory_order_relaxed);
     const double latency = ms_since(item.ingest);
-    s.lat_ref.add(latency);
     hot_.output_latency_ms->record(latency);
     OutputEvent ev{std::move(item.frame), std::move(result), latency};
     if (sink_) {
@@ -1310,61 +1268,18 @@ bool FfsVaInstance::reference_loop(bool allow_restart,
       runtime::MutexLock lk(outputs_mu_);
       outputs_.push_back(std::move(ev));
     }
-    // Ticked after the sink call: stream_quiesced() implying "all outputs
+    // Ended after the sink call: stream_quiesced() implying "all outputs
     // delivered" is what lets a hand-off serialize a complete result set.
-    s.terminated.fetch_add(1, std::memory_order_release);
+    s.end(End::kEmitted, &s.lat_ref, latency);
   };
 
-  if (config_.ref_mode == RefMode::kSingle) {
-    // One frame per detect() call — the paper's deployment. GPU1 is owned
-    // by this thread — device placement held by construction, not a lock.
-    while (auto entry = ref_q.pop()) {
-      Stream& s = *streams_[static_cast<std::size_t>(entry->stream)];
-      if (s.quarantined.load(std::memory_order_acquire)) {
-        discard(s, entry->item);
-        continue;
-      }
-      s.ref_in.fetch_add(1, std::memory_order_relaxed);
-      hot_.ref_in->add();
-      detect::DetectionResult result;
-      try {
-        ref_hb_.busy();
-        telemetry::ScopedSpan sp(trace(), "ref.detect", telemetry::Stage::kRef,
-                                 s.id, entry->item.frame.index);
-        runtime::ModelCallGuard guard(ref_call_, s.id, entry->item.frame.index);
-        result = s.models.reference->detect(entry->item.frame.image);
-        ref_hb_.idle();
-      } catch (const runtime::CancelledError&) {
-        // A wedged reference call the watchdog cancelled. The reference
-        // model is the last vetting stage, so the frame is always dropped
-        // (poisoned on its second wedge); then the stage restarts under
-        // the budget.
-        ref_hb_.idle();
-        ++entry->item.wedges;
-        if (entry->item.wedges >= 2) {
-          poison(s, entry->item);
-        } else {
-          drop(s, entry->item);
-        }
-        if (allow_restart) return false;
-        continue;
-      } catch (...) {
-        ref_hb_.idle();
-        drop(s, entry->item);
-        continue;
-      }
-      emit(s, std::move(entry->item), std::move(result));
-    }
-    return true;
-  }
-
-  // Micro-batched modes: drain ref_q under a second DynamicBatcher (via
-  // BatchDrain, reusing the run's BatchPolicy) into cross-stream batches,
-  // then evaluate each batch in one go — detect_batch under kBatch,
-  // crop-consolidated mosaics under kCropPack. Per-frame outcomes are
-  // applied in batch order = pop order (per-stream FIFO preserved), and a
-  // frame whose evaluation throws is dropped alone (RefBatchItem::ok) —
-  // batch-mates are unaffected.
+  // Drain ref_q under a second DynamicBatcher (via BatchDrain, reusing the
+  // run's BatchPolicy) into cross-stream batches, then evaluate each batch
+  // in one go — detect_batch under kBatch (ref_batch_size = 1 is the
+  // paper's one-frame loop), crop-consolidated mosaics under kCropPack.
+  // Per-frame outcomes are applied in batch order = pop order (per-stream
+  // FIFO preserved), and a frame whose evaluation throws is dropped alone
+  // (RefBatchItem::ok) — batch-mates are unaffected.
   const BatchDrain drain(config_.batch_policy, config_.ref_batch_size,
                          config_.ref_queue_threshold);
   const detect::CropPackConfig pack_cfg{config_.crop_pad, config_.crop_gutter,
@@ -1416,108 +1331,80 @@ bool FfsVaInstance::reference_loop(bool allow_restart,
         continue;
       }
       s.ref_in.fetch_add(1, std::memory_order_relaxed);
-      hot_.ref_in->add();
       batch.push_back(&e);
     }
 
+    CallOutcome oc = CallOutcome::kOk;
     if (!batch.empty()) {
       hot_.ref_batches->add();
       hot_.ref_batch_size->record(static_cast<double>(batch.size()));
       std::vector<detect::RefBatchItem> results;
-      bool whole_batch_failed = false;
-      bool batch_cancelled = false;
-      try {
-        ref_hb_.busy();
-        telemetry::ScopedSpan sp(trace(), "ref.batch", telemetry::Stage::kRef,
-                                 /*stream=*/-1, /*index=*/-1,
-                                 static_cast<int>(batch.size()));
-        // The batch spans streams; attribute the in-flight call to the
-        // first entry (the watchdog only needs *a* stream to charge the
-        // cancel to).
-        runtime::ModelCallGuard guard(ref_call_, batch.front()->stream,
-                                      batch.front()->item.frame.index);
-        if (config_.ref_mode == RefMode::kCropPack) {
-          requests.clear();
-          requests.reserve(batch.size());
-          for (const RefEntry* e : batch) {
-            const auto& ref =
-                *streams_[static_cast<std::size_t>(e->stream)]->models.reference;
-            requests.push_back(detect::CropRequest{
-                &e->item.frame.image, &ref.background(), e->candidates});
-          }
-          // Reference-model parameters are deployment-wide; the per-stream
-          // state (the background) travels inside each request.
-          auto consolidated = detect::consolidate_detect(
-              requests,
-              streams_[static_cast<std::size_t>(batch.front()->stream)]
-                  ->models.reference->config(),
-              pack_cfg);
-          results = std::move(consolidated.items);
-          const auto& cs = consolidated.stats;
-          for (const double f : cs.fill_ratio) hot_.mosaic_fill->record(f);
-          for (const int c : cs.crops_per_mosaic) {
-            hot_.crops_per_mosaic->record(static_cast<double>(c));
-          }
-          hot_.ref_full_frame->add(
-              static_cast<std::uint64_t>(cs.full_frame_fallbacks));
-          hot_.ref_seam_suppressed->add(
-              static_cast<std::uint64_t>(cs.seam_suppressed));
-        } else {  // RefMode::kBatch
-          detectors.clear();
-          imgs.clear();
-          detectors.reserve(batch.size());
-          imgs.reserve(batch.size());
-          for (const RefEntry* e : batch) {
-            detectors.push_back(
-                streams_[static_cast<std::size_t>(e->stream)]->models.reference.get());
-            imgs.push_back(&e->item.frame.image);
-          }
-          results = detect::detect_batch(detectors, imgs);
-        }
-        ref_hb_.idle();
-      } catch (const runtime::CancelledError&) {
-        // detect_batch re-raises a cancel after all its chunks join, so the
-        // batched device call mirrors the SNM contract: a wedged batch the
-        // watchdog cancelled wedges every frame in it (first wedge drops at
-        // this last vetting stage, second wedge poisons), then the stage
-        // restarts under the budget.
-        ref_hb_.idle();
-        batch_cancelled = true;
-      } catch (...) {
-        // detect_batch / consolidate_detect isolate per-frame errors
-        // internally; only a batch-setup failure (e.g. allocation) lands
-        // here, and it fails just this batch, not the stage.
-        ref_hb_.idle();
-        whole_batch_failed = true;
-      }
+      // The batch spans streams; attribute the in-flight call to the first
+      // entry (the watchdog only needs *a* stream to charge the cancel to).
+      // detect_batch / consolidate_detect isolate per-frame errors and
+      // re-raise a cancel after all their chunks join, so a whole-batch
+      // failure is a cancel or a batch-setup error (e.g. allocation).
+      oc = model_call(
+          ref_hb_, ref_call_, batch.front()->stream,
+          batch.front()->item.frame.index, [&] {
+            telemetry::ScopedSpan sp(trace(), "ref.batch", telemetry::Stage::kRef,
+                                     /*stream=*/-1, /*index=*/-1,
+                                     static_cast<int>(batch.size()));
+            if (config_.ref_mode == RefMode::kCropPack) {
+              requests.clear();
+              requests.reserve(batch.size());
+              for (const RefEntry* e : batch) {
+                const auto& ref =
+                    *streams_[static_cast<std::size_t>(e->stream)]->models.reference;
+                requests.push_back(detect::CropRequest{
+                    &e->item.frame.image, &ref.background(), e->candidates});
+              }
+              // Reference-model parameters are deployment-wide; the
+              // per-stream state (the background) travels in each request.
+              auto consolidated = detect::consolidate_detect(
+                  requests,
+                  streams_[static_cast<std::size_t>(batch.front()->stream)]
+                      ->models.reference->config(),
+                  pack_cfg);
+              results = std::move(consolidated.items);
+              const auto& cs = consolidated.stats;
+              for (const double f : cs.fill_ratio) hot_.mosaic_fill->record(f);
+              for (const int c : cs.crops_per_mosaic) {
+                hot_.crops_per_mosaic->record(static_cast<double>(c));
+              }
+              hot_.ref_full_frame->add(
+                  static_cast<std::uint64_t>(cs.full_frame_fallbacks));
+              hot_.ref_seam_suppressed->add(
+                  static_cast<std::uint64_t>(cs.seam_suppressed));
+            } else {  // RefMode::kBatch
+              detectors.clear();
+              imgs.clear();
+              for (const RefEntry* e : batch) {
+                detectors.push_back(streams_[static_cast<std::size_t>(e->stream)]
+                                        ->models.reference.get());
+                imgs.push_back(&e->item.frame.image);
+              }
+              results = detect::detect_batch(detectors, imgs);
+            }
+          });
 
       for (std::size_t i = 0; i < batch.size(); ++i) {
         RefEntry& e = *batch[i];
         Stream& s = *streams_[static_cast<std::size_t>(e.stream)];
-        if (batch_cancelled) {
-          ++e.item.wedges;
-          if (e.item.wedges >= 2) {
-            poison(s, e.item);
-          } else {
-            drop(s, e.item);
-          }
-        } else if (whole_batch_failed || !results[i].ok) {
-          drop(s, e.item);
-        } else {
+        if (oc == CallOutcome::kOk && results[i].ok) {
           emit(s, std::move(e.item), std::move(results[i].result));
+        } else {
+          s.failed(e.item, oc == CallOutcome::kOk ? CallOutcome::kFailed : oc,
+                   /*last_stage=*/true);
+          drop(s, e.item);
         }
       }
-      if (batch_cancelled) {
-        // Remove the processed entries first: the restarted loop must not
-        // serve them again.
-        pending.erase(pending.begin(),
-                      pending.begin() + static_cast<std::ptrdiff_t>(step.take));
-        if (allow_restart) return false;
-        continue;
-      }
     }
+    // Remove the processed entries before a restart: the re-entered loop
+    // must not serve them again.
     pending.erase(pending.begin(),
                   pending.begin() + static_cast<std::ptrdiff_t>(step.take));
+    if (oc == CallOutcome::kWedged && allow_restart) return false;
   }
   return true;
 }
@@ -1596,18 +1483,6 @@ void FfsVaInstance::supervise(Clock::time_point t0) {
   bool stalled = gpu0_hb_.busy_age_ms() > timeout || ref_hb_.busy_age_ms() > timeout;
   for (const auto& hb : sdd_hb_) stalled = stalled || hb.busy_age_ms() > timeout;
   if (stalled) stage_stall_ticks_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void FfsVaInstance::stage_backoff(int attempt) {
-  std::int64_t ms = static_cast<std::int64_t>(
-                        std::max(0, config_.stage_restart_backoff_ms))
-                    << std::min(attempt, 20);
-  ms = std::min<std::int64_t>(ms, 100);
-  const auto until = Clock::now() + std::chrono::milliseconds(ms);
-  // Sliced so stop() aborts the wait promptly.
-  while (Clock::now() < until && !stop_.stop_requested()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
 }
 
 InstanceStats FfsVaInstance::run(bool online) {
@@ -1753,80 +1628,28 @@ InstanceStats FfsVaInstance::run(bool online) {
 
   InstanceStats out;
   out.wall_sec = wall.elapsed_sec();
+  out.health = health();
   std::uint64_t ingested = 0;
   for (auto& sp : streams_) {
     Stream& s = *sp;
-    // Snapshot the prefetch-thread atomics into the plain report. For a
-    // quarantined stream the thread may still be alive — the snapshot is
-    // the freeze point of its counters.
-    s.stats.prefetch.in = s.prefetch_in.load(std::memory_order_relaxed);
-    s.stats.prefetch.passed = s.prefetch_passed.load(std::memory_order_relaxed);
-    s.stats.dropped_at_ingest = s.dropped_ingest.load(std::memory_order_relaxed);
-    // Freeze the per-stage counters now that the stage threads are joined;
-    // the atomics exist so snapshot() can read them mid-run.
-    s.stats.sdd.in = s.sdd_in.load(std::memory_order_relaxed);
-    s.stats.sdd.passed = s.sdd_passed.load(std::memory_order_relaxed);
-    s.stats.snm.in = s.snm_in.load(std::memory_order_relaxed);
-    s.stats.snm.passed = s.snm_passed.load(std::memory_order_relaxed);
-    s.stats.tyolo.in = s.tyolo_in.load(std::memory_order_relaxed);
-    s.stats.tyolo.passed = s.tyolo_passed.load(std::memory_order_relaxed);
-    s.stats.ref.in = s.ref_in.load(std::memory_order_relaxed);
-    s.stats.ref.passed = s.ref_passed.load(std::memory_order_relaxed);
-    s.stats.fault.decode_errors = s.decode_errors.load(std::memory_order_relaxed);
-    s.stats.fault.retries = s.retries.load(std::memory_order_relaxed);
-    s.stats.fault.restarts = s.restarts.load(std::memory_order_relaxed);
-    s.stats.fault.degraded_frames = s.degraded.load(std::memory_order_relaxed);
-    s.stats.fault.discarded_frames = s.discarded.load(std::memory_order_relaxed);
-    s.stats.fault.cancelled_calls = s.cancels.load(std::memory_order_relaxed);
-    s.stats.fault.poisoned_frames = s.poisoned.load(std::memory_order_relaxed);
-    s.stats.fault.quarantined = s.quarantined.load(std::memory_order_acquire);
-    // Ingest accounting: decode work actually performed vs skipped via the
-    // compressed-domain hint, plus the decode-stage latency distribution.
-    s.stats.ingest.decode_full = s.decode_full.load(std::memory_order_relaxed);
-    s.stats.ingest.decode_skipped =
-        s.decode_skipped.load(std::memory_order_relaxed);
-    s.stats.ingest.hint_passes = s.hint_passes.load(std::memory_order_relaxed);
-    s.stats.ingest.hint_fallbacks =
-        s.hint_fallbacks.load(std::memory_order_relaxed);
-    s.stats.ingest.decode_ms = s.decode_ms.snapshot();
-    if (const auto cs = s.source->codec_stats()) {
-      s.stats.ingest.compression_ratio = cs->compression_ratio();
-    }
+    // Freeze the stream's atomics into the plain report. For a quarantined
+    // stream the prefetch thread may still be alive — this read is the
+    // freeze point of its counters.
+    StreamStats st = s.counters();
+    st.ingest.decode_ms = s.decode_ms.snapshot();
     // Merge the per-stage terminal-latency histograms now that every stage
     // thread is joined; keeping them separate during the run is what makes
     // concurrent recording race-free.
-    s.stats.latency_ms.merge(s.lat_sdd);
-    s.stats.latency_ms.merge(s.lat_snm);
-    s.stats.latency_ms.merge(s.lat_tyolo);
-    s.stats.latency_ms.merge(s.lat_ref);
-    s.stats.latency_ms.merge(s.lat_drop);
+    for (const auto* lat : {&s.lat_sdd, &s.lat_snm, &s.lat_tyolo, &s.lat_ref,
+                            &s.lat_drop}) {
+      st.latency_ms.merge(*lat);
+    }
     const double iw = s.ingest_wall_sec.load(std::memory_order_relaxed);
-    if (iw > 0.0) {
-      s.stats.ingest_fps = static_cast<double>(s.stats.prefetch.passed) / iw;
-    }
-    ingested += s.stats.prefetch.passed;
-
-    if (s.stats.fault.quarantined) {
-      ++out.health.quarantined_streams;
-    } else if (s.stats.fault.any()) {
-      ++out.health.degraded_streams;
-    } else {
-      ++out.health.healthy_streams;
-    }
-    out.health.decode_errors += s.stats.fault.decode_errors;
-    out.health.retries += s.stats.fault.retries;
-    out.health.restarts += s.stats.fault.restarts;
-    out.health.degraded_frames += s.stats.fault.degraded_frames;
-    out.health.discarded_frames += s.stats.fault.discarded_frames;
-
-    out.streams.push_back(s.stats);
+    if (iw > 0.0) st.ingest_fps = static_cast<double>(st.prefetch.passed) / iw;
+    ingested += st.prefetch.passed;
+    tally(out.health, st.fault);
+    out.streams.push_back(std::move(st));
   }
-  out.health.cancels = cancels_.load(std::memory_order_relaxed);
-  out.health.stage_restarts = stage_restarts_.load(std::memory_order_relaxed);
-  out.health.poisoned_frames = poisoned_frames_.load(std::memory_order_relaxed);
-  out.health.stage_stall_ticks = stage_stall_ticks_.load(std::memory_order_relaxed);
-  out.health.stopped = stop_.stop_requested();
-  out.health.deadline_hit = deadline_hit_.load(std::memory_order_relaxed);
   out.total_throughput_fps =
       out.wall_sec > 0.0 ? static_cast<double>(ingested) / out.wall_sec : 0.0;
   {

@@ -18,11 +18,20 @@
 //    exclusivity holds by construction — no GPU0 mutex, no contention,
 //  * one reference-model thread (GPU1) draining the survivors. Under
 //    RefMode::kBatch it consumes ref_q in cross-stream micro-batches
-//    (BatchDrain + detect_batch, work spread over the compute pool); under
+//    (BatchDrain + detect_batch, work spread over the compute pool;
+//    ref_batch_size = 1 is the paper's one-frame loop); under
 //    RefMode::kCropPack it consolidates T-YOLO's candidate boxes from many
 //    streams into mosaic canvases first (detect/crop_pack.hpp). Both keep
 //    GPU1 single-owner and preserve per-stream FIFO order and the per-frame
 //    drop-on-error contract.
+//
+// Every stage applies one per-frame contract, written once in pipeline.cpp:
+// a model call (model_call()) ends with a verdict, a wedge or a failure;
+// a call without a verdict goes through one failure rule (Stream::failed);
+// and every frame ends exactly once, through one terminal routine
+// (Stream::end) that does the counting. The per-stream atomics are the only
+// store of the funnel counts — snapshot(), run()'s InstanceStats and the
+// registry's funnel counters all read them.
 //
 // Stage workers sleep on QueueWaiter eventcounts wired to their input
 // queues (runtime/bounded_queue.hpp) and are woken by queue activity — the
@@ -324,12 +333,7 @@ class FfsVaInstance {
   static void prefetch_loop(std::shared_ptr<Stream> s, bool online,
                             int affinity_base);
 
-  /// Stage entry points: each wraps its loop in the restart policy of
-  /// DESIGN.md Section 14 — a loop returning false was unwound by a
-  /// watchdog cancel and re-enters after stage_backoff(), up to
-  /// config.stage_max_restarts times; past the budget the loop handles
-  /// further cancels inline (degrade the frame, keep serving) and never
-  /// requests a restart. The loops return true when their work is finished.
+  /// Stage entry points: each runs its loop under serve_with_restarts().
   void sdd_worker_entry(int worker);
   void gpu0_entry();
   void reference_entry();
@@ -339,9 +343,14 @@ class FfsVaInstance {
   /// ref_q survive a stage restart (per-stream FIFO and conservation hold
   /// through the unwind).
   bool reference_loop(bool allow_restart, std::vector<RefEntry>& pending);
-  /// Sliced sleep before a stage re-enters its loop: stage_restart_backoff_ms
-  /// doubled per attempt, capped at 100 ms, aborted early by stop().
-  void stage_backoff(int attempt);
+  /// The restart policy of DESIGN.md Section 14: a loop returning false was
+  /// unwound by a watchdog cancel of `call` and re-enters after a backoff
+  /// (stage_restart_backoff_ms doubled per attempt, capped at 100 ms), up
+  /// to config.stage_max_restarts times; past the budget the loop handles
+  /// further cancels inline (degrade the frame, keep serving) and never
+  /// requests a restart. Loops return true when their work is finished.
+  void serve_with_restarts(const runtime::InflightCall& call,
+                           const std::function<bool(bool allow_restart)>& loop);
 
   /// The watchdog tick: run deadline, wedged-call cancellation
   /// (model_call_timeout_ms), per-stream stall quarantine, shared-stage
@@ -356,8 +365,12 @@ class FfsVaInstance {
   int sdd_pool_size(int eligible_streams) const;
 
   /// Register the run's gauges (queue depths, fault counters, supervision
-  /// state) and cache the hot-path counter/histogram handles.
+  /// state) and funnel counters (read from the Stream atomics), and cache
+  /// the hot-path counter/histogram handles.
   void wire_metrics();
+  /// The instance-level part of the health rollup (supervision counters,
+  /// stop/deadline state); callers fold in each stream's faults.
+  HealthSummary health() const;
 
   FfsVaConfig config_;
   /// Stream slots. Append-only; capacity is reserved up front in run() when
@@ -406,12 +419,11 @@ class FfsVaInstance {
   std::atomic<bool> run_called_{false};
   std::atomic<bool> deadline_hit_{false};
   std::atomic<std::uint64_t> stage_stall_ticks_{0};
-  /// Escalation totals (DESIGN.md Section 14); per-stream attribution lives
-  /// in the Stream atomics, these are the instance rollups the health
-  /// summary and the supervision.* gauges read.
+  /// Escalation totals (DESIGN.md Section 14) the health summary and the
+  /// supervision.* gauges read. Per-stream attribution lives in the Stream
+  /// atomics; poisoned frames are counted there only (the rollup sums them).
   std::atomic<std::uint64_t> cancels_{0};
   std::atomic<std::uint64_t> stage_restarts_{0};
-  std::atomic<std::uint64_t> poisoned_frames_{0};
   std::vector<runtime::Heartbeat> sdd_hb_;  ///< One per SDD worker.
   runtime::Heartbeat gpu0_hb_;
   runtime::Heartbeat ref_hb_;
@@ -440,23 +452,12 @@ class FfsVaInstance {
   bool tracing_requested_ = false;
   std::atomic<bool> running_{false};
   std::atomic<std::int64_t> run_t0_ns_{0};
-  std::atomic<std::uint64_t> outputs_count_{0};
 
   /// Hot-path handles, resolved once in wire_metrics() so stage loops never
   /// touch the registry map.
+  /// Per-frame funnel counts are not here: they live in the Stream atomics
+  /// only, and the registry reads them when sampled (wire_metrics()).
   struct Hot {
-    telemetry::Counter* sdd_in = nullptr;
-    telemetry::Counter* sdd_passed = nullptr;
-    telemetry::Counter* snm_in = nullptr;
-    telemetry::Counter* snm_passed = nullptr;
-    telemetry::Counter* tyolo_in = nullptr;
-    telemetry::Counter* tyolo_passed = nullptr;
-    telemetry::Counter* ref_in = nullptr;
-    telemetry::Counter* ref_passed = nullptr;
-    telemetry::Counter* drop_sdd = nullptr;
-    telemetry::Counter* drop_snm = nullptr;
-    telemetry::Counter* drop_tyolo = nullptr;
-    telemetry::Counter* drop_ref = nullptr;
     telemetry::Counter* snm_batches = nullptr;
     telemetry::Counter* tyolo_picks = nullptr;
     telemetry::AtomicHistogram* batch_size = nullptr;

@@ -1,8 +1,7 @@
-// Shared SNM-style frame preprocessing (paper Sections 3.2.2 / 5.5).
+// SNM frame preprocessing (paper Section 3.2.2).
 //
-// Both the single-target SnmFilter and the multi-label MultiSnmFilter feed
-// their network the same feature: the frame resized to the model input
-// size, differenced per pixel against the stream's (pre-resized)
+// SnmFilter feeds its network this feature: the frame resized to the model
+// input size, differenced per pixel against the stream's (pre-resized)
 // background with a max-over-channels reduction, scaled to [0, 1] floats.
 // This module is that feature computed once, allocation-free on a warm
 // scratch, with batches fanned out across the runtime compute pool.

@@ -100,10 +100,11 @@ const HistogramSnapshot* MetricsSnapshot::histogram(std::string_view name) const
   return nullptr;
 }
 
-Counter& Registry::counter(const std::string& name) {
+Counter& Registry::counter(const std::string& name, Counter::Fn fn) {
   runtime::MutexLock lk(mu_);
   auto& slot = counters_[name];
   if (!slot) slot = std::make_unique<Counter>();
+  if (fn) slot->set_fn(std::move(fn));
   return *slot;
 }
 

@@ -54,10 +54,13 @@ namespace ffsva::telemetry {
 std::uint32_t thread_slot();
 
 /// Monotonic event counter, sharded to keep concurrent writers off each
-/// other's cache lines.
+/// other's cache lines. A counter given a read function instead reports
+/// that function's value (a count kept elsewhere, e.g. in per-stream
+/// atomics) and ignores add().
 class Counter {
  public:
   static constexpr std::size_t kShards = 16;
+  using Fn = std::function<std::uint64_t()>;
 
   Counter() = default;
   Counter(const Counter&) = delete;
@@ -68,9 +71,12 @@ class Counter {
     cells_[thread_slot() % kShards].v.fetch_add(n, std::memory_order_relaxed);
   }
 
+  void set_fn(Fn fn) { fn_ = std::move(fn); }
+
   /// Merged total. Exact once writers quiesce; while they run, a sum that
   /// never decreases and never exceeds the true count at read completion.
   std::uint64_t value() const {
+    if (fn_) return fn_();
     std::uint64_t total = 0;
     for (const auto& c : cells_) total += c.v.load(std::memory_order_relaxed);
     return total;
@@ -81,6 +87,7 @@ class Counter {
     std::atomic<std::uint64_t> v{0};
   };
   std::array<Cell, kShards> cells_;
+  Fn fn_;
 };
 
 /// Instantaneous value, read via callback at snapshot time only.
@@ -151,22 +158,25 @@ struct MetricsSnapshot {
 
 /// Named metric registry. Handles returned by counter()/gauge()/histogram()
 /// are stable for the registry's lifetime; repeated registration of a name
-/// returns the same instance (a gauge's callback is replaced if a new one
-/// is supplied).
+/// returns the same instance (a counter's or gauge's read function is
+/// replaced if a new one is supplied). A counter registered with a read
+/// function is polled at snapshot time like a gauge but exported in the
+/// counters section, so rates are computed for it.
 class Registry {
  public:
   Registry() = default;
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  Counter& counter(const std::string& name) FFSVA_EXCLUDES(mu_);
+  Counter& counter(const std::string& name, Counter::Fn fn = nullptr)
+      FFSVA_EXCLUDES(mu_);
   Gauge& gauge(const std::string& name, Gauge::Fn fn = nullptr)
       FFSVA_EXCLUDES(mu_);
   AtomicHistogram& histogram(const std::string& name) FFSVA_EXCLUDES(mu_);
 
   /// Merge every metric into plain values. Safe concurrently with recording
-  /// (counters/histograms are relaxed reads); gauge callbacks run on the
-  /// calling thread and must themselves be thread-safe.
+  /// (counters/histograms are relaxed reads); counter and gauge read
+  /// functions run on the calling thread and must themselves be thread-safe.
   MetricsSnapshot snapshot() const FFSVA_EXCLUDES(mu_);
 
  private:

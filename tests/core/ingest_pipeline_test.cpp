@@ -58,7 +58,8 @@ TestStream& shared_stream() {
 
 std::set<std::int64_t> run_once(DecodePolicy policy,
                                 InstanceStats* stats_out = nullptr,
-                                double delta_override = -1.0) {
+                                double delta_override = -1.0,
+                                telemetry::MetricsSnapshot* metrics_out = nullptr) {
   auto& s = shared_stream();
   const double saved_delta = s.models.sdd->config().delta_diff;
   if (delta_override >= 0.0) s.models.sdd->set_delta(delta_override);
@@ -70,6 +71,7 @@ std::set<std::int64_t> run_once(DecodePolicy policy,
   const auto stats = instance.run(/*online=*/false);
   if (delta_override >= 0.0) s.models.sdd->set_delta(saved_delta);
   if (stats_out != nullptr) *stats_out = stats;
+  if (metrics_out != nullptr) *metrics_out = instance.metrics().snapshot();
   std::set<std::int64_t> out;
   for (const auto& ev : instance.outputs()) out.insert(ev.frame.index);
   return out;
@@ -106,6 +108,19 @@ TEST(HintedIngest, ConservesFramesThroughFusedStage) {
   EXPECT_EQ(st.ingest.hint_passes + st.ingest.hint_fallbacks,
             st.ingest.decode_full);
   EXPECT_EQ(st.ingest.decode_ms.count, 300u);
+}
+
+// The fused prefetch stage ticks only the stream's atomics; the registry's
+// SDD funnel counters must read the same counts as StreamStats.
+TEST(HintedIngest, RegistrySddFunnelMatchesStreamStats) {
+  InstanceStats stats;
+  telemetry::MetricsSnapshot metrics;
+  run_once(DecodePolicy::kHinted, &stats, /*delta_override=*/-1.0, &metrics);
+  const auto& sdd = stats.streams[0].sdd;
+  EXPECT_EQ(sdd.in, 300u);
+  EXPECT_EQ(metrics.counter_or("sdd.in"), sdd.in);
+  EXPECT_EQ(metrics.counter_or("sdd.passed"), sdd.passed);
+  EXPECT_EQ(metrics.counter_or("drop.sdd"), sdd.in - sdd.passed);
 }
 
 TEST(HintedIngest, MatchesFullPolicySurvivors) {

@@ -1,11 +1,14 @@
-// GPU1 reference-stage batching in the live engine: RefMode::kBatch must be
-// output-equivalent to RefMode::kSingle (same frames, same per-stream order,
-// same detections), a frame the reference model cannot evaluate must be
-// dropped alone (per-frame drop-on-error inside a batch), the drop-latency
-// fix must keep dropped frames out of the output-latency distribution, and
-// RefMode::kCropPack must agree with the single-frame oracle on the frames
-// it emits. Runs under the tsan/asan labels — the batched reference loop and
-// its cross-stream buffers are new concurrency surface.
+// GPU1 reference-stage batching in the live engine, against two oracles: a
+// ref_batch_size = 1 run (the paper's one-frame loop) fixes the emitted
+// frame set, the global order and the degraded counts, and a direct
+// per-frame reference->detect() call fixes every emitted frame's
+// detections. RefMode::kBatch must match both; a frame the reference model
+// cannot evaluate must be dropped alone (per-frame drop-on-error inside a
+// batch); the drop-latency fix must keep dropped frames out of the
+// output-latency distribution; and RefMode::kCropPack must agree with the
+// per-frame oracle on the frames it emits. Runs under the tsan/asan labels
+// — the batched reference loop and its cross-stream buffers are
+// concurrency surface.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -101,6 +104,8 @@ class TruncatingSource final : public video::FrameSource {
 struct RunResult {
   std::vector<std::pair<int, std::int64_t>> outputs;  ///< (stream, index) in order
   std::vector<detect::DetectionResult> results;
+  /// reference->detect() called directly on each emitted frame, in order.
+  std::vector<detect::DetectionResult> oracle;
   InstanceStats stats;
   std::uint64_t drop_hist_count = 0;
   std::uint64_t output_hist_count = 0;
@@ -108,11 +113,12 @@ struct RunResult {
 };
 
 RunResult run_window(RefMode mode, int streams, std::int64_t begin,
-                     std::int64_t end, bool truncate = false) {
+                     std::int64_t end, bool truncate = false,
+                     int ref_batch_size = 6) {
   auto& s = shared_stream();
   FfsVaConfig cfg;
   cfg.ref_mode = mode;
-  cfg.ref_batch_size = 6;
+  cfg.ref_batch_size = ref_batch_size;
   if (truncate) cfg.degrade_policy = DegradePolicy::kBypass;
   FfsVaInstance instance(cfg);
   const std::int64_t span = (end - begin) / streams;
@@ -132,6 +138,7 @@ RunResult run_window(RefMode mode, int streams, std::int64_t begin,
   for (const auto& ev : instance.outputs()) {
     r.outputs.emplace_back(ev.frame.stream_id, ev.frame.index);
     r.results.push_back(ev.result);
+    r.oracle.push_back(s.models.reference->detect(ev.frame.image));
   }
   r.drop_hist_count = instance.metrics().histogram("latency.drop_ms").count();
   r.output_hist_count = instance.metrics().histogram("latency.output_ms").count();
@@ -139,26 +146,38 @@ RunResult run_window(RefMode mode, int streams, std::int64_t begin,
   return r;
 }
 
-TEST(RefBatch, BatchedOutputsEqualSingleIncludingOrder) {
-  const auto single = run_window(RefMode::kSingle, 2, 700, 1000);
+/// The paper's one-frame loop: kBatch with one frame per reference call.
+RunResult run_one_frame(int streams, std::int64_t begin, std::int64_t end,
+                        bool truncate = false) {
+  return run_window(RefMode::kBatch, streams, begin, end, truncate,
+                    /*ref_batch_size=*/1);
+}
+
+void expect_same_detections(const detect::DetectionResult& got,
+                            const detect::DetectionResult& want) {
+  ASSERT_EQ(got.detections.size(), want.detections.size());
+  for (std::size_t d = 0; d < want.detections.size(); ++d) {
+    EXPECT_EQ(got.detections[d].box, want.detections[d].box);
+    EXPECT_DOUBLE_EQ(got.detections[d].confidence, want.detections[d].confidence);
+  }
+}
+
+TEST(RefBatch, BatchedOutputsEqualOneFrameLoopAndPerFrameOracle) {
+  const auto one = run_one_frame(2, 700, 1000);
   const auto batched = run_window(RefMode::kBatch, 2, 700, 1000);
   // Identical emitted frames in identical global order is stronger than the
   // contract (which fixes only per-stream order), but it holds here because
-  // both modes emit in pop order from the same FIFO ref_q.
-  ASSERT_EQ(batched.outputs, single.outputs);
-  ASSERT_EQ(batched.results.size(), single.results.size());
-  for (std::size_t i = 0; i < single.results.size(); ++i) {
-    ASSERT_EQ(batched.results[i].detections.size(),
-              single.results[i].detections.size());
-    for (std::size_t d = 0; d < single.results[i].detections.size(); ++d) {
-      EXPECT_EQ(batched.results[i].detections[d].box,
-                single.results[i].detections[d].box);
-      EXPECT_DOUBLE_EQ(batched.results[i].detections[d].confidence,
-                       single.results[i].detections[d].confidence);
-    }
+  // every batch size emits in pop order from the same FIFO ref_q.
+  ASSERT_EQ(batched.outputs, one.outputs);
+  ASSERT_GT(batched.outputs.size(), 0u);
+  for (std::size_t i = 0; i < batched.results.size(); ++i) {
+    expect_same_detections(batched.results[i], batched.oracle[i]);
+    expect_same_detections(one.results[i], one.oracle[i]);
   }
   EXPECT_GT(batched.ref_batches, 0u);
-  EXPECT_EQ(single.ref_batches, 0u);
+  // One frame per reference call: one batch per frame the stage evaluated.
+  EXPECT_EQ(one.ref_batches, one.stats.aggregate().ref.in);
+  EXPECT_LE(batched.ref_batches, one.ref_batches);
 }
 
 TEST(RefBatch, PerStreamFifoOrderHolds) {
@@ -175,18 +194,21 @@ TEST(RefBatch, PerStreamFifoOrderHolds) {
 }
 
 TEST(RefBatch, ThrowingFrameIsDroppedAloneInsideBatches) {
-  const auto single = run_window(RefMode::kSingle, 1, 700, 1000, /*truncate=*/true);
+  const auto one = run_one_frame(1, 700, 1000, /*truncate=*/true);
   const auto batched = run_window(RefMode::kBatch, 1, 700, 1000, /*truncate=*/true);
 
-  // Truncated frames reach the reference stage and throw there; both modes
-  // must drop exactly those frames and emit everything else identically —
-  // a batched exception must not take batch-mates down with it.
-  EXPECT_EQ(batched.outputs, single.outputs);
+  // Truncated frames reach the reference stage and throw there; both batch
+  // sizes must drop exactly those frames and emit everything else
+  // identically — a batched exception must not take batch-mates down with it.
+  EXPECT_EQ(batched.outputs, one.outputs);
   for (const auto& [stream, index] : batched.outputs) {
     EXPECT_NE(index % 7, 0) << "a truncated frame was emitted unvetted";
   }
+  for (std::size_t i = 0; i < batched.results.size(); ++i) {
+    expect_same_detections(batched.results[i], batched.oracle[i]);
+  }
   const auto& st_b = batched.stats.streams[0];
-  const auto& st_s = single.stats.streams[0];
+  const auto& st_s = one.stats.streams[0];
   EXPECT_GT(st_b.fault.degraded_frames, 0u);
   EXPECT_EQ(st_b.fault.degraded_frames, st_s.fault.degraded_frames);
   EXPECT_EQ(st_b.ref.in - st_b.ref.passed, st_b.fault.degraded_frames);
@@ -203,20 +225,20 @@ TEST(RefBatch, DroppedFramesFeedDropHistogramNotOutputLatency) {
   EXPECT_EQ(r.output_hist_count, r.outputs.size());
 }
 
-TEST(RefCropPack, EmitsSameFramesAndAgreesWithSingleFrameOracle) {
+TEST(RefCropPack, EmitsSameFramesAndAgreesWithPerFrameOracle) {
   auto& s = shared_stream();
-  const auto single = run_window(RefMode::kSingle, 2, 1000, 1300);
+  const auto one = run_one_frame(2, 1000, 1300);
   const auto packed = run_window(RefMode::kCropPack, 2, 1000, 1300);
   // Every mode emits every frame the reference stage could evaluate, so the
   // emitted frame sets match exactly; what kCropPack may change (bounded by
   // the fallback policy) is the detections.
-  ASSERT_EQ(packed.outputs, single.outputs);
+  ASSERT_EQ(packed.outputs, one.outputs);
   ASSERT_GT(packed.outputs.size(), 0u);
   const double conf = s.models.reference->config().confidence_threshold;
   int agree = 0;
   for (std::size_t i = 0; i < packed.outputs.size(); ++i) {
     const bool oracle_pass =
-        single.results[i].count_target(s.models.target, conf) >= 1;
+        packed.oracle[i].count_target(s.models.target, conf) >= 1;
     const bool packed_pass =
         packed.results[i].count_target(s.models.target, conf) >= 1;
     if (oracle_pass == packed_pass) ++agree;
@@ -224,11 +246,10 @@ TEST(RefCropPack, EmitsSameFramesAndAgreesWithSingleFrameOracle) {
   const double agreement =
       static_cast<double>(agree) / static_cast<double>(packed.outputs.size());
   EXPECT_GE(agreement, 0.95)
-      << "crop-packed pass/fail verdicts diverge from the single-frame oracle";
+      << "crop-packed pass/fail verdicts diverge from the per-frame oracle";
 }
 
 TEST(RefConfig, ModeNamesAndDefaults) {
-  EXPECT_STREQ(to_string(RefMode::kSingle), "single");
   EXPECT_STREQ(to_string(RefMode::kBatch), "batch");
   EXPECT_STREQ(to_string(RefMode::kCropPack), "crop_pack");
   FfsVaConfig cfg;

@@ -148,6 +148,18 @@ TEST(Registry, SnapshotEntriesAreSorted) {
   EXPECT_EQ(snap.counters[2].first, "zeta");
 }
 
+TEST(Registry, ReadFunctionCounterExportsAsCounter) {
+  Registry reg;
+  std::uint64_t kept_elsewhere = 7;
+  Counter& c = reg.counter("stage.in", [&] { return kept_elsewhere; });
+  EXPECT_EQ(&c, &reg.counter("stage.in"));
+  c.add(100);  // ignored: the read function owns the value
+  kept_elsewhere = 9;
+  const auto snap = reg.snapshot();
+  EXPECT_EQ(snap.counter_or("stage.in"), 9u);
+  EXPECT_TRUE(snap.gauges.empty());
+}
+
 // The production pattern: stage threads hammer counters/histograms while a
 // sampler thread snapshots concurrently. Mid-run snapshots must be
 // monotonic and bounded by the true total; the post-join snapshot exact.

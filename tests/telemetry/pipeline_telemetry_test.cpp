@@ -119,10 +119,28 @@ TEST(PipelineTelemetry, RealRunExportsTraceAndMetrics) {
     EXPECT_NE(rows.find(key), std::string::npos) << key;
   }
 
-  // The counters agree with the run's frozen stats.
+  // The final row's funnel counters agree with the run's frozen stats.
+  const std::size_t last = rows.rfind('\n', rows.size() - 2);
+  const std::string final_row =
+      rows.substr(last == std::string::npos ? 0 : last + 1);
+  const std::size_t c0 = final_row.find("\"counters\":{");
+  ASSERT_NE(c0, std::string::npos);
+  // Every value in the section ends in ','.
+  const std::string counters =
+      final_row.substr(c0, final_row.find('}', c0) - c0) + ",";
   const auto agg = stats.aggregate();
-  EXPECT_NE(rows.rfind("\"ref.passed\":" + std::to_string(agg.ref.passed)),
-            std::string::npos);
+  const std::pair<const char*, const runtime::StageCounters*> stages[] = {
+      {"sdd", &agg.sdd}, {"snm", &agg.snm}, {"tyolo", &agg.tyolo}, {"ref", &agg.ref}};
+  for (const auto& [stage, c] : stages) {
+    const std::string name(stage);
+    for (const auto& [key, value] :
+         {std::pair{name + ".in", c->in}, std::pair{name + ".passed", c->passed},
+          std::pair{"drop." + name, c->filtered()}}) {
+      EXPECT_NE(counters.find("\"" + key + "\":" + std::to_string(value) + ","),
+                std::string::npos)
+          << key << " != " << value << " in " << counters;
+    }
+  }
 }
 
 TEST(PipelineTelemetry, SnapshotIsSafeAndMonotonicMidRun) {
