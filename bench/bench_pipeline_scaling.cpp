@@ -257,11 +257,9 @@ int main(int argc, char** argv) {
     };
     // The hint chain's pixel-SDD agreement is deterministic (a pure replay
     // of hints against decoded distances), so it is computed once offline
-    // rather than per measured run. The default FfsVaConfig's conservative
-    // band is what the engine runs with.
-    const double hint_relax = core::FfsVaConfig{}.sdd_hint_relax;
+    // rather than per measured run, with the engine's conservative band.
     const auto agreement_report = detect::compressed_sdd_agreement(
-        *stored, *dec_models.sdd, hint_relax);
+        *stored, *dec_models.sdd, detect::kHintRelax);
 
     const struct {
       core::DecodePolicy policy;
@@ -578,22 +576,22 @@ int main(int argc, char** argv) {
       std::printf("%-10d %12.1f %12.4f %12.1f %12.1f\n", n,
                   stats.total_throughput_fps, drop_rate, agg.latency_ms.p50(),
                   agg.latency_ms.p99());
+      const core::FaultStats& faults = stats.health.fault;
       if (with_faults) {
         std::printf("%10s decode_errors=%llu retries=%llu degraded=%llu\n", "",
-                    static_cast<unsigned long long>(stats.health.decode_errors),
-                    static_cast<unsigned long long>(stats.health.retries),
-                    static_cast<unsigned long long>(stats.health.degraded_frames));
+                    static_cast<unsigned long long>(faults.decode_errors),
+                    static_cast<unsigned long long>(faults.retries),
+                    static_cast<unsigned long long>(faults.degraded_frames));
       }
       char name[64];
       std::snprintf(name, sizeof(name), "%sonline%s/streams=%d", label.c_str(),
                     with_faults ? "_faults" : "", n);
       bench::JsonReport::Extras extras{{"drop_rate", drop_rate}};
       if (with_faults) {
-        extras.emplace_back("decode_errors",
-                            static_cast<double>(stats.health.decode_errors));
-        extras.emplace_back("retries", static_cast<double>(stats.health.retries));
+        extras.emplace_back("decode_errors", static_cast<double>(faults.decode_errors));
+        extras.emplace_back("retries", static_cast<double>(faults.retries));
         extras.emplace_back("degraded_frames",
-                            static_cast<double>(stats.health.degraded_frames));
+                            static_cast<double>(faults.degraded_frames));
       }
       report.add(name, stats.total_throughput_fps, agg.latency_ms.p50(),
                  agg.latency_ms.p99(), std::move(extras));
@@ -669,8 +667,8 @@ int main(int argc, char** argv) {
       r.p99 = agg.latency_ms.p99();
       r.cancels = stats.health.cancels;
       r.stage_restarts = stats.health.stage_restarts;
-      r.poisoned = stats.health.poisoned_frames;
-      r.degraded = stats.health.degraded_frames;
+      r.poisoned = stats.health.fault.poisoned_frames;
+      r.degraded = stats.health.fault.degraded_frames;
       r.recovery_p99_ms =
           instance.metrics().histogram("latency.recovery_ms").snapshot().quantile(
               0.99);

@@ -62,8 +62,9 @@ int main() {
               models.snm_report.c_low, models.snm_report.c_high);
 
   // --- 3. The pipeline ------------------------------------------------------
-  core::FfsVaConfig config;       // FilterDegree 0.5, NumberofObjects 1,
-  config.number_of_objects = 1;   // feedback thresholds {2,10,2}, dynamic batch
+  // FilterDegree stays at the SNM's default 0.5 (models.snm).
+  core::FfsVaConfig config;       // NumberofObjects 1, feedback thresholds
+  config.number_of_objects = 1;   // {2,10,2}, dynamic batch
   core::FfsVaInstance instance(config);
   instance.add_stream(std::make_unique<ClipSource>(sim, 900, 2000), models);
 

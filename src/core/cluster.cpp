@@ -90,7 +90,7 @@ void ClusterManager::attach_stream_locked(int stream_id, int instance_id) {
   stream_home_[stream_id] = instance_id;
   // Membership changed: the instance's cumulative tyolo_served() sums over
   // its *current* streams, so a stream arriving with history shifts the
-  // counter by that stream's accumulated tyolo_in. Without a reset the next
+  // counter by that stream's accumulated tyolo.in. Without a reset the next
   // snapshot's delta is inflated by the whole history (and a departure that
   // later returns can push the delta negative, silently clamped) — so the
   // served-delta baseline restarts at the next report_snapshot.
@@ -105,7 +105,7 @@ void ClusterManager::detach_stream_locked(int stream_id) {
   v.erase(std::remove(v.begin(), v.end(), stream_id), v.end());
   stream_home_.erase(it);
   // Same baseline reset as attach: the departing stream takes its
-  // accumulated tyolo_in out of the instance's cumulative counter.
+  // accumulated tyolo.in out of the instance's cumulative counter.
   inst.have_baseline = false;
 }
 

@@ -41,7 +41,8 @@ const char* to_string(DegradePolicy p);
 ///                candidate crops (T-YOLO's boxes) from many streams into
 ///                mosaic canvases and run the reference model once per
 ///                mosaic, falling back to full-frame detection for frames
-///                whose candidate area exceeds crop_coverage_threshold.
+///                whose candidate area exceeds the packing coverage
+///                threshold (detect::CropPackConfig).
 enum class RefMode : std::uint8_t { kBatch = 1, kCropPack = 2 };
 
 const char* to_string(RefMode m);
@@ -61,7 +62,8 @@ const char* to_string(DecodePolicy p);
 
 struct FfsVaConfig {
   // --- user-facing event definition (Section 4.2) -------------------------
-  double filter_degree = 0.5;   ///< Aggressiveness of SNM filtering in [0,1].
+  // FilterDegree is a property of each stream's SNM
+  // (detect::SnmFilter::set_filter_degree), not of the engine.
   int number_of_objects = 1;    ///< Minimum target count a frame must carry.
 
   // --- batching (Section 4.3.2) -------------------------------------------
@@ -94,25 +96,10 @@ struct FfsVaConfig {
   /// pixels only.
   RefMode ref_mode = RefMode::kBatch;
   /// Micro-batch cap for the reference stage (mirrors batch_size for SNM);
-  /// 1 = one frame per reference-model call.
+  /// 1 = one frame per reference-model call. Its DynamicBatcher takes
+  /// ref_queue_depth as the queue threshold, as the SNM batcher takes
+  /// snm_queue_depth. Crop packing uses detect::CropPackConfig's defaults.
   int ref_batch_size = 8;
-  /// Queue threshold handed to the reference DynamicBatcher (the analogue
-  /// of snm_queue_depth under BatchPolicy::kFeedback). Bounded above by
-  /// ref_queue_depth, which stays the physical queue capacity.
-  int ref_queue_threshold = 16;
-  /// Context padding (frame pixels) around each candidate box before crop
-  /// extraction — gives the full-resolution segmentation the local
-  /// neighbourhood the blur/morphology kernels need.
-  int crop_pad = 6;
-  /// Blank separation between packed crops (and to the canvas border) in
-  /// mosaic pixels. Must exceed twice the blur radius so blur spill from two
-  /// facing crops can never bridge a seam (detect/crop_pack.hpp).
-  int crop_gutter = 7;
-  /// Mosaic canvas edge (square canvases of crop_canvas_edge^2 pixels).
-  int crop_canvas_edge = 256;
-  /// Candidate-area fraction of a frame above which crop packing stops
-  /// paying and the frame falls back to one full-frame detect call.
-  double crop_coverage_threshold = 0.45;
 
   // --- engine sizing --------------------------------------------------------
   /// SDD worker-pool size. The engine runs a fixed pool of CPU workers over
@@ -125,20 +112,11 @@ struct FfsVaConfig {
   /// streams outnumber workers.
   int sdd_run_length = 32;
 
-  // --- ingest: codec-aware decode + worker pinning (DESIGN.md §13) ---------
-  /// Compressed-domain fast path through prefetch (see DecodePolicy).
+  // --- ingest: codec-aware decode (DESIGN.md §13) --------------------------
+  /// Compressed-domain fast path through prefetch (see DecodePolicy). The
+  /// hint band is detect::kHintRelax; ingest pinning is the FFSVA_AFFINITY
+  /// environment variable (runtime::resolve_ingest_affinity).
   DecodePolicy decode_policy = DecodePolicy::kFull;
-  /// Conservative band of the hint decision, in (0, 1]: a hint may skip a
-  /// frame only when its distance bracket stays below
-  /// delta_diff * sdd_hint_relax, and pass one only above
-  /// delta_diff / sdd_hint_relax; everything between falls back to pixel
-  /// SDD. 1.0 = no band (trust the bound exactly); lower = safer + slower.
-  double sdd_hint_relax = 0.9;
-  /// Base CPU for pinning ingest (prefetch/decode) threads: stream i pins
-  /// to CPU (ingest_affinity + i) mod cpu_count. Negative = no pinning
-  /// (default). The FFSVA_AFFINITY environment variable overrides this
-  /// knob (integer base, or "off"); see runtime::resolve_ingest_affinity.
-  int ingest_affinity = -1;
 
   // --- online mode ----------------------------------------------------------
   double online_fps = 30.0;
@@ -161,42 +139,27 @@ struct FfsVaConfig {
   /// Per-frame behavior when a model call throws.
   DegradePolicy degrade_policy = DegradePolicy::kDrop;
   /// Consecutive transient SourceErrors retried (with exponential backoff)
-  /// before the prefetch loop escalates to a source restart.
+  /// before the prefetch loop escalates to a source restart. The restart
+  /// and backoff budgets are constants in pipeline.cpp.
   int source_max_retries = 3;
-  /// Source restarts attempted per stream before the stream is ended.
-  int source_max_restarts = 2;
-  /// Base backoff between retries/restarts; doubles per consecutive
-  /// attempt, capped at 100 ms, and aborts early on stop or quarantine.
-  int source_backoff_ms = 1;
   /// A model call (SDD distance, SNM/T-YOLO forward, reference
   /// segmentation, source decode) in flight for longer than this is
   /// cancelled by the watchdog: the call unwinds via CancelledError at its
   /// next tile boundary, the frame follows degrade_policy, and the stage
-  /// restarts under the budgets below (DESIGN.md Section 14). 0 disables
+  /// restarts under a fixed budget (DESIGN.md Section 14). 0 disables
   /// cancellation — a wedged call is then only observed via
   /// health.stage_stall_ticks, the pre-escalation behavior.
   int model_call_timeout_ms = 0;
-  /// Stage restarts (SDD worker, GPU0 executor, reference stage) after
-  /// cancelled calls before the stage stops restarting and handles further
-  /// cancels inline (degrade the frame, keep serving).
-  int stage_max_restarts = 3;
-  /// Backoff before a stage re-enters its loop after a cancelled call;
-  /// doubles per consecutive restart, capped at 100 ms, aborts on stop.
-  int stage_restart_backoff_ms = 1;
 
   // --- dynamic streams / cluster serving (DESIGN.md §15) -------------------
-  /// Stream-slot capacity for add_stream() DURING run(). 0 (default) keeps
-  /// the classic contract — every stream is registered before run() and the
-  /// set is fixed. > 0 reserves that many slots up front so a control plane
-  /// (an ffsva_node serving hand-offs) can attach streams to a live engine;
-  /// add_stream() then fails once the reservation is exhausted.
+  /// Serve mode when > 0. 0 (default) keeps the classic contract: every
+  /// stream is registered before run(), the set is fixed, and run() returns
+  /// once the last stream drains. > 0 reserves that many stream slots so a
+  /// control plane (an ffsva_node serving hand-offs) can attach streams to
+  /// a live engine with add_stream(), and keeps the stage workers alive
+  /// when every stream has ended, until stop() is called. add_stream()
+  /// fails once the reservation is exhausted.
   int max_streams = 0;
-  /// Keep the stage workers alive when every registered stream has ended,
-  /// waiting for more streams, until stop() is called. Off (default), run()
-  /// returns once the last stream drains — the single-shot batch contract.
-  /// A node process serving a scheduler turns this on: its engine starts
-  /// empty and serves whatever streams are assigned over its lifetime.
-  bool serve_until_stopped = false;
 
   // --- telemetry -----------------------------------------------------------
   /// Sampling period of the live metrics exporter (JSONL rows): queue
@@ -209,6 +172,9 @@ struct FfsVaConfig {
   /// means the instance has spare capacity for another stream.
   double admit_tyolo_fps = 140.0;
   double admit_window_sec = 5.0;
+
+  /// Serve mode (see max_streams).
+  bool serving() const { return max_streams > 0; }
 
   /// Effective queue capacity for a stage given the policy: static batching
   /// runs without feedback, so its queues are effectively unbounded.

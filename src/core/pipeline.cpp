@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <thread>
@@ -27,6 +28,16 @@ namespace ffsva::core {
 
 namespace {
 using Clock = std::chrono::steady_clock;
+
+/// Restart budgets (DESIGN.md Sections 9 and 14). A source that keeps
+/// failing past kSourceMaxRestarts ends its stream; a stage past
+/// kStageMaxRestarts handles further cancels inline (degrade the frame,
+/// keep serving). Each backoff doubles per consecutive attempt, capped at
+/// 100 ms (sliced_backoff).
+constexpr int kSourceMaxRestarts = 2;
+constexpr int kSourceBackoffMs = 1;
+constexpr int kStageMaxRestarts = 3;
+constexpr int kStageRestartBackoffMs = 1;
 
 double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
@@ -96,12 +107,7 @@ void tally(HealthSummary& h, const FaultStats& f) {
   } else {
     ++h.healthy_streams;
   }
-  h.decode_errors += f.decode_errors;
-  h.retries += f.retries;
-  h.restarts += f.restarts;
-  h.degraded_frames += f.degraded_frames;
-  h.discarded_frames += f.discarded_frames;
-  h.poisoned_frames += f.poisoned_frames;
+  h.fault += f;
 }
 }  // namespace
 
@@ -149,37 +155,43 @@ const char* to_string(DecodePolicy p) {
   return "?";
 }
 
+FaultStats& FaultStats::operator+=(const FaultStats& o) {
+  decode_errors += o.decode_errors;
+  retries += o.retries;
+  restarts += o.restarts;
+  degraded_frames += o.degraded_frames;
+  discarded_frames += o.discarded_frames;
+  cancelled_calls += o.cancelled_calls;
+  poisoned_frames += o.poisoned_frames;
+  quarantined = quarantined || o.quarantined;
+  return *this;
+}
+
+StreamCounters& StreamCounters::operator+=(const StreamCounters& o) {
+  for (auto [a, b] : {std::pair{&prefetch, &o.prefetch}, std::pair{&sdd, &o.sdd},
+                      std::pair{&snm, &o.snm}, std::pair{&tyolo, &o.tyolo},
+                      std::pair{&ref, &o.ref}}) {
+    a->in += b->in;
+    a->passed += b->passed;
+  }
+  dropped_at_ingest += o.dropped_at_ingest;
+  ingest.decode_full += o.ingest.decode_full;
+  ingest.decode_skipped += o.ingest.decode_skipped;
+  ingest.hint_passes += o.ingest.hint_passes;
+  ingest.hint_fallbacks += o.ingest.hint_fallbacks;
+  ingest.compression_ratio =
+      std::max(ingest.compression_ratio, o.ingest.compression_ratio);
+  fault += o.fault;
+  return *this;
+}
+
 StreamStats InstanceStats::aggregate() const {
   StreamStats agg;
   for (const auto& s : streams) {
-    agg.prefetch.in += s.prefetch.in;
-    agg.prefetch.passed += s.prefetch.passed;
-    agg.sdd.in += s.sdd.in;
-    agg.sdd.passed += s.sdd.passed;
-    agg.snm.in += s.snm.in;
-    agg.snm.passed += s.snm.passed;
-    agg.tyolo.in += s.tyolo.in;
-    agg.tyolo.passed += s.tyolo.passed;
-    agg.ref.in += s.ref.in;
-    agg.ref.passed += s.ref.passed;
-    agg.dropped_at_ingest += s.dropped_at_ingest;
+    agg += s;
     agg.latency_ms.merge(s.latency_ms);
     agg.ingest_fps += s.ingest_fps;
-    agg.ingest.decode_full += s.ingest.decode_full;
-    agg.ingest.decode_skipped += s.ingest.decode_skipped;
-    agg.ingest.hint_passes += s.ingest.hint_passes;
-    agg.ingest.hint_fallbacks += s.ingest.hint_fallbacks;
-    agg.ingest.compression_ratio =
-        std::max(agg.ingest.compression_ratio, s.ingest.compression_ratio);
-    agg.ingest.decode_ms.merge(s.ingest.decode_ms);
-    agg.fault.decode_errors += s.fault.decode_errors;
-    agg.fault.retries += s.fault.retries;
-    agg.fault.restarts += s.fault.restarts;
-    agg.fault.degraded_frames += s.fault.degraded_frames;
-    agg.fault.discarded_frames += s.fault.discarded_frames;
-    agg.fault.cancelled_calls += s.fault.cancelled_calls;
-    agg.fault.poisoned_frames += s.fault.poisoned_frames;
-    agg.fault.quarantined = agg.fault.quarantined || s.fault.quarantined;
+    agg.decode_ms.merge(s.decode_ms);
   }
   return agg;
 }
@@ -340,11 +352,11 @@ struct FfsVaInstance::Stream {
 
   /// Every counter of the stream, read from its atomics: the one reader
   /// behind both snapshot() (mid-run, approximate) and run()'s freeze.
-  StreamStats counters() const {
+  StreamCounters counters() const {
     const auto get = [](const std::atomic<std::uint64_t>& a) {
       return a.load(std::memory_order_relaxed);
     };
-    StreamStats st;
+    StreamCounters st;
     st.prefetch = {get(prefetch_in), get(prefetch_passed)};
     st.sdd = {get(sdd_in), get(sdd_passed)};
     st.snm = {get(snm_in), get(snm_passed)};
@@ -402,22 +414,16 @@ int FfsVaInstance::add_stream(std::unique_ptr<video::FrameSource> source,
         "FfsVaInstance::add_stream: engine is not accepting streams "
         "(run finished or stopping)");
   }
-  if (!config_.serve_until_stopped) {
+  if (!config_.serving()) {
     throw std::logic_error(
-        "FfsVaInstance::add_stream: mid-run add requires "
-        "config.serve_until_stopped");
+        "FfsVaInstance::add_stream: mid-run add requires serve mode "
+        "(config.max_streams > 0)");
   }
   if (static_cast<std::size_t>(id) >= streams_.capacity()) {
     throw std::logic_error(
         "FfsVaInstance::add_stream: config.max_streams slots exhausted");
   }
-  // Same pre-thread setup run() performs for the initial streams: wire the
-  // stage wakeups and resolve the fused hinted-ingest path before the
-  // stream is visible to any stage worker.
-  s->sdd_q.set_waiter(&sdd_work_);
-  s->snm_q.set_waiter(&gpu0_work_);
-  s->fused_ingest = run_hinted_ && s->source->has_hints();
-  if (s->fused_ingest) s->sdd_done.store(true, std::memory_order_release);
+  attach(*s);
   std::shared_ptr<Stream> sp = s;
   // Publish: capacity is reserved, so push_back cannot reallocate; the
   // release store pairs with num_streams()' acquire load, making the new
@@ -463,6 +469,19 @@ int FfsVaInstance::sdd_pool_size(int eligible_streams) const {
   const int w = config_.sdd_workers > 0 ? config_.sdd_workers
                                         : runtime::compute_parallelism();
   return std::clamp(w, 1, eligible_streams);
+}
+
+bool FfsVaInstance::attach(Stream& s) {
+  // Both writes precede any reader: set_waiter is unsynchronized by
+  // contract, and the SDD pool, the prefetch loop and stop() read the fused
+  // flag unsynchronized. A fused stream's prefetch thread owns its SDD
+  // stage, so pre-retiring it from the pool (sdd_done) keeps that thread
+  // the single closer of snm_q.
+  s.sdd_q.set_waiter(&sdd_work_);
+  s.snm_q.set_waiter(&gpu0_work_);
+  s.fused_ingest = run_hinted_ && s.source->has_hints();
+  if (s.fused_ingest) s.sdd_done.store(true, std::memory_order_release);
+  return !s.fused_ingest;
 }
 
 bool FfsVaInstance::enable_metrics_export(const std::string& path,
@@ -622,37 +641,22 @@ InstanceSnapshot FfsVaInstance::snapshot() const {
   snap.health = health();
   const int n = num_streams();
   snap.streams.reserve(static_cast<std::size_t>(n));
+  StreamCounters total;
   for (int i = 0; i < n; ++i) {
     const Stream& s = *streams_[static_cast<std::size_t>(i)];
-    const StreamStats st = s.counters();
     StreamSnapshot ss;
+    static_cast<StreamCounters&>(ss) = s.counters();
     ss.id = s.id;
     ss.terminated = s.terminated.load(std::memory_order_relaxed);
     ss.ingest_done = s.ingest_done.load(std::memory_order_acquire);
-    ss.prefetch_in = st.prefetch.in;
-    ss.prefetch_passed = st.prefetch.passed;
-    ss.dropped_at_ingest = st.dropped_at_ingest;
-    ss.sdd_in = st.sdd.in;
-    ss.sdd_passed = st.sdd.passed;
-    ss.snm_in = st.snm.in;
-    ss.snm_passed = st.snm.passed;
-    ss.tyolo_in = st.tyolo.in;
-    ss.tyolo_passed = st.tyolo.passed;
-    ss.ref_in = st.ref.in;
-    ss.ref_passed = st.ref.passed;
     ss.sdd_queue_depth = s.sdd_q.depth();
     ss.snm_queue_depth = s.snm_q.depth();
     ss.tyolo_queue_depth = s.tyolo_q.depth();
-    ss.decode_full = st.ingest.decode_full;
-    ss.decode_skipped = st.ingest.decode_skipped;
-    ss.hint_passes = st.ingest.hint_passes;
-    ss.hint_fallbacks = st.ingest.hint_fallbacks;
-    ss.compression_ratio = st.ingest.compression_ratio;
-    ss.fault = st.fault;
-    tally(snap.health, st.fault);
-    snap.outputs += st.ref.passed;
+    tally(snap.health, ss.fault);
+    total += ss;
     snap.streams.push_back(std::move(ss));
   }
+  snap.outputs = total.ref.passed;
   snap.ref_queue_depth = tyolo_shared_->ref_q.depth();
   return snap;
 }
@@ -711,7 +715,7 @@ void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online,
   std::optional<detect::CompressedSdd> csdd;
   if (s->fused_ingest) {
     csdd.emplace(s->models.sdd->config().metric,
-                 s->models.sdd->config().delta_diff, cfg.sdd_hint_relax);
+                 s->models.sdd->config().delta_diff, detect::kHintRelax);
   }
 
   const auto aborted = [&s] {
@@ -723,7 +727,7 @@ void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online,
   };
   // Stop/quarantine cuts a retry/restart backoff short.
   const auto backoff = [&](int attempt) {
-    sliced_backoff(cfg.source_backoff_ms, attempt, aborted);
+    sliced_backoff(kSourceBackoffMs, attempt, aborted);
   };
 
   int consecutive_retries = 0;
@@ -782,7 +786,7 @@ void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online,
       s->hb.idle();
       if (aborted()) break;
       s->decode_errors.fetch_add(1, std::memory_order_relaxed);
-      if (restarts_used < cfg.source_max_restarts && s->source->restart()) {
+      if (restarts_used < kSourceMaxRestarts && s->source->restart()) {
         s->restarts.fetch_add(1, std::memory_order_relaxed);
         backoff(restarts_used++);
         consecutive_retries = 0;
@@ -799,7 +803,7 @@ void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online,
         backoff(consecutive_retries++);
         continue;
       }
-      if (restarts_used < cfg.source_max_restarts && s->source->restart()) {
+      if (restarts_used < kSourceMaxRestarts && s->source->restart()) {
         s->restarts.fetch_add(1, std::memory_order_relaxed);
         backoff(restarts_used++);
         consecutive_retries = 0;
@@ -897,14 +901,14 @@ void FfsVaInstance::serve_with_restarts(
     const runtime::InflightCall& call,
     const std::function<bool(bool allow_restart)>& loop) {
   for (int restarts = 0;;) {
-    if (loop(restarts < config_.stage_max_restarts)) return;
+    if (loop(restarts < kStageMaxRestarts)) return;
     // A watchdog cancel unwound the stage mid-call; every popped frame was
     // accounted before the loop returned, so re-entry resumes cleanly.
     // Re-enter after a bounded backoff (stop() cuts it short); the time
     // from the cancel to serving again is the recovery latency.
     ++restarts;
     stage_restarts_.fetch_add(1, std::memory_order_relaxed);
-    sliced_backoff(config_.stage_restart_backoff_ms, restarts,
+    sliced_backoff(kStageRestartBackoffMs, restarts,
                    [this] { return stop_.stop_requested(); });
     const std::int64_t cancelled_at = call.cancelled_at_ms();
     if (cancelled_at >= 0) {
@@ -1003,7 +1007,7 @@ bool FfsVaInstance::sdd_worker_loop(int worker, bool allow_restart) {
       // pool parks here waiting for the next add_stream() (whose notify
       // races safely against this wait via the prepared ticket); otherwise
       // — or once stop is requested — the run is over.
-      if (!config_.serve_until_stopped || stop_.stop_requested()) return true;
+      if (!config_.serving() || stop_.stop_requested()) return true;
       sdd_work_.wait(ticket);
       continue;
     }
@@ -1217,7 +1221,7 @@ bool FfsVaInstance::gpu0_loop(bool allow_restart) {
         // waiting for the next add_stream() (its notify pairs with the
         // prepared ticket); otherwise — or once stop is requested — the
         // run is over.
-        if (!config_.serve_until_stopped || stop_.stop_requested()) break;
+        if (!config_.serving() || stop_.stop_requested()) break;
         if (!did_work) gpu0_work_.wait(ticket);
         continue;
       }
@@ -1273,23 +1277,20 @@ bool FfsVaInstance::reference_loop(bool allow_restart,
     s.end(End::kEmitted, &s.lat_ref, latency);
   };
 
-  // Drain ref_q under a second DynamicBatcher (via BatchDrain, reusing the
-  // run's BatchPolicy) into cross-stream batches, then evaluate each batch
-  // in one go — detect_batch under kBatch (ref_batch_size = 1 is the
-  // paper's one-frame loop), crop-consolidated mosaics under kCropPack.
-  // Per-frame outcomes are applied in batch order = pop order (per-stream
-  // FIFO preserved), and a frame whose evaluation throws is dropped alone
-  // (RefBatchItem::ok) — batch-mates are unaffected.
-  const BatchDrain drain(config_.batch_policy, config_.ref_batch_size,
-                         config_.ref_queue_threshold);
-  const detect::CropPackConfig pack_cfg{config_.crop_pad, config_.crop_gutter,
-                                        config_.crop_canvas_edge,
-                                        config_.crop_coverage_threshold};
+  // Drain ref_q under a second DynamicBatcher (the run's BatchPolicy, with
+  // ref_queue_depth as its threshold) into cross-stream batches, then
+  // evaluate each batch in one go — detect_batch under kBatch
+  // (ref_batch_size = 1 is the paper's one-frame loop), crop-consolidated
+  // mosaics under kCropPack. Per-frame outcomes are applied in batch order
+  // = pop order (per-stream FIFO preserved), and a frame whose evaluation
+  // throws is dropped alone (RefBatchItem::ok) — batch-mates are unaffected.
+  const DynamicBatcher batcher(config_.batch_policy, config_.ref_batch_size,
+                               config_.ref_queue_depth);
   // bounded-ok: pending never exceeds ref_batch_size entries — the top-up
   // loop stops at the batch cap and the blocking pop adds one only when the
   // policy is still waiting below the cap. (The vector itself lives in
   // reference_entry so popped entries survive a stage restart.)
-  pending.reserve(static_cast<std::size_t>(drain.batch_size()));
+  pending.reserve(static_cast<std::size_t>(batcher.batch_size()));
   std::vector<RefEntry*> batch;  // eligible entries, in batch order
   std::vector<const detect::ReferenceDetector*> detectors;
   std::vector<const image::Image*> imgs;
@@ -1299,7 +1300,7 @@ bool FfsVaInstance::reference_loop(bool allow_restart,
   for (;;) {
     // Non-blocking top-up to the batch cap. Observe close *before* the
     // failed pop so an empty pop on a closed queue means end-of-stream.
-    while (static_cast<int>(pending.size()) < drain.batch_size() && !ended) {
+    while (static_cast<int>(pending.size()) < batcher.batch_size() && !ended) {
       const bool closed = ref_q.closed();
       auto e = ref_q.try_pop();
       if (!e) {
@@ -1308,8 +1309,8 @@ bool FfsVaInstance::reference_loop(bool allow_restart,
       }
       pending.push_back(std::move(*e));
     }
-    const auto step = drain.next(static_cast<int>(pending.size()), ended);
-    if (step.block) {
+    const auto step = batcher.next_batch(static_cast<int>(pending.size()), ended);
+    if (step.wait) {
       // The policy wants a fuller batch: sleep on the queue, never poll.
       auto e = ref_q.pop();
       if (!e) {
@@ -1365,7 +1366,7 @@ bool FfsVaInstance::reference_loop(bool allow_restart,
                   requests,
                   streams_[static_cast<std::size_t>(batch.front()->stream)]
                       ->models.reference->config(),
-                  pack_cfg);
+                  detect::CropPackConfig{});
               results = std::move(consolidated.items);
               const auto& cs = consolidated.stats;
               for (const double f : cs.fill_ratio) hot_.mosaic_fill->record(f);
@@ -1486,7 +1487,7 @@ void FfsVaInstance::supervise(Clock::time_point t0) {
 }
 
 InstanceStats FfsVaInstance::run(bool online) {
-  const bool serve = config_.serve_until_stopped;
+  const bool serve = config_.serving();
   if (streams_.empty() && !serve) {
     throw std::invalid_argument("FfsVaInstance::run: no streams registered");
   }
@@ -1514,7 +1515,7 @@ InstanceStats FfsVaInstance::run(bool online) {
   // Resolve the run-wide ingest parameters once; add_stream() replays them
   // for dynamically attached streams (DESIGN.md §15).
   const bool hinted = config_.decode_policy == DecodePolicy::kHinted && !online;
-  const int affinity = runtime::resolve_ingest_affinity(config_.ingest_affinity);
+  const int affinity = runtime::resolve_ingest_affinity();
   int n0 = 0;
   int unfused = 0;
   {
@@ -1526,39 +1527,20 @@ InstanceStats FfsVaInstance::run(bool online) {
     streams_.reserve(std::max(
         streams_.size(),
         static_cast<std::size_t>(std::max(0, config_.max_streams))));
-    // Wire the stage wakeups before any thread starts (set_waiter is
-    // unsynchronized by contract), and resolve which streams take the fused
-    // hinted-ingest path (DESIGN.md §13): the flag and its sdd_done pre-set
-    // are read by the SDD pool, the prefetch loop, and stop(), all
-    // unsynchronized after this point. A fused stream's prefetch thread
-    // owns the whole SDD stage, so the worker pool only needs to cover the
-    // remaining streams.
-    for (int i = 0; i < n0; ++i) {
-      auto& s = streams_[static_cast<std::size_t>(i)];
-      s->sdd_q.set_waiter(&sdd_work_);
-      s->snm_q.set_waiter(&gpu0_work_);
-      s->fused_ingest = hinted && s->source->has_hints();
-      if (s->fused_ingest) {
-        // Pre-retire the stream from the pool's perspective: workers scan
-        // sdd_done and never claim it, making the fused prefetch loop the
-        // single closer of snm_q.
-        s->sdd_done.store(true, std::memory_order_release);
-      } else {
-        ++unfused;
-      }
-    }
     run_online_ = online;
     run_hinted_ = hinted;
     run_affinity_ = affinity;
+    // The SDD pool only needs to cover the streams not fused into ingest.
+    for (int i = 0; i < n0; ++i) {
+      if (attach(*streams_[static_cast<std::size_t>(i)])) ++unfused;
+    }
     engine_live_ = true;
   }
   running_.store(true, std::memory_order_release);
   // A serving engine cannot size its pool by the (changing, possibly zero)
   // stream count — it keeps a full pool parked on the eventcount instead.
-  const int workers = serve ? (config_.sdd_workers > 0
-                                   ? config_.sdd_workers
-                                   : runtime::compute_parallelism())
-                            : sdd_pool_size(unfused);
+  const int workers =
+      sdd_pool_size(serve ? std::numeric_limits<int>::max() : unfused);
   sdd_hb_ = std::vector<runtime::Heartbeat>(static_cast<std::size_t>(workers));
   sdd_call_ = std::vector<runtime::InflightCall>(static_cast<std::size_t>(workers));
 
@@ -1635,8 +1617,9 @@ InstanceStats FfsVaInstance::run(bool online) {
     // Freeze the stream's atomics into the plain report. For a quarantined
     // stream the prefetch thread may still be alive — this read is the
     // freeze point of its counters.
-    StreamStats st = s.counters();
-    st.ingest.decode_ms = s.decode_ms.snapshot();
+    StreamStats st;
+    static_cast<StreamCounters&>(st) = s.counters();
+    st.decode_ms = s.decode_ms.snapshot();
     // Merge the per-stage terminal-latency histograms now that every stage
     // thread is joined; keeping them separate during the run is what makes
     // concurrent recording race-free.

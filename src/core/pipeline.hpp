@@ -18,7 +18,7 @@
 //    exclusivity holds by construction — no GPU0 mutex, no contention,
 //  * one reference-model thread (GPU1) draining the survivors. Under
 //    RefMode::kBatch it consumes ref_q in cross-stream micro-batches
-//    (BatchDrain + detect_batch, work spread over the compute pool;
+//    (a DynamicBatcher + detect_batch, work spread over the compute pool;
 //    ref_batch_size = 1 is the paper's one-frame loop); under
 //    RefMode::kCropPack it consolidates T-YOLO's candidate boxes from many
 //    streams into mosaic canvases first (detect/crop_pack.hpp). Both keep
@@ -30,8 +30,9 @@
 // a call without a verdict goes through one failure rule (Stream::failed);
 // and every frame ends exactly once, through one terminal routine
 // (Stream::end) that does the counting. The per-stream atomics are the only
-// store of the funnel counts — snapshot(), run()'s InstanceStats and the
-// registry's funnel counters all read them.
+// store of the counts, and StreamCounters is their one schema — snapshot(),
+// run()'s InstanceStats, the snapshot wire payload and the registry's
+// funnel counters all read them through it.
 //
 // Stage workers sleep on QueueWaiter eventcounts wired to their input
 // queues (runtime/bounded_queue.hpp) and are woken by queue activity — the
@@ -88,6 +89,9 @@ struct FaultStats {
     return decode_errors || retries || restarts || degraded_frames ||
            discarded_frames || cancelled_calls || poisoned_frames || quarantined;
   }
+  /// Sums every counter; `quarantined` becomes "any stream quarantined".
+  FaultStats& operator+=(const FaultStats& o);
+  bool operator==(const FaultStats&) const = default;
 };
 
 /// Codec-aware ingest accounting (DecodePolicy, DESIGN.md §13). decode_full
@@ -99,20 +103,35 @@ struct IngestStats {
   std::uint64_t hint_passes = 0;     ///< Hint-decided SDD passes (no pixel SDD).
   std::uint64_t hint_fallbacks = 0;  ///< Borderline frames: pixel SDD ran.
   double compression_ratio = 0.0;    ///< Source bitstream raw/encoded (0 = n/a).
-  telemetry::HistogramSnapshot decode_ms;  ///< Decode-stage latency (per frame).
+  bool operator==(const IngestStats&) const = default;
 };
 
-struct StreamStats {
+/// The per-stream counter schema, declared once: a finished run's
+/// StreamStats, a live StreamSnapshot and the snapshot wire payload
+/// (node/protocol.cpp) are all built on it, and operator+= is the one rule
+/// that sums streams (InstanceStats::aggregate, the health rollup, the
+/// snapshot's output total).
+struct StreamCounters {
   runtime::StageCounters prefetch;  ///< in = source frames, passed = ingested.
   runtime::StageCounters sdd;
   runtime::StageCounters snm;
   runtime::StageCounters tyolo;
   runtime::StageCounters ref;       ///< in = frames reaching reference model.
   std::uint64_t dropped_at_ingest = 0;
-  runtime::Histogram latency_ms;    ///< Terminal latency of every ingested frame.
-  double ingest_fps = 0.0;          ///< Realized ingest rate.
   IngestStats ingest;
   FaultStats fault;
+
+  /// Sums every counter; compression_ratio keeps the largest.
+  StreamCounters& operator+=(const StreamCounters& o);
+  bool operator==(const StreamCounters&) const = default;
+};
+
+/// One stream after run(): its counters plus what only a finished run
+/// reports — latency distributions and the realized ingest rate.
+struct StreamStats : StreamCounters {
+  runtime::Histogram latency_ms;    ///< Terminal latency of every ingested frame.
+  double ingest_fps = 0.0;          ///< Realized ingest rate.
+  telemetry::HistogramSnapshot decode_ms;  ///< Decode-stage latency (per frame).
 };
 
 /// Instance-level health rollup: how many streams finished clean, how many
@@ -121,17 +140,11 @@ struct HealthSummary {
   int healthy_streams = 0;      ///< No fault counter ticked.
   int degraded_streams = 0;     ///< Faults observed, stream completed.
   int quarantined_streams = 0;  ///< Quarantined by the watchdog.
-  std::uint64_t decode_errors = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t restarts = 0;
-  std::uint64_t degraded_frames = 0;
-  std::uint64_t discarded_frames = 0;
+  FaultStats fault;             ///< Every stream's faults, summed.
   /// Escalation counters (DESIGN.md Section 14): model calls the watchdog
-  /// cancelled, stage restarts taken after a cancel, and frames dropped as
-  /// poisoned after wedging two stages.
+  /// cancelled and stage restarts taken after a cancel.
   std::uint64_t cancels = 0;
   std::uint64_t stage_restarts = 0;
-  std::uint64_t poisoned_frames = 0;
   /// Watchdog ticks on which a *shared* stage (an SDD worker, the GPU0
   /// executor, the reference thread) was busy past the stall timeout.
   /// Shared stages cannot be quarantined per stream; with
@@ -140,6 +153,7 @@ struct HealthSummary {
   std::uint64_t stage_stall_ticks = 0;
   bool stopped = false;       ///< stop() was requested (by a caller or the deadline).
   bool deadline_hit = false;  ///< run_deadline_ms expired.
+  bool operator==(const HealthSummary&) const = default;
 };
 
 struct InstanceStats {
@@ -156,18 +170,11 @@ struct InstanceStats {
 /// Every field is read from a relaxed atomic (or a mutex-guarded queue
 /// depth), so a mid-run snapshot is internally *approximate* — counters may
 /// be skewed by in-flight frames — and exact once run() has returned.
-struct StreamSnapshot {
+struct StreamSnapshot : StreamCounters {
   int id = 0;
-  std::uint64_t prefetch_in = 0;
-  std::uint64_t prefetch_passed = 0;
-  std::uint64_t dropped_at_ingest = 0;
-  std::uint64_t sdd_in = 0, sdd_passed = 0;
-  std::uint64_t snm_in = 0, snm_passed = 0;
-  std::uint64_t tyolo_in = 0, tyolo_passed = 0;
-  std::uint64_t ref_in = 0, ref_passed = 0;
   /// Frames that reached a terminal outcome (emitted, dropped by a filter,
   /// dropped at ingest, discarded, or poisoned). Every ingested frame
-  /// terminates exactly once, so `ingest_done && terminated == prefetch_in`
+  /// terminates exactly once, so `ingest_done && terminated == prefetch.in`
   /// is the stream-quiescent predicate a hand-off waits on (DESIGN.md §15).
   std::uint64_t terminated = 0;
   /// The stream's prefetch thread has exited (source ended, end_stream()
@@ -176,13 +183,7 @@ struct StreamSnapshot {
   std::size_t sdd_queue_depth = 0;
   std::size_t snm_queue_depth = 0;
   std::size_t tyolo_queue_depth = 0;
-  /// Codec-aware ingest counters (see IngestStats for field semantics).
-  std::uint64_t decode_full = 0;
-  std::uint64_t decode_skipped = 0;
-  std::uint64_t hint_passes = 0;
-  std::uint64_t hint_fallbacks = 0;
-  double compression_ratio = 0.0;  ///< Source bitstream raw/encoded (0 = n/a).
-  FaultStats fault;
+  bool operator==(const StreamSnapshot&) const = default;
 };
 
 /// Instance-wide live snapshot: the observable state a control plane (the
@@ -199,7 +200,7 @@ struct InstanceSnapshot {
   /// admission signal: its rate of change is the T-YOLO service speed).
   std::uint64_t tyolo_served() const {
     std::uint64_t n = 0;
-    for (const auto& s : streams) n += s.tyolo_in;
+    for (const auto& s : streams) n += s.tyolo.in;
     return n;
   }
   /// Largest filter-queue depth across streams (overload indicator).
@@ -221,8 +222,8 @@ class FfsVaInstance {
   FfsVaInstance& operator=(const FfsVaInstance&) = delete;
 
   /// Register a stream. Before run() this is always legal (the classic
-  /// contract). DURING run() it requires config.serve_until_stopped and a
-  /// config.max_streams reservation with a free slot: the stream is attached
+  /// contract). DURING run() it requires serve mode (config.max_streams > 0)
+  /// with a free slot in that reservation: the stream is attached
   /// to the live engine — its prefetch thread starts immediately and the
   /// stage workers pick it up — which is how a node accepts a hand-off
   /// (DESIGN.md §15). Throws std::logic_error when the engine cannot accept
@@ -257,8 +258,8 @@ class FfsVaInstance {
   ///
   /// Single-shot: a second invocation throws std::logic_error (the engine's
   /// queues and counters are consumed by a run). An instance with no
-  /// registered streams throws std::invalid_argument — unless
-  /// config.serve_until_stopped is set, in which case an empty engine
+  /// registered streams throws std::invalid_argument — unless the engine is
+  /// in serve mode (config.max_streams > 0), in which case an empty engine
   /// starts, waits for add_stream(), and serves until stop().
   InstanceStats run(bool online);
 
@@ -345,8 +346,8 @@ class FfsVaInstance {
   bool reference_loop(bool allow_restart, std::vector<RefEntry>& pending);
   /// The restart policy of DESIGN.md Section 14: a loop returning false was
   /// unwound by a watchdog cancel of `call` and re-enters after a backoff
-  /// (stage_restart_backoff_ms doubled per attempt, capped at 100 ms), up
-  /// to config.stage_max_restarts times; past the budget the loop handles
+  /// (kStageRestartBackoffMs doubled per attempt, capped at 100 ms), up to
+  /// kStageMaxRestarts times; past the budget the loop handles
   /// further cancels inline (degrade the frame, keep serving) and never
   /// requests a restart. Loops return true when their work is finished.
   void serve_with_restarts(const runtime::InflightCall& call,
@@ -363,6 +364,12 @@ class FfsVaInstance {
   /// pool actually serves — fused hinted-ingest streams run their SDD on
   /// their own prefetch thread and never touch the pool).
   int sdd_pool_size(int eligible_streams) const;
+
+  /// The setup every stream gets before any stage worker can see it,
+  /// whether registered before run() or attached to a live engine: wire
+  /// its queues to the stage wakeups and resolve the fused hinted-ingest
+  /// path (DESIGN.md §13). Returns true when the SDD pool serves the stream.
+  bool attach(Stream& s) FFSVA_REQUIRES(streams_mu_);
 
   /// Register the run's gauges (queue depths, fault counters, supervision
   /// state) and funnel counters (read from the Stream atomics), and cache

@@ -76,63 +76,6 @@ class DynamicBatcher {
   int queue_threshold_;
 };
 
-/// Drain driver for a batched single-consumer stage fed by one bounded
-/// queue — the GPU1 reference loop. The consumer keeps a pending buffer of
-/// already-popped items and asks next() what to do; the DynamicBatcher
-/// decision is translated into the only two moves a queue consumer has:
-/// consume `take` buffered items now, or blocking-pop one more item first
-/// (which is how a kStatic/kFeedback policy waits for a fuller batch
-/// without polling). Pure logic, shared with tests.
-class BatchDrain {
- public:
-  BatchDrain(BatchPolicy policy, int batch_size, int queue_threshold)
-      : batcher_(policy, batch_size, queue_threshold) {}
-
-  struct Step {
-    int take = 0;       ///< Consume this many pending items now.
-    bool block = false; ///< Blocking-pop one more item before re-deciding.
-  };
-
-  /// `pending`: items buffered by the consumer; `ended`: the queue is
-  /// closed and drained (no more items will ever arrive). take == 0 and
-  /// block == false together mean the stage is done.
-  Step next(int pending, bool ended) const {
-    const auto d = batcher_.next_batch(pending, ended);
-    if (d.wait) return {0, true};
-    return {d.take, false};
-  }
-
-  int batch_size() const { return batcher_.batch_size(); }
-
- private:
-  DynamicBatcher batcher_;
-};
-
-/// Feedback-queue throttle (Section 4.3.1): a stage must pause pushing when
-/// its downstream queue is at or above the threshold. With bounded queues
-/// this emerges naturally from a blocking push; the explicit predicate is
-/// used by the simulator and by stages that would rather keep *filtering*
-/// (the bypass: SDD can keep discarding background frames while the SNM
-/// queue is full, because only passing frames need the downstream slot).
-class FeedbackController {
- public:
-  explicit FeedbackController(const FfsVaConfig& config) : config_(config) {}
-
-  bool sdd_may_push(int snm_queue_depth) const {
-    return snm_queue_depth < effective(config_.snm_queue_depth);
-  }
-  bool snm_may_push(int tyolo_queue_depth) const {
-    return tyolo_queue_depth < effective(config_.tyolo_queue_depth);
-  }
-  bool tyolo_may_push(int ref_queue_depth) const {
-    return ref_queue_depth < effective(config_.ref_queue_depth);
-  }
-
- private:
-  int effective(int threshold) const { return config_.capacity(threshold); }
-  FfsVaConfig config_;
-};
-
 /// Round-robin T-YOLO service order with a per-stream extraction cap
 /// (Sections 3.2.3 and 4.3.1): "T-YOLO needs to traverse each T-YOLO queue
 /// of all streams one by one and extract at most num_tyolo video frames

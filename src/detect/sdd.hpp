@@ -93,6 +93,11 @@ enum class HintDecision : std::uint8_t { kSkip = 0, kPass = 1, kFallback = 2 };
 
 const char* to_string(HintDecision d);
 
+/// The conservative band the engine's hinted ingest runs CompressedSdd with
+/// (`hint_relax` below). 1.0 = no band (trust the bound exactly); lower =
+/// safer and slower.
+inline constexpr double kHintRelax = 0.9;
+
 /// Per-stream decision machine mapping codec residual hints onto the pixel
 /// SDD's threshold without decoding.
 ///

@@ -103,6 +103,29 @@ void ClusterScheduler::start_migration(std::uint32_t stream_id, int target) {
   }
 }
 
+void ClusterScheduler::force_migration() {
+  // Only a stream with frames left can be handed off: one whose segment is
+  // already ingested ends on its own before the drain lands.
+  std::uint32_t pick = 0;
+  std::uint64_t most_left = 0;
+  for (const auto& [id, st] : streams_) {
+    if (st.done || st.draining || st.node < 0) continue;
+    const std::uint64_t window = st.spec.end - st.spec.begin;
+    const std::uint64_t left = window - std::min(window, st.ingested);
+    if (left > most_left) {
+      most_left = left;
+      pick = id;
+    }
+  }
+  if (most_left == 0) return;
+  StreamState& st = streams_[pick];
+  start_migration(pick, (st.node + 1) % static_cast<int>(clients_.size()));
+  if (st.draining) {
+    st.forced = true;
+    forced_done_ = true;
+  }
+}
+
 void ClusterScheduler::dispatch(int node, const net::WireFrame& frame) {
   switch (frame.type) {
     case net::MsgType::kResults: {
@@ -151,6 +174,7 @@ void ClusterScheduler::on_stream_ended(int node, const StreamEnded& ended) {
   StreamState& st = it->second;
   if (st.done || st.node != node) return;
   st.outcome.ingested += ended.ingested;
+  const bool forced = std::exchange(st.forced, false);
 
   if (st.draining && st.pending_target >= 0 && ended.cursor < st.spec.end) {
     // Second half of the hand-off: queue the remainder for reassignment
@@ -160,7 +184,9 @@ void ClusterScheduler::on_stream_ended(int node, const StreamEnded& ended) {
     resume_queue_.push_back(ended.stream_id);
     return;
   }
-  // Natural completion (or a drain that raced the stream's own end).
+  // Natural completion (or a drain that raced the stream's own end — if
+  // that drain was the forced hand-off, none happened: re-arm it).
+  if (forced) forced_done_ = false;
   st.done = true;
   st.node = -1;
   st.draining = false;
@@ -179,6 +205,7 @@ void ClusterScheduler::flush_resumes() {
     if (assign(target, st.spec, /*resume=*/true)) {
       manager_.attach_stream(static_cast<int>(id), target);
       st.node = target;
+      st.ingested = 0;
       const double ms =
           static_cast<double>(runtime::steady_now_ms() - st.drain_t0_ms);
       report_.handoff_ms.push_back(ms);
@@ -209,6 +236,12 @@ void ClusterScheduler::poll_snapshots(double now_sec) {
       if (frame->type == net::MsgType::kSnapshot) {
         const auto snap = parse_snapshot(frame->payload);
         if (snap) {
+          for (const auto& ss : snap->streams) {
+            const auto it = streams_.find(static_cast<std::uint32_t>(ss.id));
+            if (it != streams_.end() && it->second.node == static_cast<int>(i)) {
+              it->second.ingested = ss.prefetch.in;
+            }
+          }
           manager_.report_snapshot(static_cast<int>(i), now_sec, *snap);
           report_.snapshot_frames += 1;
         }
@@ -303,13 +336,7 @@ ClusterReport ClusterScheduler::run(const std::vector<StreamSpec>& specs) {
 
     if (opts_.force_migration_at_sec >= 0.0 && !forced_done_ &&
         now_sec() >= opts_.force_migration_at_sec) {
-      for (const auto& [id, st] : streams_) {
-        if (st.done || st.draining || st.node < 0) continue;
-        forced_done_ = true;
-        start_migration(id,
-                        (st.node + 1) % static_cast<int>(clients_.size()));
-        break;
-      }
+      force_migration();
     }
 
     // Gate BEFORE asking: next_reforward re-attaches the stream inside the
@@ -344,8 +371,7 @@ ClusterReport ClusterScheduler::run(const std::vector<StreamSpec>& specs) {
 std::vector<StreamOutcome> run_local(const std::vector<StreamSpec>& specs,
                                      const core::FfsVaConfig& config) {
   core::FfsVaConfig cfg = config;
-  cfg.serve_until_stopped = false;
-  cfg.max_streams = 0;
+  cfg.max_streams = 0;  // the classic fixed-set run
   core::FfsVaInstance inst(cfg);
   for (const StreamSpec& spec : specs) {
     MaterializedStream m = materialize(spec);

@@ -46,7 +46,10 @@ struct SchedOptions {
   /// the gap bounds the churn without touching the policy itself.
   double reforward_min_gap_sec = 2.0;
   /// Seconds after start at which one forced hand-off is injected (the
-  /// cluster-smoke / CI migration exercise). Negative disables.
+  /// cluster-smoke / CI migration exercise): the stream with the most
+  /// frames left to ingest moves to the next node. A drain that races the
+  /// stream's own end is no hand-off, so the next stream is tried.
+  /// Negative disables.
   double force_migration_at_sec = -1.0;
   /// Give-up deadline for the whole run (0 = none). A wedged node trips
   /// this instead of hanging the scheduler forever.
@@ -96,12 +99,18 @@ class ClusterScheduler {
     bool done = false;
     std::int64_t drain_t0_ms = 0;  ///< Hand-off latency clock.
     int pending_target = -1;   ///< Where the remainder goes (-1: natural end).
+    bool forced = false;       ///< The drain in flight is the forced hand-off.
+    /// Frames of the current segment ingested, per the serving node's
+    /// latest snapshot.
+    std::uint64_t ingested = 0;
     StreamOutcome outcome;
   };
 
   bool connect_all();
   bool assign(int node, const StreamSpec& spec, bool resume);
   void start_migration(std::uint32_t stream_id, int target);
+  /// Inject the forced hand-off (SchedOptions::force_migration_at_sec).
+  void force_migration();
   void dispatch(int node, const net::WireFrame& frame);
   void on_stream_ended(int node, const StreamEnded& ended);
   /// Perform the queued second halves of hand-offs. Called only from the

@@ -17,8 +17,7 @@ namespace {
 
 core::FfsVaConfig node_config(const NodeOptions& opts) {
   core::FfsVaConfig cfg = opts.config;
-  cfg.serve_until_stopped = true;
-  cfg.max_streams = std::max(opts.max_streams, 1);
+  cfg.max_streams = std::max(opts.max_streams, 1);  // serve mode
   return cfg;
 }
 
@@ -217,7 +216,7 @@ void NodeServer::poll_quiesced(net::Channel* ch) {
     std::uint64_t ingested = 0;
     for (const auto& ss : snap.streams) {
       if (ss.id == c.owned.local_id) {
-        ingested = ss.prefetch_in;
+        ingested = ss.prefetch.in;
         break;
       }
     }

@@ -8,10 +8,6 @@ namespace ffsva::node {
 
 namespace {
 
-/// Frame payloads already live under the wire layer's 16 MiB cap; this is
-/// merely the sanity bound on element counts inside one payload.
-constexpr std::uint64_t kMaxVector = 1u << 20;
-
 template <typename T>
 void w(std::ostream& os, const T& v) {
   runtime::write_pod(os, &v);
@@ -52,45 +48,47 @@ bool read_fault(std::istream& is, core::FaultStats* f) {
          r(is, &f->poisoned_frames) && r_bool(is, &f->quarantined);
 }
 
+/// The one wire form of the per-stream counter schema.
+void write_counters(std::ostream& os, const core::StreamCounters& c) {
+  for (const auto* st : {&c.prefetch, &c.sdd, &c.snm, &c.tyolo, &c.ref}) {
+    w(os, st->in);
+    w(os, st->passed);
+  }
+  w(os, c.dropped_at_ingest);
+  w(os, c.ingest.decode_full);
+  w(os, c.ingest.decode_skipped);
+  w(os, c.ingest.hint_passes);
+  w(os, c.ingest.hint_fallbacks);
+  w(os, c.ingest.compression_ratio);
+  write_fault(os, c.fault);
+}
+
+bool read_counters(std::istream& is, core::StreamCounters* c) {
+  for (auto* st : {&c->prefetch, &c->sdd, &c->snm, &c->tyolo, &c->ref}) {
+    if (!r(is, &st->in) || !r(is, &st->passed)) return false;
+  }
+  return r(is, &c->dropped_at_ingest) && r(is, &c->ingest.decode_full) &&
+         r(is, &c->ingest.decode_skipped) && r(is, &c->ingest.hint_passes) &&
+         r(is, &c->ingest.hint_fallbacks) && r(is, &c->ingest.compression_ratio) &&
+         read_fault(is, &c->fault);
+}
+
 void write_stream(std::ostream& os, const core::StreamSnapshot& s) {
-  const auto id = static_cast<std::int32_t>(s.id);
-  w(os, id);
-  w(os, s.prefetch_in);
-  w(os, s.prefetch_passed);
-  w(os, s.dropped_at_ingest);
-  w(os, s.sdd_in);
-  w(os, s.sdd_passed);
-  w(os, s.snm_in);
-  w(os, s.snm_passed);
-  w(os, s.tyolo_in);
-  w(os, s.tyolo_passed);
-  w(os, s.ref_in);
-  w(os, s.ref_passed);
+  w(os, static_cast<std::int32_t>(s.id));
+  write_counters(os, s);
   w(os, s.terminated);
   w_bool(os, s.ingest_done);
   w(os, static_cast<std::uint64_t>(s.sdd_queue_depth));
   w(os, static_cast<std::uint64_t>(s.snm_queue_depth));
   w(os, static_cast<std::uint64_t>(s.tyolo_queue_depth));
-  w(os, s.decode_full);
-  w(os, s.decode_skipped);
-  w(os, s.hint_passes);
-  w(os, s.hint_fallbacks);
-  w(os, s.compression_ratio);
-  write_fault(os, s.fault);
 }
 
 bool read_stream(std::istream& is, core::StreamSnapshot* s) {
   std::int32_t id = 0;
   std::uint64_t sddq = 0, snmq = 0, tyq = 0;
-  if (!(r(is, &id) && r(is, &s->prefetch_in) && r(is, &s->prefetch_passed) &&
-        r(is, &s->dropped_at_ingest) && r(is, &s->sdd_in) &&
-        r(is, &s->sdd_passed) && r(is, &s->snm_in) && r(is, &s->snm_passed) &&
-        r(is, &s->tyolo_in) && r(is, &s->tyolo_passed) && r(is, &s->ref_in) &&
-        r(is, &s->ref_passed) && r(is, &s->terminated) &&
+  if (!(r(is, &id) && read_counters(is, s) && r(is, &s->terminated) &&
         r_bool(is, &s->ingest_done) && r(is, &sddq) && r(is, &snmq) &&
-        r(is, &tyq) && r(is, &s->decode_full) && r(is, &s->decode_skipped) &&
-        r(is, &s->hint_passes) && r(is, &s->hint_fallbacks) &&
-        r(is, &s->compression_ratio) && read_fault(is, &s->fault))) {
+        r(is, &tyq))) {
     return false;
   }
   s->id = id;
@@ -104,14 +102,9 @@ void write_health(std::ostream& os, const core::HealthSummary& h) {
   w(os, static_cast<std::int32_t>(h.healthy_streams));
   w(os, static_cast<std::int32_t>(h.degraded_streams));
   w(os, static_cast<std::int32_t>(h.quarantined_streams));
-  w(os, h.decode_errors);
-  w(os, h.retries);
-  w(os, h.restarts);
-  w(os, h.degraded_frames);
-  w(os, h.discarded_frames);
+  write_fault(os, h.fault);
   w(os, h.cancels);
   w(os, h.stage_restarts);
-  w(os, h.poisoned_frames);
   w(os, h.stage_stall_ticks);
   w_bool(os, h.stopped);
   w_bool(os, h.deadline_hit);
@@ -120,10 +113,8 @@ void write_health(std::ostream& os, const core::HealthSummary& h) {
 bool read_health(std::istream& is, core::HealthSummary* h) {
   std::int32_t healthy = 0, degraded = 0, quarantined = 0;
   if (!(r(is, &healthy) && r(is, &degraded) && r(is, &quarantined) &&
-        r(is, &h->decode_errors) && r(is, &h->retries) && r(is, &h->restarts) &&
-        r(is, &h->degraded_frames) && r(is, &h->discarded_frames) &&
-        r(is, &h->cancels) && r(is, &h->stage_restarts) &&
-        r(is, &h->poisoned_frames) && r(is, &h->stage_stall_ticks) &&
+        read_fault(is, &h->fault) && r(is, &h->cancels) &&
+        r(is, &h->stage_restarts) && r(is, &h->stage_stall_ticks) &&
         r_bool(is, &h->stopped) && r_bool(is, &h->deadline_hit))) {
     return false;
   }
@@ -218,12 +209,13 @@ std::optional<StreamResults> StreamResults::parse(std::string_view payload) {
   std::istringstream is{std::string(payload)};
   StreamResults res;
   std::uint64_t n = 0;
-  if (!r(is, &res.stream_id) || !r(is, &n) || n > kMaxVector) {
-    return std::nullopt;
-  }
-  res.emitted_frames.resize(n);
+  if (!r(is, &res.stream_id) || !r(is, &n)) return std::nullopt;
+  // Element counts are untrusted: append each element as it parses, so a
+  // hostile count is rejected at the payload's end, never allocated.
   for (std::uint64_t i = 0; i < n; ++i) {
-    if (!r(is, &res.emitted_frames[i])) return std::nullopt;
+    std::uint64_t frame = 0;
+    if (!r(is, &frame)) return std::nullopt;
+    res.emitted_frames.push_back(frame);
   }
   return res;
 }
@@ -246,14 +238,15 @@ std::optional<core::InstanceSnapshot> parse_snapshot(std::string_view payload) {
   std::uint64_t refq = 0;
   std::uint32_t n = 0;
   if (!r_bool(is, &snap.running) || !r(is, &snap.t_sec) || !r(is, &refq) ||
-      !r(is, &snap.outputs) || !read_health(is, &snap.health) || !r(is, &n) ||
-      n > kMaxVector) {
+      !r(is, &snap.outputs) || !read_health(is, &snap.health) || !r(is, &n)) {
     return std::nullopt;
   }
   snap.ref_queue_depth = static_cast<std::size_t>(refq);
-  snap.streams.resize(n);
+  // Same untrusted-count rule as StreamResults::parse.
   for (std::uint32_t i = 0; i < n; ++i) {
-    if (!read_stream(is, &snap.streams[i])) return std::nullopt;
+    core::StreamSnapshot s;
+    if (!read_stream(is, &s)) return std::nullopt;
+    snap.streams.push_back(std::move(s));
   }
   return snap;
 }

@@ -4,10 +4,13 @@
 // struct padding ever reaches the wire.
 //
 // The periodic load report is the engine's own core::InstanceSnapshot,
-// serialized as-is (every StreamSnapshot field, fault counters included).
+// serialized as-is, its per-stream counters through the one writer/reader
+// pair for core::StreamCounters (a layout change bumps net::kWireVersion).
 // There is deliberately no second "cluster stats" schema: what the
 // scheduler sees is exactly what a local snapshot() caller sees, with the
-// node translating engine-local stream ids to cluster-global ids.
+// node translating engine-local stream ids to cluster-global ids. Element
+// counts are untrusted: parsers append elements as they read them, so a
+// count beyond the payload is rejected, not allocated.
 #pragma once
 
 #include <cstdint>

@@ -7,16 +7,16 @@
 //
 // Design notes:
 //  * Blocking push/pop with condition variables; try_/timed_ variants for
-//    the feedback-queue controller, which must observe depth without
-//    committing to a wait. Wait conditions are explicit loops so the
-//    thread-safety analysis (runtime/annotations.hpp) can check every
-//    guarded access.
+//    stages that must not commit to a wait (the GPU0 executor serving many
+//    queues, a live camera that drops a frame rather than block). Wait
+//    conditions are explicit loops so the thread-safety analysis
+//    (runtime/annotations.hpp) can check every guarded access.
 //  * close() wakes all waiters; a closed queue drains remaining elements,
 //    then pop() returns std::nullopt. This gives pipelines a clean
 //    end-of-stream path with no sentinel values.
-//  * depth() is an instantaneous snapshot used by FeedbackController to
-//    decide whether an upstream stage must throttle. It is intentionally
-//    approximate under concurrency (the controller is a heuristic).
+//  * depth() is an instantaneous snapshot used to size batches and by the
+//    telemetry gauges. It is intentionally approximate under concurrency;
+//    the feedback throttle itself is the blocking push.
 #pragma once
 
 #include <atomic>

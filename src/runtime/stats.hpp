@@ -84,6 +84,7 @@ struct StageCounters {
   double pass_rate() const {
     return in ? static_cast<double>(passed) / static_cast<double>(in) : 0.0;
   }
+  bool operator==(const StageCounters&) const = default;
 };
 
 }  // namespace ffsva::runtime

@@ -114,17 +114,16 @@ bool pin_current_thread(int cpu) {
 #endif
 }
 
-int resolve_ingest_affinity(int config_value) {
-  if (const char* env = std::getenv("FFSVA_AFFINITY")) {
-    if (*env == '\0' || std::strcmp(env, "off") == 0 || std::strcmp(env, "none") == 0) {
-      return -1;
-    }
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v >= 0 && v <= 4096) return static_cast<int>(v);
-    return -1;  // unparseable: disable rather than pin somewhere surprising
+int resolve_ingest_affinity() {
+  const char* env = std::getenv("FFSVA_AFFINITY");
+  if (env == nullptr || *env == '\0' || std::strcmp(env, "off") == 0 ||
+      std::strcmp(env, "none") == 0) {
+    return -1;
   }
-  return config_value;
+  char* end = nullptr;
+  const long v = std::strtol(env, &end, 10);
+  if (end != env && *end == '\0' && v >= 0 && v <= 4096) return static_cast<int>(v);
+  return -1;  // unparseable: disable rather than pin somewhere surprising
 }
 
 }  // namespace ffsva::runtime

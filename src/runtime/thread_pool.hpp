@@ -67,9 +67,9 @@ int cpu_count();
 /// process's affinity mask. Returns true if the pin took effect.
 bool pin_current_thread(int cpu);
 
-/// Resolve the effective ingest-affinity base: the FFSVA_AFFINITY
-/// environment variable (an integer base CPU, or "off"/empty to disable)
-/// overrides `config_value`; negative means pinning disabled.
-int resolve_ingest_affinity(int config_value);
+/// The ingest-affinity base CPU from the FFSVA_AFFINITY environment
+/// variable: stream i's prefetch thread pins to CPU (base + i) mod
+/// cpu_count. Unset, empty, "off" or unparseable means no pinning (-1).
+int resolve_ingest_affinity();
 
 }  // namespace ffsva::runtime

@@ -79,7 +79,7 @@ PlacementResult simulate_placement(const PlacementSetup& setup) {
       snap.t_sec = now;
       core::StreamSnapshot s;
       s.id = 0;
-      s.tyolo_in = static_cast<std::uint64_t>(served[ui]);
+      s.tyolo.in = static_cast<std::uint64_t>(served[ui]);
       s.tyolo_queue_depth = load[ui] > capacity[ui] ? tyolo_cap : 0;
       snap.streams.push_back(s);
       manager.report_snapshot(i, now, snap);

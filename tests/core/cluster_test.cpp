@@ -121,7 +121,7 @@ InstanceSnapshot snap_of(int streams, std::uint64_t tyolo_in,
   for (int i = 0; i < streams; ++i) {
     StreamSnapshot s;
     s.id = i;
-    s.tyolo_in = tyolo_in;
+    s.tyolo.in = tyolo_in;
     s.snm_queue_depth = queue_depth;
     s.tyolo_queue_depth = queue_depth;
     snap.streams.push_back(s);
@@ -239,14 +239,14 @@ TEST(ClusterManager, HandoffResetsServedBaseline) {
   }
   ASSERT_TRUE(cm.instance_has_spare(0, 6.0));
   // Stream 7 hands off to instance 1 and later returns carrying 100000
-  // accumulated tyolo_in frames. The cumulative tyolo_served() sum jumps by
+  // accumulated tyolo.in frames. The cumulative tyolo_served() sum jumps by
   // that history — a baseline shift, not service performed.
   cm.attach_stream(7, 1);
   cm.attach_stream(7, 0);
   InstanceSnapshot ret = snap_of(2, 1000);
   StreamSnapshot back;
   back.id = 7;
-  back.tyolo_in = 100000;
+  back.tyolo.in = 100000;
   ret.streams.push_back(back);
   ++ret.health.healthy_streams;
   for (double t = 6.1; t <= 11.0; t += 0.1) cm.report_snapshot(0, t, ret);

@@ -354,8 +354,8 @@ TEST(FaultTolerance, FaultMatrixIsolatesFaultyStreams) {
   }
   EXPECT_EQ(stats.health.quarantined_streams, 1);
   EXPECT_GE(stats.health.degraded_streams, 2);  // transient + truncated
-  EXPECT_GT(stats.health.retries, 0u);
-  EXPECT_GT(stats.health.degraded_frames, 0u);
+  EXPECT_GT(stats.health.fault.retries, 0u);
+  EXPECT_GT(stats.health.fault.degraded_frames, 0u);
 
   // The quarantined stream's prefetch thread is joined before run()
   // returns: the quarantine cancelled the stalled decode (stall_done is set

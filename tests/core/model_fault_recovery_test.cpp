@@ -292,7 +292,7 @@ TEST(ModelFaultRecovery, SecondWedgePoisonsTheFrameUnderBypass) {
   EXPECT_EQ(st.prefetch.passed, frames);
   EXPECT_EQ(st.latency_ms.count(), frames);  // poisoned frames still counted
   EXPECT_GE(st.fault.poisoned_frames, 1u);
-  EXPECT_GE(stats.health.poisoned_frames, 1u);
+  EXPECT_GE(stats.health.fault.poisoned_frames, 1u);
   EXPECT_GE(stats.health.cancels, 2u);
 }
 

@@ -54,65 +54,6 @@ TEST(Batcher, DegenerateSizesClamped) {
   EXPECT_EQ(b.next_batch(5, false).take, 1);
 }
 
-// ----------------------------------------------------------- BatchDrain --
-
-TEST(BatchDrain, DynamicConsumesPendingImmediately) {
-  BatchDrain d(BatchPolicy::kDynamic, 8, 16);
-  EXPECT_EQ(d.batch_size(), 8);
-  auto s = d.next(3, false);
-  EXPECT_EQ(s.take, 3);
-  EXPECT_FALSE(s.block);
-  s = d.next(20, false);
-  EXPECT_EQ(s.take, 8);  // capped at the batch size
-}
-
-TEST(BatchDrain, EmptyPendingBlocksUntilEnded) {
-  BatchDrain d(BatchPolicy::kDynamic, 8, 16);
-  auto s = d.next(0, false);
-  EXPECT_TRUE(s.block);
-  EXPECT_EQ(s.take, 0);
-  // Queue closed and drained: take == 0 && !block means the stage is done.
-  s = d.next(0, true);
-  EXPECT_FALSE(s.block);
-  EXPECT_EQ(s.take, 0);
-}
-
-TEST(BatchDrain, StaticBlocksForFullBatchThenDrainsShortAtEnd) {
-  BatchDrain d(BatchPolicy::kStatic, 8, 16);
-  EXPECT_TRUE(d.next(7, false).block);   // wait -> blocking-pop one more
-  EXPECT_EQ(d.next(8, false).take, 8);
-  const auto s = d.next(3, true);        // ended: drain what is left
-  EXPECT_FALSE(s.block);
-  EXPECT_EQ(s.take, 3);
-}
-
-TEST(BatchDrain, FeedbackTargetIsMinOfBatchAndThreshold) {
-  BatchDrain d(BatchPolicy::kFeedback, 12, 4);
-  EXPECT_TRUE(d.next(3, false).block);
-  EXPECT_EQ(d.next(4, false).take, 4);
-}
-
-// ------------------------------------------------------ FeedbackController --
-
-TEST(FeedbackController, ThrottlesAtThreshold) {
-  FfsVaConfig cfg;  // thresholds 2 / 10 / 2; reference queue 64
-  FeedbackController fb(cfg);
-  EXPECT_TRUE(fb.sdd_may_push(9));
-  EXPECT_FALSE(fb.sdd_may_push(10));
-  EXPECT_TRUE(fb.snm_may_push(1));
-  EXPECT_FALSE(fb.snm_may_push(2));
-  EXPECT_TRUE(fb.tyolo_may_push(cfg.ref_queue_depth - 1));
-  EXPECT_FALSE(fb.tyolo_may_push(cfg.ref_queue_depth));
-}
-
-TEST(FeedbackController, StaticPolicyEffectivelyUnbounded) {
-  FfsVaConfig cfg;
-  cfg.batch_policy = BatchPolicy::kStatic;
-  FeedbackController fb(cfg);
-  EXPECT_TRUE(fb.sdd_may_push(1000));
-  EXPECT_TRUE(fb.snm_may_push(1000));
-}
-
 // -------------------------------------------------------- TYoloScheduler --
 
 TEST(TYoloScheduler, RoundRobinSkipsEmptyQueues) {

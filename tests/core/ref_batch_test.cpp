@@ -255,7 +255,7 @@ TEST(RefConfig, ModeNamesAndDefaults) {
   FfsVaConfig cfg;
   EXPECT_EQ(cfg.ref_mode, RefMode::kBatch);
   EXPECT_GE(cfg.ref_batch_size, 1);
-  EXPECT_GE(cfg.ref_queue_threshold, 1);
+  EXPECT_GE(cfg.ref_queue_depth, cfg.ref_batch_size);
 }
 
 }  // namespace

@@ -1,11 +1,15 @@
-// StreamSpec and control-message serialization: exact round-trips, hostile
-// payload rejection, and the determinism contract a resumed segment relies
-// on — the same spec materializes the same specialized models on any node.
+// StreamSpec and control-message serialization: exact round-trips (the
+// snapshot with every field distinct), hostile payload rejection, and the
+// determinism contract a resumed segment relies on — the same spec
+// materializes the same specialized models on any node.
 #include "node/stream_spec.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <string>
 
 #include "node/protocol.hpp"
@@ -135,6 +139,111 @@ TEST(Protocol, AssignAndResultsRoundTrip) {
   std::string blob = res.serialize();
   EXPECT_FALSE(StreamResults::parse(blob.substr(0, blob.size() - 3))
                    .has_value());
+}
+
+/// A snapshot whose every counter, queue depth and health field holds a
+/// distinct non-zero value (every flag set), so a field the wire drops,
+/// swaps or misreads cannot round-trip.
+core::InstanceSnapshot distinct_snapshot(int streams) {
+  std::uint64_t v = 0;
+  const auto next = [&v] { return ++v; };
+  const auto fill_fault = [&](core::FaultStats& f) {
+    for (auto* c : {&f.decode_errors, &f.retries, &f.restarts, &f.degraded_frames,
+                    &f.discarded_frames, &f.cancelled_calls, &f.poisoned_frames}) {
+      *c = next();
+    }
+    f.quarantined = true;
+  };
+  core::InstanceSnapshot snap;
+  snap.running = true;
+  snap.t_sec = 12.25;
+  snap.ref_queue_depth = next();
+  snap.outputs = next();
+  auto& h = snap.health;
+  h.healthy_streams = static_cast<int>(next());
+  h.degraded_streams = static_cast<int>(next());
+  h.quarantined_streams = static_cast<int>(next());
+  fill_fault(h.fault);
+  h.cancels = next();
+  h.stage_restarts = next();
+  h.stage_stall_ticks = next();
+  h.stopped = true;
+  h.deadline_hit = true;
+  for (int i = 0; i < streams; ++i) {
+    core::StreamSnapshot s;
+    s.id = static_cast<int>(next());
+    for (auto* st : {&s.prefetch, &s.sdd, &s.snm, &s.tyolo, &s.ref}) {
+      st->in = next();
+      st->passed = next();
+    }
+    s.dropped_at_ingest = next();
+    for (auto* c : {&s.ingest.decode_full, &s.ingest.decode_skipped,
+                    &s.ingest.hint_passes, &s.ingest.hint_fallbacks}) {
+      *c = next();
+    }
+    s.ingest.compression_ratio = 1.5 + i;
+    fill_fault(s.fault);
+    s.terminated = next();
+    s.ingest_done = true;
+    s.sdd_queue_depth = next();
+    s.snm_queue_depth = next();
+    s.tyolo_queue_depth = next();
+    snap.streams.push_back(s);
+  }
+  return snap;
+}
+
+TEST(Protocol, SnapshotRoundTrip) {
+  const core::InstanceSnapshot snap = distinct_snapshot(3);
+  const std::string blob = serialize_snapshot(snap);
+  const auto back = parse_snapshot(blob);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->running, snap.running);
+  EXPECT_EQ(back->t_sec, snap.t_sec);
+  EXPECT_EQ(back->ref_queue_depth, snap.ref_queue_depth);
+  EXPECT_EQ(back->outputs, snap.outputs);
+  EXPECT_TRUE(back->health == snap.health);
+  ASSERT_EQ(back->streams.size(), snap.streams.size());
+  for (std::size_t i = 0; i < snap.streams.size(); ++i) {
+    EXPECT_TRUE(back->streams[i] == snap.streams[i]) << "stream " << i;
+  }
+  // Every strict prefix is a truncated payload and must not parse.
+  for (std::size_t n = 0; n < blob.size(); ++n) {
+    EXPECT_FALSE(parse_snapshot(blob.substr(0, n)).has_value()) << "prefix " << n;
+  }
+}
+
+long peak_rss_kb() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_maxrss;
+}
+
+TEST(Protocol, HostileCountsAreRejected) {
+  // An element count far beyond what the payload carries must be rejected
+  // at the payload's end, never allocated up front.
+  const long rss_before = peak_rss_kb();
+  const std::size_t header = serialize_snapshot(distinct_snapshot(0)).size();
+  std::string snap = serialize_snapshot(distinct_snapshot(1));
+  for (const std::uint32_t count : {std::uint32_t{1} << 20,
+                                    std::numeric_limits<std::uint32_t>::max()}) {
+    // The stream count is the header's last field.
+    std::memcpy(snap.data() + header - sizeof(count), &count, sizeof(count));
+    EXPECT_FALSE(parse_snapshot(snap).has_value()) << count;
+  }
+
+  StreamResults res;
+  res.stream_id = 9;
+  res.emitted_frames = {40, 41};
+  std::string blob = res.serialize();
+  for (const std::uint64_t count : {std::uint64_t{1} << 20,
+                                    std::numeric_limits<std::uint64_t>::max()}) {
+    // The frame count follows the u32 stream id.
+    std::memcpy(blob.data() + sizeof(res.stream_id), &count, sizeof(count));
+    EXPECT_FALSE(StreamResults::parse(blob).has_value()) << count;
+  }
+  // Sizing the vectors by the claimed 2^20 counts would cost ~240 MB.
+  EXPECT_LT(peak_rss_kb() - rss_before, 32L * 1024);
 }
 
 }  // namespace
