@@ -155,36 +155,6 @@ const char* to_string(DecodePolicy p) {
   return "?";
 }
 
-FaultStats& FaultStats::operator+=(const FaultStats& o) {
-  decode_errors += o.decode_errors;
-  retries += o.retries;
-  restarts += o.restarts;
-  degraded_frames += o.degraded_frames;
-  discarded_frames += o.discarded_frames;
-  cancelled_calls += o.cancelled_calls;
-  poisoned_frames += o.poisoned_frames;
-  quarantined = quarantined || o.quarantined;
-  return *this;
-}
-
-StreamCounters& StreamCounters::operator+=(const StreamCounters& o) {
-  for (auto [a, b] : {std::pair{&prefetch, &o.prefetch}, std::pair{&sdd, &o.sdd},
-                      std::pair{&snm, &o.snm}, std::pair{&tyolo, &o.tyolo},
-                      std::pair{&ref, &o.ref}}) {
-    a->in += b->in;
-    a->passed += b->passed;
-  }
-  dropped_at_ingest += o.dropped_at_ingest;
-  ingest.decode_full += o.ingest.decode_full;
-  ingest.decode_skipped += o.ingest.decode_skipped;
-  ingest.hint_passes += o.ingest.hint_passes;
-  ingest.hint_fallbacks += o.ingest.hint_fallbacks;
-  ingest.compression_ratio =
-      std::max(ingest.compression_ratio, o.ingest.compression_ratio);
-  fault += o.fault;
-  return *this;
-}
-
 StreamStats InstanceStats::aggregate() const {
   StreamStats agg;
   for (const auto& s : streams) {
@@ -523,52 +493,28 @@ void FfsVaInstance::wire_metrics() {
   hot_.drop_latency_ms = &metrics_.histogram("latency.drop_ms");
   hot_.recovery_ms = &metrics_.histogram("latency.recovery_ms");
 
-  // Per-stream frame, fault and supervision counts live in Stream atomics
-  // only (single-writer cells the stage threads — prefetch included — tick
-  // without touching the registry); the registry reads them when sampled.
-  // Every reader below scans the stream slots bounded by num_streams(), not
-  // the vector's size: the count is the release/acquire publication point
-  // for dynamically added streams (see the streams_ member comment).
-  const auto total = [this](auto member) {
-    return [this, member]() {
+  // Per-stream frame, ingest and fault counts live in Stream atomics only
+  // (single-writer cells the stage threads — prefetch included — tick
+  // without touching the registry); every metric of their schema
+  // (core/counters.hpp) sums the streams' counters() when sampled. Every
+  // reader below scans the stream slots bounded by num_streams(), not the
+  // vector's size: the count is the release/acquire publication point for
+  // dynamically added streams (see the streams_ member comment).
+  for_each_metric([this](const char* name, Section section, auto read) {
+    const auto total = [this, read] {
       std::uint64_t n = 0;
       const int count = num_streams();
       for (int i = 0; i < count; ++i) {
-        n += ((*streams_[static_cast<std::size_t>(i)]).*member)
-                 .load(std::memory_order_relaxed);
+        n += read(streams_[static_cast<std::size_t>(i)]->counters());
       }
       return n;
     };
-  };
-  const auto sum = [&total](auto member) {
-    return [fn = total(member)] { return static_cast<double>(fn()); };
-  };
-  // The cascade funnel: exported as counters (rates, the simulator's shared
-  // schema); each drop.<stage> is in - passed. `passed` is read first and
-  // the difference saturates, so a mid-run sample never underflows.
-  const auto funnel = [&](const std::string& stage, auto in, auto passed) {
-    metrics_.counter(stage + ".in", total(in));
-    metrics_.counter(stage + ".passed", total(passed));
-    metrics_.counter("drop." + stage, [in_fn = total(in), passed_fn = total(passed)] {
-      const std::uint64_t p = passed_fn();
-      const std::uint64_t i = in_fn();
-      return i > p ? i - p : 0;
-    });
-  };
-  funnel("sdd", &Stream::sdd_in, &Stream::sdd_passed);
-  funnel("snm", &Stream::snm_in, &Stream::snm_passed);
-  funnel("tyolo", &Stream::tyolo_in, &Stream::tyolo_passed);
-  funnel("ref", &Stream::ref_in, &Stream::ref_passed);
-  metrics_.gauge("prefetch.in", sum(&Stream::prefetch_in));
-  metrics_.gauge("prefetch.passed", sum(&Stream::prefetch_passed));
-  metrics_.gauge("drop.ingest", sum(&Stream::dropped_ingest));
-  // Codec-aware ingest (same schema, same registry; gauges so the prefetch
-  // loop stays registry-free and its facts live in stream atomics — see
-  // above).
-  metrics_.gauge("decode.full", sum(&Stream::decode_full));
-  metrics_.gauge("decode.skipped", sum(&Stream::decode_skipped));
-  metrics_.gauge("sdd.hint_pass", sum(&Stream::hint_passes));
-  metrics_.gauge("sdd.hint_fallback", sum(&Stream::hint_fallbacks));
+    if (section == Section::kCounter) {
+      metrics_.counter(name, total);
+    } else {
+      metrics_.gauge(name, [total] { return static_cast<double>(total()); });
+    }
+  });
   const auto decode_quantile = [this](double q) {
     return [this, q]() {
       telemetry::HistogramSnapshot merged;
@@ -581,24 +527,6 @@ void FfsVaInstance::wire_metrics() {
   };
   metrics_.gauge("latency.decode_p50_ms", decode_quantile(0.5));
   metrics_.gauge("latency.decode_p99_ms", decode_quantile(0.99));
-  metrics_.gauge("fault.decode_errors", sum(&Stream::decode_errors));
-  metrics_.gauge("fault.retries", sum(&Stream::retries));
-  metrics_.gauge("fault.restarts", sum(&Stream::restarts));
-  metrics_.gauge("fault.degraded_frames", sum(&Stream::degraded));
-  metrics_.gauge("fault.discarded_frames", sum(&Stream::discarded));
-  metrics_.gauge("fault.cancelled_calls", sum(&Stream::cancels));
-  metrics_.gauge("fault.poisoned_frames", sum(&Stream::poisoned));
-  metrics_.gauge("streams.quarantined", [this] {
-    double q = 0;
-    const int n = num_streams();
-    for (int i = 0; i < n; ++i) {
-      if (streams_[static_cast<std::size_t>(i)]->quarantined.load(
-              std::memory_order_relaxed)) {
-        ++q;
-      }
-    }
-    return q;
-  });
   metrics_.gauge("supervise.stall_ticks", [this] {
     return static_cast<double>(
         stage_stall_ticks_.load(std::memory_order_relaxed));
@@ -610,7 +538,6 @@ void FfsVaInstance::wire_metrics() {
   metrics_.gauge("supervision.stage_restarts", [this] {
     return static_cast<double>(stage_restarts_.load(std::memory_order_relaxed));
   });
-  metrics_.gauge("supervision.poisoned_frames", sum(&Stream::poisoned));
   const auto depth_sum = [this](runtime::BoundedQueue<Item> Stream::* q) {
     return [this, q]() {
       std::size_t total = 0;
@@ -1640,81 +1567,6 @@ InstanceStats FfsVaInstance::run(bool online) {
     for (const auto& ev : outputs_) out.output_latency_ms.add(ev.latency_ms);
   }
   return out;
-}
-
-BaselineStats run_yolo_baseline(
-    std::vector<std::unique_ptr<video::FrameSource>> sources,
-    const std::vector<detect::StreamModels>& models, bool online,
-    double online_fps) {
-  BaselineStats stats;
-  runtime::Stopwatch wall;
-  // Two GPU workers pull from a shared frame queue — YOLOv2 running on both
-  // GPUs, the paper's baseline deployment.
-  runtime::BoundedQueue<std::pair<int, Item>> q(8);
-  std::atomic<std::uint64_t> frames{0}, dropped{0};
-  runtime::Mutex hist_mu{runtime::rank::kBenchStats, "baseline::hist_mu"};
-
-  // thread-ok: the baseline harness spawns its own producers/GPU workers —
-  // it deliberately bypasses the engine (that is what it measures against);
-  // all joined below.
-  std::vector<std::thread> producers;
-  producers.reserve(sources.size());
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    producers.emplace_back([&, i] {
-      runtime::RateLimiter limiter(online_fps, 2.0);
-      const auto interval = std::chrono::duration<double>(1.0 / online_fps);
-      while (auto f = sources[i]->next()) {
-        Item item{std::move(*f), Clock::now()};
-        if (online) {
-          limiter.acquire();
-          if (!q.push_for(std::make_pair(static_cast<int>(i), std::move(item)),
-                          interval)) {
-            dropped.fetch_add(1, std::memory_order_relaxed);
-            continue;
-          }
-        } else {
-          if (!q.push(std::make_pair(static_cast<int>(i), std::move(item)))) break;
-        }
-        frames.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-
-  // Each device lock is held across detect(), which fans out through the
-  // compute pool — hence kBenchDevice orders before the kComputePool group.
-  runtime::Mutex gpu[2]{{runtime::rank::kBenchDevice, "baseline::gpu[0]"},
-                        {runtime::rank::kBenchDevice, "baseline::gpu[1]"}};
-  // thread-ok: the baseline's two GPU workers, joined below.
-  std::vector<std::thread> workers;
-  for (int g = 0; g < 2; ++g) {
-    workers.emplace_back([&, g] {
-      while (auto entry = q.pop()) {
-        auto& [stream_id, item] = *entry;
-        detect::DetectionResult r;
-        {
-          runtime::MutexLock lk(gpu[g]);
-          // blocking-ok: the device lock exists precisely to serialize the
-          // model call — the baseline being measured runs one inference per
-          // GPU at a time; nothing else ever waits on gpu[g].
-          r = models[static_cast<std::size_t>(stream_id)].reference->detect(
-              item.frame.image);
-        }
-        runtime::MutexLock lk(hist_mu);
-        stats.latency_ms.add(ms_since(item.ingest));
-      }
-    });
-  }
-
-  for (auto& t : producers) t.join();
-  q.close();
-  for (auto& t : workers) t.join();
-
-  stats.wall_sec = wall.elapsed_sec();
-  stats.frames = frames.load();
-  stats.dropped = dropped.load();
-  stats.throughput_fps =
-      stats.wall_sec > 0.0 ? static_cast<double>(stats.frames) / stats.wall_sec : 0.0;
-  return stats;
 }
 
 }  // namespace ffsva::core

@@ -30,9 +30,9 @@
 // a call without a verdict goes through one failure rule (Stream::failed);
 // and every frame ends exactly once, through one terminal routine
 // (Stream::end) that does the counting. The per-stream atomics are the only
-// store of the counts, and StreamCounters is their one schema — snapshot(),
-// run()'s InstanceStats, the snapshot wire payload and the registry's
-// funnel counters all read them through it.
+// store of the counts, and StreamCounters (core/counters.hpp) is their one
+// schema — snapshot(), run()'s InstanceStats, the snapshot wire payload and
+// the registry's per-stream metrics all read them through it.
 //
 // Stage workers sleep on QueueWaiter eventcounts wired to their input
 // queues (runtime/bounded_queue.hpp) and are woken by queue activity — the
@@ -53,6 +53,7 @@
 #include <vector>
 
 #include "core/config.hpp"
+#include "core/counters.hpp"
 #include "core/policies.hpp"
 #include "detect/specialize.hpp"
 #include "runtime/annotations.hpp"
@@ -70,60 +71,6 @@ struct OutputEvent {
   video::Frame frame;
   detect::DetectionResult result;
   double latency_ms = 0.0;  ///< Ingest-to-output time.
-};
-
-/// Per-stream fault accounting (DESIGN.md Section 9). Faults are bounded,
-/// observable events: every retry, restart, degraded frame, and quarantine
-/// lands in exactly one of these counters.
-struct FaultStats {
-  std::uint64_t decode_errors = 0;    ///< SourceErrors raised by next().
-  std::uint64_t retries = 0;          ///< Transient-error retries attempted.
-  std::uint64_t restarts = 0;         ///< Source restarts attempted.
-  std::uint64_t degraded_frames = 0;  ///< Frames a throwing model degraded.
-  std::uint64_t discarded_frames = 0; ///< In-flight frames dumped by quarantine.
-  std::uint64_t cancelled_calls = 0;  ///< Wedged calls the watchdog cancelled.
-  std::uint64_t poisoned_frames = 0;  ///< Frames dropped after wedging two stages.
-  bool quarantined = false;           ///< Stream was quarantined by the watchdog.
-
-  bool any() const {
-    return decode_errors || retries || restarts || degraded_frames ||
-           discarded_frames || cancelled_calls || poisoned_frames || quarantined;
-  }
-  /// Sums every counter; `quarantined` becomes "any stream quarantined".
-  FaultStats& operator+=(const FaultStats& o);
-  bool operator==(const FaultStats&) const = default;
-};
-
-/// Codec-aware ingest accounting (DecodePolicy, DESIGN.md §13). decode_full
-/// ticks on every policy (it is simply "frames reconstructed"); the other
-/// counters move only on the hinted fast path.
-struct IngestStats {
-  std::uint64_t decode_full = 0;     ///< Frames fully reconstructed.
-  std::uint64_t decode_skipped = 0;  ///< Hint-dropped frames never decoded.
-  std::uint64_t hint_passes = 0;     ///< Hint-decided SDD passes (no pixel SDD).
-  std::uint64_t hint_fallbacks = 0;  ///< Borderline frames: pixel SDD ran.
-  double compression_ratio = 0.0;    ///< Source bitstream raw/encoded (0 = n/a).
-  bool operator==(const IngestStats&) const = default;
-};
-
-/// The per-stream counter schema, declared once: a finished run's
-/// StreamStats, a live StreamSnapshot and the snapshot wire payload
-/// (node/protocol.cpp) are all built on it, and operator+= is the one rule
-/// that sums streams (InstanceStats::aggregate, the health rollup, the
-/// snapshot's output total).
-struct StreamCounters {
-  runtime::StageCounters prefetch;  ///< in = source frames, passed = ingested.
-  runtime::StageCounters sdd;
-  runtime::StageCounters snm;
-  runtime::StageCounters tyolo;
-  runtime::StageCounters ref;       ///< in = frames reaching reference model.
-  std::uint64_t dropped_at_ingest = 0;
-  IngestStats ingest;
-  FaultStats fault;
-
-  /// Sums every counter; compression_ratio keeps the largest.
-  StreamCounters& operator+=(const StreamCounters& o);
-  bool operator==(const StreamCounters&) const = default;
 };
 
 /// One stream after run(): its counters plus what only a finished run
@@ -489,20 +436,5 @@ class FfsVaInstance {
   };
   Hot hot_;
 };
-
-/// The paper's baseline: every frame of every stream goes straight to the
-/// full-feature reference model (YOLOv2), using both GPU tokens.
-struct BaselineStats {
-  double wall_sec = 0.0;
-  double throughput_fps = 0.0;
-  std::uint64_t frames = 0;
-  std::uint64_t dropped = 0;
-  runtime::Histogram latency_ms;
-};
-
-BaselineStats run_yolo_baseline(
-    std::vector<std::unique_ptr<video::FrameSource>> sources,
-    const std::vector<detect::StreamModels>& models, bool online,
-    double online_fps = 30.0);
 
 }  // namespace ffsva::core

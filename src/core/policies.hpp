@@ -28,42 +28,38 @@ class DynamicBatcher {
       : policy_(policy), batch_size_(std::max(1, batch_size)),
         queue_threshold_(std::max(1, queue_threshold)) {}
 
-  /// `available`: frames waiting; `stream_ended`: no more frames will come
-  /// (drain whatever is left instead of waiting forever).
-  BatchDecision next_batch(int available, bool stream_ended) const {
-    BatchDecision d;
-    if (available <= 0) {
-      d.wait = !stream_ended;
-      return d;
-    }
+  /// Frames a batch waits for; a stream that has ended drains whatever is
+  /// left instead. The simulator parks its SNM loop on this depth.
+  int wait_target() const {
     switch (policy_) {
       case BatchPolicy::kStatic:
         // Wait for a full batch (Figure 9: throughput keeps growing with
         // BatchSize, latency grows with it too).
-        if (available < batch_size_ && !stream_ended) {
-          d.wait = true;
-        } else {
-          d.take = std::min(available, batch_size_);
-        }
-        break;
-      case BatchPolicy::kFeedback: {
+        return batch_size_;
+      case BatchPolicy::kFeedback:
         // Feedback-queue alone: the queue can never hold more than its
         // threshold, so a batch larger than the threshold waits for the
         // queue-full level instead ("when the batch size is greater than
         // the queue depth threshold, video frames have to wait").
-        const int target = std::min(batch_size_, queue_threshold_);
-        if (available < target && !stream_ended) {
-          d.wait = true;
-        } else {
-          d.take = std::min(available, target);
-        }
-        break;
-      }
+        return std::min(batch_size_, queue_threshold_);
       case BatchPolicy::kDynamic:
         // Take whatever is there, up to BatchSize; never wait for more.
-        d.take = std::min(available, batch_size_);
-        break;
+        return 1;
     }
+    return 1;
+  }
+
+  /// `available`: frames waiting; `stream_ended`: no more frames will come
+  /// (drain whatever is left instead of waiting forever).
+  BatchDecision next_batch(int available, bool stream_ended) const {
+    BatchDecision d;
+    if (available <= 0 || (available < wait_target() && !stream_ended)) {
+      d.wait = !stream_ended;
+      return d;
+    }
+    const int cap =
+        policy_ == BatchPolicy::kFeedback ? wait_target() : batch_size_;
+    d.take = std::min(available, cap);
     return d;
   }
 

@@ -1,6 +1,7 @@
 #include "node/protocol.hpp"
 
 #include <sstream>
+#include <type_traits>
 
 #include "runtime/binary_io.hpp"
 
@@ -8,76 +9,49 @@ namespace ffsva::node {
 
 namespace {
 
+/// One fixed-width field; a bool travels as one byte (0 or 1).
 template <typename T>
 void w(std::ostream& os, const T& v) {
-  runtime::write_pod(os, &v);
+  if constexpr (std::is_same_v<T, bool>) {
+    const std::uint8_t b = v ? 1 : 0;
+    runtime::write_pod(os, &b);
+  } else {
+    runtime::write_pod(os, &v);
+  }
 }
 
 template <typename T>
 bool r(std::istream& is, T* v) {
-  return runtime::read_pod(is, v);
-}
-
-void w_bool(std::ostream& os, bool b) {
-  const std::uint8_t v = b ? 1 : 0;
-  w(os, v);
-}
-
-bool r_bool(std::istream& is, bool* b) {
-  std::uint8_t v = 0;
-  if (!r(is, &v)) return false;
-  *b = v != 0;
-  return true;
-}
-
-void write_fault(std::ostream& os, const core::FaultStats& f) {
-  w(os, f.decode_errors);
-  w(os, f.retries);
-  w(os, f.restarts);
-  w(os, f.degraded_frames);
-  w(os, f.discarded_frames);
-  w(os, f.cancelled_calls);
-  w(os, f.poisoned_frames);
-  w_bool(os, f.quarantined);
-}
-
-bool read_fault(std::istream& is, core::FaultStats* f) {
-  return r(is, &f->decode_errors) && r(is, &f->retries) &&
-         r(is, &f->restarts) && r(is, &f->degraded_frames) &&
-         r(is, &f->discarded_frames) && r(is, &f->cancelled_calls) &&
-         r(is, &f->poisoned_frames) && r_bool(is, &f->quarantined);
-}
-
-/// The one wire form of the per-stream counter schema.
-void write_counters(std::ostream& os, const core::StreamCounters& c) {
-  for (const auto* st : {&c.prefetch, &c.sdd, &c.snm, &c.tyolo, &c.ref}) {
-    w(os, st->in);
-    w(os, st->passed);
+  if constexpr (std::is_same_v<T, bool>) {
+    std::uint8_t b = 0;
+    if (!runtime::read_pod(is, &b)) return false;
+    *v = b != 0;
+    return true;
+  } else {
+    return runtime::read_pod(is, v);
   }
-  w(os, c.dropped_at_ingest);
-  w(os, c.ingest.decode_full);
-  w(os, c.ingest.decode_skipped);
-  w(os, c.ingest.hint_passes);
-  w(os, c.ingest.hint_fallbacks);
-  w(os, c.ingest.compression_ratio);
-  write_fault(os, c.fault);
 }
 
-bool read_counters(std::istream& is, core::StreamCounters* c) {
-  for (auto* st : {&c->prefetch, &c->sdd, &c->snm, &c->tyolo, &c->ref}) {
-    if (!r(is, &st->in) || !r(is, &st->passed)) return false;
-  }
-  return r(is, &c->dropped_at_ingest) && r(is, &c->ingest.decode_full) &&
-         r(is, &c->ingest.decode_skipped) && r(is, &c->ingest.hint_passes) &&
-         r(is, &c->ingest.hint_fallbacks) && r(is, &c->ingest.compression_ratio) &&
-         read_fault(is, &c->fault);
+/// The wire form of a counter struct (core/counters.hpp): every field, in
+/// the schema's visit order.
+template <typename Counters>
+void write_counters(std::ostream& os, const Counters& c) {
+  core::for_each_field([&os](const core::Field&, const auto& v) { w(os, v); }, c);
+}
+
+template <typename Counters>
+bool read_counters(std::istream& is, Counters* c) {
+  bool ok = true;
+  core::for_each_field([&](const core::Field&, auto& v) { ok = ok && r(is, &v); },
+                       *c);
+  return ok;
 }
 
 void write_stream(std::ostream& os, const core::StreamSnapshot& s) {
   w(os, static_cast<std::int32_t>(s.id));
   write_counters(os, s);
   w(os, s.terminated);
-  w_bool(os, s.ingest_done);
+  w(os, s.ingest_done);
   w(os, static_cast<std::uint64_t>(s.sdd_queue_depth));
   w(os, static_cast<std::uint64_t>(s.snm_queue_depth));
   w(os, static_cast<std::uint64_t>(s.tyolo_queue_depth));
@@ -87,7 +61,7 @@ bool read_stream(std::istream& is, core::StreamSnapshot* s) {
   std::int32_t id = 0;
   std::uint64_t sddq = 0, snmq = 0, tyq = 0;
   if (!(r(is, &id) && read_counters(is, s) && r(is, &s->terminated) &&
-        r_bool(is, &s->ingest_done) && r(is, &sddq) && r(is, &snmq) &&
+        r(is, &s->ingest_done) && r(is, &sddq) && r(is, &snmq) &&
         r(is, &tyq))) {
     return false;
   }
@@ -102,20 +76,20 @@ void write_health(std::ostream& os, const core::HealthSummary& h) {
   w(os, static_cast<std::int32_t>(h.healthy_streams));
   w(os, static_cast<std::int32_t>(h.degraded_streams));
   w(os, static_cast<std::int32_t>(h.quarantined_streams));
-  write_fault(os, h.fault);
+  write_counters(os, h.fault);
   w(os, h.cancels);
   w(os, h.stage_restarts);
   w(os, h.stage_stall_ticks);
-  w_bool(os, h.stopped);
-  w_bool(os, h.deadline_hit);
+  w(os, h.stopped);
+  w(os, h.deadline_hit);
 }
 
 bool read_health(std::istream& is, core::HealthSummary* h) {
   std::int32_t healthy = 0, degraded = 0, quarantined = 0;
   if (!(r(is, &healthy) && r(is, &degraded) && r(is, &quarantined) &&
-        read_fault(is, &h->fault) && r(is, &h->cancels) &&
+        read_counters(is, &h->fault) && r(is, &h->cancels) &&
         r(is, &h->stage_restarts) && r(is, &h->stage_stall_ticks) &&
-        r_bool(is, &h->stopped) && r_bool(is, &h->deadline_hit))) {
+        r(is, &h->stopped) && r(is, &h->deadline_hit))) {
     return false;
   }
   h->healthy_streams = healthy;
@@ -131,7 +105,7 @@ std::string AssignStream::serialize() const {
   const std::string sp = spec.serialize();
   w(os, static_cast<std::uint32_t>(sp.size()));
   os.write(sp.data(), static_cast<std::streamsize>(sp.size()));
-  w_bool(os, resume);
+  w(os, resume);
   return std::move(os).str();
 }
 
@@ -143,7 +117,7 @@ std::optional<AssignStream> AssignStream::parse(std::string_view payload) {
   if (!is.read(sp.data(), static_cast<std::streamsize>(len))) return std::nullopt;
   AssignStream a;
   const auto spec = StreamSpec::parse(sp);
-  if (!spec || !r_bool(is, &a.resume)) return std::nullopt;
+  if (!spec || !r(is, &a.resume)) return std::nullopt;
   a.spec = *spec;
   return a;
 }
@@ -151,7 +125,7 @@ std::optional<AssignStream> AssignStream::parse(std::string_view payload) {
 std::string AssignAck::serialize() const {
   std::ostringstream os;
   w(os, stream_id);
-  w_bool(os, ok);
+  w(os, ok);
   w(os, local_id);
   return std::move(os).str();
 }
@@ -159,7 +133,7 @@ std::string AssignAck::serialize() const {
 std::optional<AssignAck> AssignAck::parse(std::string_view payload) {
   std::istringstream is{std::string(payload)};
   AssignAck a;
-  if (!r(is, &a.stream_id) || !r_bool(is, &a.ok) || !r(is, &a.local_id)) {
+  if (!r(is, &a.stream_id) || !r(is, &a.ok) || !r(is, &a.local_id)) {
     return std::nullopt;
   }
   return a;
@@ -222,7 +196,7 @@ std::optional<StreamResults> StreamResults::parse(std::string_view payload) {
 
 std::string serialize_snapshot(const core::InstanceSnapshot& snap) {
   std::ostringstream os;
-  w_bool(os, snap.running);
+  w(os, snap.running);
   w(os, snap.t_sec);
   w(os, static_cast<std::uint64_t>(snap.ref_queue_depth));
   w(os, snap.outputs);
@@ -237,7 +211,7 @@ std::optional<core::InstanceSnapshot> parse_snapshot(std::string_view payload) {
   core::InstanceSnapshot snap;
   std::uint64_t refq = 0;
   std::uint32_t n = 0;
-  if (!r_bool(is, &snap.running) || !r(is, &snap.t_sec) || !r(is, &refq) ||
+  if (!r(is, &snap.running) || !r(is, &snap.t_sec) || !r(is, &refq) ||
       !r(is, &snap.outputs) || !read_health(is, &snap.health) || !r(is, &n)) {
     return std::nullopt;
   }

@@ -4,8 +4,9 @@
 // struct padding ever reaches the wire.
 //
 // The periodic load report is the engine's own core::InstanceSnapshot,
-// serialized as-is, its per-stream counters through the one writer/reader
-// pair for core::StreamCounters (a layout change bumps net::kWireVersion).
+// serialized as-is, its counters field by field in the order
+// core/counters.hpp lists them (a change to that list bumps
+// net::kWireVersion; stream_spec_test pins the bytes).
 // There is deliberately no second "cluster stats" schema: what the
 // scheduler sees is exactly what a local snapshot() caller sees, with the
 // node translating engine-local stream ids to cluster-global ids. Element

@@ -65,13 +65,6 @@ inline constexpr std::uint32_t kTraceBuffer = 420;
 /// runtime::Watchdog::mu_ — tick/stop handshake (check() runs unlocked).
 inline constexpr std::uint32_t kWatchdog = 450;
 
-// --- Benchmark harnesses ----------------------------------------------------
-/// Baseline-harness per-device serialization (pipeline.cpp): held across a
-/// model call, which fans out through the compute pool below.
-inline constexpr std::uint32_t kBenchDevice = 500;
-/// Baseline-harness shared stats/histogram lock.
-inline constexpr std::uint32_t kBenchStats = 510;
-
 // --- Compute runtime --------------------------------------------------------
 /// parallel_for's ComputePool::mu — held across ThreadPool construction
 /// and shutdown (which takes the pool's own lock and joins workers).

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 
 #include "core/policies.hpp"
 #include "sim/engine.hpp"
@@ -28,6 +26,18 @@ constexpr std::int64_t kTyoloModelBase = 1'000'000;
 constexpr std::uint32_t kLaneGpu0 = 1;
 constexpr std::uint32_t kLaneGpu1 = 2;
 constexpr std::uint32_t kLaneCpu = 3;
+
+/// The rates both simulations derive from their summed counters.
+void summarize(SimResult& r) {
+  const auto& t = r.total;
+  const double arrived = static_cast<double>(t.prefetch.in);
+  r.drop_rate =
+      arrived > 0 ? static_cast<double>(t.dropped_at_ingest) / arrived : 0.0;
+  r.realtime = r.drop_rate <= 0.005;
+  r.throughput_fps = r.sim_time_sec > 0
+                         ? static_cast<double>(t.prefetch.passed) / r.sim_time_sec
+                         : 0.0;
+}
 
 struct SimStream {
   int id = 0;
@@ -122,44 +132,34 @@ class FfsVaSimulation {
     });
   }
 
+  /// The engine registry's per-stream metrics (core/counters.hpp), summed
+  /// over the simulated streams, plus the queue depths and SNM batch count.
   telemetry::MetricsSnapshot metrics_snapshot() const {
     telemetry::MetricsSnapshot s;
-    std::int64_t sdd_in = 0, sdd_pass = 0, snm_in = 0, snm_pass = 0;
-    std::int64_t ty_in = 0, ty_pass = 0, outputs = 0, dropped = 0;
+    core::for_each_metric([&](const char* name, core::Section section, auto read) {
+      std::uint64_t n = 0;
+      for (const auto& st : streams_) n += read(st->stats);
+      if (section == core::Section::kCounter) {
+        s.counters.emplace_back(name, n);
+      } else {
+        s.gauges.emplace_back(name, static_cast<double>(n));
+      }
+    });
     std::size_t q_sdd = 0, q_snm = 0, q_ty = 0;
     for (const auto& st : streams_) {
-      sdd_in += st->stats.sdd_in;
-      sdd_pass += st->stats.sdd_pass;
-      snm_in += st->stats.snm_in;
-      snm_pass += st->stats.snm_pass;
-      ty_in += st->stats.tyolo_in;
-      ty_pass += st->stats.tyolo_pass;
-      outputs += st->stats.outputs;
-      dropped += st->stats.dropped;
       q_sdd += st->sdd_q.depth();
       q_snm += st->snm_q.depth();
       q_ty += st->tyolo_q.depth();
     }
-    const auto c = [&s](const char* name, std::int64_t v) {
-      s.counters.emplace_back(name, static_cast<std::uint64_t>(v));
-    };
-    // Same names as the engine registry so downstream tooling reads both.
-    c("drop.ingest", dropped);
-    c("drop.sdd", sdd_in - sdd_pass);
-    c("drop.snm", snm_in - snm_pass);
-    c("drop.tyolo", ty_in - ty_pass);
-    c("executor.snm_batches", snm_batches_);
-    c("ref.passed", outputs);
-    c("sdd.in", sdd_in);
-    c("sdd.passed", sdd_pass);
-    c("snm.in", snm_in);
-    c("snm.passed", snm_pass);
-    c("tyolo.in", ty_in);
-    c("tyolo.passed", ty_pass);
+    s.counters.emplace_back("executor.snm_batches",
+                            static_cast<std::uint64_t>(snm_batches_));
     s.gauges.emplace_back("queue.ref", static_cast<double>(ref_q_.depth()));
     s.gauges.emplace_back("queue.sdd", static_cast<double>(q_sdd));
     s.gauges.emplace_back("queue.snm", static_cast<double>(q_snm));
     s.gauges.emplace_back("queue.tyolo", static_cast<double>(q_ty));
+    // Sorted by name, like a registry snapshot.
+    std::sort(s.counters.begin(), s.counters.end());
+    std::sort(s.gauges.begin(), s.gauges.end());
     return s;
   }
 
@@ -192,12 +192,14 @@ class FfsVaSimulation {
         return;
       }
       ++s.emitted;
+      ++s.stats.prefetch.in;
+      ++s.stats.ingest.decode_full;
       SimFrame f{engine_.now(), s.outcomes->next()};
       if (s.sdd_q.try_push(f)) {
-        ++s.stats.ingested;
+        ++s.stats.prefetch.passed;
       } else {
         // A live camera cannot block: the frame is lost (overload signal).
-        ++s.stats.dropped;
+        ++s.stats.dropped_at_ingest;
       }
       schedule_online_arrival(s, at + interval, interval);
     });
@@ -215,7 +217,9 @@ class FfsVaSimulation {
       record_span("decode", telemetry::Stage::kPrefetch, s.id, 0,
                   setup_.costs.decode_us * 1e-6, kLaneCpu);
       SimFrame f{engine_.now(), s.outcomes->next()};
-      ++s.stats.ingested;
+      ++s.stats.prefetch.in;
+      ++s.stats.ingest.decode_full;
+      ++s.stats.prefetch.passed;
       s.sdd_q.push_wait(f, [this, &s] { offline_prefetch_next(s); });
     });
   }
@@ -227,7 +231,7 @@ class FfsVaSimulation {
         s.snm_q.close();
         return;
       }
-      ++s.stats.sdd_in;
+      ++s.stats.sdd.in;
       const double service =
           (setup_.costs.sdd.resize_us + setup_.costs.sdd.per_frame_us) * 1e-6;
       cpu_.submit(service, [this, &s, service, fr = *f] {
@@ -237,7 +241,7 @@ class FfsVaSimulation {
           terminal(fr);
           sdd_loop(s);
         } else {
-          ++s.stats.sdd_pass;
+          ++s.stats.sdd.passed;
           s.snm_q.push_wait(fr, [this, &s] { sdd_loop(s); });
         }
       });
@@ -245,20 +249,8 @@ class FfsVaSimulation {
   }
 
   // ---------------------------------------------------------------- SNM --
-  int snm_wait_target() const {
-    switch (setup_.config.batch_policy) {
-      case core::BatchPolicy::kStatic:
-        return setup_.config.batch_size;
-      case core::BatchPolicy::kFeedback:
-        return std::min(setup_.config.batch_size, setup_.config.snm_queue_depth);
-      case core::BatchPolicy::kDynamic:
-        return 1;
-    }
-    return 1;
-  }
-
   void snm_loop(SimStream& s) {
-    s.snm_q.wait_depth(static_cast<std::size_t>(snm_wait_target()),
+    s.snm_q.wait_depth(static_cast<std::size_t>(batcher_.wait_target()),
                        [this, &s](std::size_t avail) {
       const auto decision = batcher_.next_batch(static_cast<int>(avail),
                                                 s.snm_q.closed());
@@ -292,12 +284,12 @@ class FfsVaSimulation {
   /// queue one by one (each push may park on the bounded queue — feedback).
   void deliver_snm_outputs(SimStream& s, std::vector<SimFrame> batch, std::size_t i) {
     for (; i < batch.size(); ++i) {
-      ++s.stats.snm_in;
+      ++s.stats.snm.in;
       if (batch[i].outcome == core::FilteredAt::kSnm) {
         terminal(batch[i]);
         continue;
       }
-      ++s.stats.snm_pass;
+      ++s.stats.snm.passed;
       SimFrame fr = batch[i];
       s.tyolo_q.push_wait(fr, [this, &s, batch = std::move(batch), i]() mutable {
         deliver_snm_outputs(s, std::move(batch), i + 1);
@@ -319,14 +311,6 @@ class FfsVaSimulation {
     const auto pick = scheduler_.next(depths);
     if (pick.stream < 0) {
       if (!any_open && !ref_closed_) {
-        if (std::getenv("FFSVA_SIM_DEBUG")) {
-          std::fprintf(stderr, "[sim %.4f] closing ref_q; snm_done/depths:", engine_.now());
-          for (std::size_t i = 0; i < streams_.size(); ++i) {
-            std::fprintf(stderr, " %d/%d", (int)streams_[i]->snm_done,
-                         (int)streams_[i]->tyolo_q.depth());
-          }
-          std::fprintf(stderr, "\n");
-        }
         ref_closed_ = true;
         ref_q_.close();
       }
@@ -354,12 +338,12 @@ class FfsVaSimulation {
 
   void deliver_tyolo_outputs(SimStream& s, std::vector<SimFrame> batch, std::size_t i) {
     for (; i < batch.size(); ++i) {
-      ++s.stats.tyolo_in;
+      ++s.stats.tyolo.in;
       if (batch[i].outcome == core::FilteredAt::kTyolo) {
         terminal(batch[i]);
         continue;
       }
-      ++s.stats.tyolo_pass;
+      ++s.stats.tyolo.passed;
       std::pair<int, SimFrame> entry{s.id, batch[i]};
       ref_q_.push_wait(entry, [this, &s, batch = std::move(batch), i]() mutable {
         deliver_tyolo_outputs(s, std::move(batch), i + 1);
@@ -375,6 +359,7 @@ class FfsVaSimulation {
     ref_q_.pop_wait([this](std::optional<std::pair<int, SimFrame>> entry) {
       if (!entry) return;
       auto [stream_id, fr] = *entry;
+      ++streams_[static_cast<std::size_t>(stream_id)]->stats.ref.in;
       const double exec_us = setup_.costs.ref.setup_us +
                              setup_.costs.ref.per_frame_us +
                              setup_.costs.ref.resize_us;
@@ -383,7 +368,7 @@ class FfsVaSimulation {
         record_span("ref.detect", telemetry::Stage::kRef, stream_id, 0,
                     exec_us * 1e-6, kLaneGpu1);
         SimStream& s = *streams_[static_cast<std::size_t>(stream_id)];
-        ++s.stats.outputs;
+        ++s.stats.ref.passed;
         const double latency_ms = (engine_.now() - fr.arrival) * 1e3;
         output_latency_.add(latency_ms);
         terminal_latency_.add(latency_ms);
@@ -404,17 +389,9 @@ class FfsVaSimulation {
     for (auto& s : streams_) {
       if (s->stats.finish_time_sec == 0.0) s->stats.finish_time_sec = engine_.now();
       r.streams.push_back(s->stats);
-      r.total_ingested += s->stats.ingested;
-      r.total_dropped += s->stats.dropped;
-      r.total_outputs += s->stats.outputs;
+      r.total += s->stats;
     }
-    const double arrived =
-        static_cast<double>(r.total_ingested + r.total_dropped);
-    r.drop_rate = arrived > 0 ? static_cast<double>(r.total_dropped) / arrived : 0.0;
-    r.realtime = r.drop_rate <= 0.005;
-    r.throughput_fps = r.sim_time_sec > 0
-                           ? static_cast<double>(r.total_ingested) / r.sim_time_sec
-                           : 0.0;
+    summarize(r);
     r.output_latency_ms = output_latency_;
     r.terminal_latency_ms = terminal_latency_;
     r.gpu0_utilization = gpu0_.utilization();
@@ -470,7 +447,7 @@ SimResult simulate_baseline(const SimSetup& setup) {
   result.streams.resize(static_cast<std::size_t>(setup.num_streams));
 
   runtime::Histogram latency;
-  std::int64_t outputs = 0;
+  std::uint64_t outputs = 0;
   const double per_frame_sec = (setup.costs.ref.setup_us +
                                 setup.costs.ref.per_frame_us +
                                 setup.costs.ref.resize_us) * 1e-6;
@@ -489,70 +466,61 @@ SimResult simulate_baseline(const SimSetup& setup) {
   consume();
   consume();  // two logical consumers, one per GPU
 
+  // Each stream's producer re-schedules itself. The continuations live
+  // here, not in the events that call them, so none owns itself and all
+  // outlive engine.run() below.
+  const auto n = static_cast<std::size_t>(setup.num_streams);
+  std::vector<std::function<void(double)>> arrive(n);
+  std::vector<std::function<void()>> produce(n);
   int open_streams = setup.num_streams;
-  for (int i = 0; i < setup.num_streams; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
+    SimStreamStats* ss = &result.streams[i];
     if (setup.online) {
       const double interval = 1.0 / setup.config.online_fps;
       const double phase = interval * (static_cast<double>(i) /
                                        std::max(1, setup.num_streams));
-      std::shared_ptr<std::function<void(double)>> arrive =
-          std::make_shared<std::function<void(double)>>();
-      *arrive = [&, i, interval, arrive](double at) {
-        engine.at(at, [&, i, interval, at, arrive] {
-          auto& ss = result.streams[static_cast<std::size_t>(i)];
-          if (ss.ingested + ss.dropped >= setup.frames_per_stream ||
+      arrive[i] = [&, i, interval, ss](double at) {
+        engine.at(at, [&, i, interval, at, ss] {
+          if (static_cast<std::int64_t>(ss->prefetch.in) >= setup.frames_per_stream ||
               at > setup.duration_sec) {
             if (--open_streams == 0) q.close();
             return;
           }
           SimFrame f{engine.now(), core::FilteredAt::kNone};
+          ++ss->prefetch.in;
           if (q.try_push(f)) {
-            ++ss.ingested;
+            ++ss->prefetch.passed;
           } else {
-            ++ss.dropped;
+            ++ss->dropped_at_ingest;
           }
-          (*arrive)(at + interval);
+          arrive[i](at + interval);
         });
       };
-      (*arrive)(phase);
+      arrive[i](phase);
     } else {
       // Offline: decode then push (blocking), per stream.
-      std::shared_ptr<std::function<void()>> produce =
-          std::make_shared<std::function<void()>>();
-      *produce = [&, i, produce] {
-        auto& ss = result.streams[static_cast<std::size_t>(i)];
-        if (ss.ingested >= setup.frames_per_stream) {
+      produce[i] = [&, i, ss] {
+        if (static_cast<std::int64_t>(ss->prefetch.passed) >= setup.frames_per_stream) {
           if (--open_streams == 0) q.close();
           return;
         }
-        cpu.submit(setup.costs.decode_us * 1e-6, [&, i, produce] {
-          auto& ss2 = result.streams[static_cast<std::size_t>(i)];
+        cpu.submit(setup.costs.decode_us * 1e-6, [&, i, ss] {
           SimFrame f{engine.now(), core::FilteredAt::kNone};
-          ++ss2.ingested;
-          q.push_wait(f, [produce] { (*produce)(); });
+          ++ss->prefetch.in;
+          ++ss->prefetch.passed;
+          q.push_wait(f, [&, i] { produce[i](); });
         });
       };
-      (*produce)();
+      produce[i]();
     }
   }
 
   engine.run();
 
   result.sim_time_sec = engine.now();
-  for (auto& s : result.streams) {
-    result.total_ingested += s.ingested;
-    result.total_dropped += s.dropped;
-    s.outputs = 0;  // per-stream split not tracked in the baseline
-  }
-  result.total_outputs = outputs;
-  const double arrived = static_cast<double>(result.total_ingested + result.total_dropped);
-  result.drop_rate =
-      arrived > 0 ? static_cast<double>(result.total_dropped) / arrived : 0.0;
-  result.realtime = result.drop_rate <= 0.005;
-  result.throughput_fps = result.sim_time_sec > 0
-                              ? static_cast<double>(result.total_ingested) /
-                                    result.sim_time_sec
-                              : 0.0;
+  for (const auto& s : result.streams) result.total += s;
+  result.total.ref.passed = outputs;  // per-stream split not tracked
+  summarize(result);
   result.output_latency_ms = latency;
   result.terminal_latency_ms = latency;
   result.gpu1_utilization = gpus.utilization();

@@ -18,6 +18,7 @@
 #include <string>
 
 #include "core/config.hpp"
+#include "core/counters.hpp"
 #include "detect/cost_model.hpp"
 #include "runtime/stats.hpp"
 #include "sim/outcome.hpp"
@@ -62,23 +63,16 @@ struct SimSetup {
   std::string metrics_label;
 };
 
-struct SimStreamStats {
-  std::int64_t ingested = 0;
-  std::int64_t dropped = 0;
-  std::int64_t sdd_in = 0, sdd_pass = 0;
-  std::int64_t snm_in = 0, snm_pass = 0;
-  std::int64_t tyolo_in = 0, tyolo_pass = 0;
-  std::int64_t outputs = 0;
-  double finish_time_sec = 0.0;  ///< When the stream's last frame terminated.
+/// One simulated stream: the engine's per-stream counters, plus when its
+/// last frame terminated.
+struct SimStreamStats : core::StreamCounters {
+  double finish_time_sec = 0.0;
 };
 
 struct SimResult {
   std::vector<SimStreamStats> streams;
+  core::StreamCounters total;  ///< Every stream's counters, summed.
   double sim_time_sec = 0.0;
-
-  std::int64_t total_ingested = 0;
-  std::int64_t total_dropped = 0;
-  std::int64_t total_outputs = 0;
 
   /// Frames fully processed per second of virtual time (offline throughput).
   double throughput_fps = 0.0;

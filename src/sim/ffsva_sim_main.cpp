@@ -179,9 +179,9 @@ int main(int argc, char** argv) {
       "\"gpu0_util\":%.3f,\"gpu1_util\":%.3f,\"cpu_util\":%.3f,"
       "\"output_latency_p50_ms\":%.2f,\"output_latency_p99_ms\":%.2f}\n",
       setup.num_streams, setup.online ? "true" : "false", r.sim_time_sec,
-      static_cast<long long>(r.total_ingested),
-      static_cast<long long>(r.total_dropped),
-      static_cast<long long>(r.total_outputs), r.throughput_fps, r.drop_rate,
+      static_cast<long long>(r.total.prefetch.passed),
+      static_cast<long long>(r.total.dropped_at_ingest),
+      static_cast<long long>(r.total.ref.passed), r.throughput_fps, r.drop_rate,
       r.realtime ? "true" : "false", r.tyolo_service_fps, r.mean_snm_batch,
       r.gpu0_utilization, r.gpu1_utilization, r.cpu_utilization,
       r.output_latency_ms.p50(), r.output_latency_ms.p99());

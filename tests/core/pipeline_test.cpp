@@ -191,17 +191,6 @@ TEST(Pipeline, PerStreamFifoOrderingOfOutputs) {
   }
 }
 
-TEST(Baseline, ProcessesEverythingOffline) {
-  auto& s = shared_stream();
-  std::vector<std::unique_ptr<video::FrameSource>> sources;
-  sources.push_back(std::make_unique<WindowSource>(s.sim, 0, 700, 900));
-  const auto stats = run_yolo_baseline(std::move(sources), {s.models}, false);
-  EXPECT_EQ(stats.frames, 200u);
-  EXPECT_EQ(stats.dropped, 0u);
-  EXPECT_EQ(stats.latency_ms.count(), 200u);
-  EXPECT_GT(stats.throughput_fps, 0.0);
-}
-
 TEST(Config, CapacityDependsOnPolicy) {
   FfsVaConfig cfg;
   cfg.batch_policy = BatchPolicy::kDynamic;

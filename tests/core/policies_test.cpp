@@ -13,6 +13,7 @@ TEST(DynamicBatcher, DynamicTakesWhateverIsAvailable) {
   EXPECT_EQ(b.next_batch(7, false).take, 7);
   EXPECT_EQ(b.next_batch(30, false).take, 16);  // capped at BatchSize
   EXPECT_FALSE(b.next_batch(1, false).wait);
+  EXPECT_EQ(b.wait_target(), 1);
 }
 
 TEST(DynamicBatcher, DynamicWaitsOnlyWhenEmpty) {
@@ -25,6 +26,7 @@ TEST(DynamicBatcher, DynamicWaitsOnlyWhenEmpty) {
 
 TEST(StaticBatcher, WaitsForFullBatch) {
   DynamicBatcher b(BatchPolicy::kStatic, 8, 10);
+  EXPECT_EQ(b.wait_target(), 8);
   EXPECT_TRUE(b.next_batch(7, false).wait);
   EXPECT_EQ(b.next_batch(8, false).take, 8);
   EXPECT_EQ(b.next_batch(20, false).take, 8);
@@ -46,6 +48,8 @@ TEST(FeedbackBatcher, TargetCappedByQueueThreshold) {
   EXPECT_EQ(b.next_batch(10, false).take, 10);
   DynamicBatcher small(BatchPolicy::kFeedback, 4, 10);
   EXPECT_EQ(small.next_batch(10, false).take, 4);
+  EXPECT_EQ(b.wait_target(), 10);
+  EXPECT_EQ(small.wait_target(), 4);
 }
 
 TEST(Batcher, DegenerateSizesClamped) {

@@ -81,8 +81,8 @@ TEST(LockRank, EqualRankCountsAsInversion) {
 #if defined(FFSVA_TEST_UNDER_TSAN)
   GTEST_SKIP() << "death-test fork is unreliable under TSan";
 #endif
-  Mutex a{rank::kBenchDevice, "test::peer_a"};
-  Mutex b{rank::kBenchDevice, "test::peer_b"};
+  Mutex a{rank::kWatchdog, "test::peer_a"};
+  Mutex b{rank::kWatchdog, "test::peer_b"};
   EXPECT_DEATH(
       {
         MutexLock la(a);

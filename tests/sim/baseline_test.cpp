@@ -21,9 +21,9 @@ SimSetup setup(int streams, bool online, std::int64_t frames = 2000) {
 
 TEST(BaselineSim, OfflineProcessesEveryFrame) {
   const auto r = simulate_baseline(setup(3, false, 1000));
-  EXPECT_EQ(r.total_ingested, 3000);
-  EXPECT_EQ(r.total_outputs, 3000);
-  EXPECT_EQ(r.total_dropped, 0);
+  EXPECT_EQ(r.total.prefetch.passed, 3000u);
+  EXPECT_EQ(r.total.ref.passed, 3000u);
+  EXPECT_EQ(r.total.dropped_at_ingest, 0u);
   EXPECT_EQ(static_cast<std::int64_t>(r.output_latency_ms.count()), 3000);
 }
 

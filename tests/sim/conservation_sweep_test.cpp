@@ -32,19 +32,18 @@ TEST_P(ConservationSweep, EveryFrameTerminatesExactlyOnce) {
   };
   const SimResult r = simulate_ffsva(s);
 
-  std::int64_t ingested = 0;
   for (const auto& st : r.streams) {
-    EXPECT_EQ(st.sdd_in, st.ingested);
-    EXPECT_EQ(st.snm_in, st.sdd_pass);
-    EXPECT_EQ(st.tyolo_in, st.snm_pass);
-    EXPECT_EQ(st.outputs, st.tyolo_pass);
-    ingested += st.ingested;
+    EXPECT_EQ(st.sdd.in, st.prefetch.passed);
+    EXPECT_EQ(st.snm.in, st.sdd.passed);
+    EXPECT_EQ(st.tyolo.in, st.snm.passed);
+    EXPECT_EQ(st.ref.in, st.tyolo.passed);
+    EXPECT_EQ(st.ref.passed, st.ref.in);
   }
-  EXPECT_EQ(static_cast<std::int64_t>(r.terminal_latency_ms.count()), ingested);
-  EXPECT_EQ(static_cast<std::int64_t>(r.output_latency_ms.count()), r.total_outputs);
+  EXPECT_EQ(r.terminal_latency_ms.count(), r.total.prefetch.passed);
+  EXPECT_EQ(r.output_latency_ms.count(), r.total.ref.passed);
   if (!c.online) {
-    EXPECT_EQ(r.total_dropped, 0) << "offline mode must never drop";
-    EXPECT_EQ(ingested, static_cast<std::int64_t>(c.streams) * 1200);
+    EXPECT_EQ(r.total.dropped_at_ingest, 0u) << "offline mode must never drop";
+    EXPECT_EQ(r.total.prefetch.passed, static_cast<std::uint64_t>(c.streams) * 1200);
   }
 }
 

@@ -24,37 +24,35 @@ SimSetup setup_for(double tor, int streams, bool online,
 }
 
 void check_conservation(const SimResult& r) {
-  std::int64_t terminal = 0;
   for (const auto& s : r.streams) {
-    EXPECT_EQ(s.sdd_in, s.ingested);
-    EXPECT_EQ(s.snm_in, s.sdd_pass);
-    EXPECT_EQ(s.tyolo_in, s.snm_pass);
-    EXPECT_EQ(s.outputs, s.tyolo_pass);
-    terminal += s.ingested;
+    EXPECT_EQ(s.sdd.in, s.prefetch.passed);
+    EXPECT_EQ(s.snm.in, s.sdd.passed);
+    EXPECT_EQ(s.tyolo.in, s.snm.passed);
+    EXPECT_EQ(s.ref.in, s.tyolo.passed);
+    EXPECT_EQ(s.ref.passed, s.ref.in);
   }
   // Every ingested frame terminated: filtered or output.
-  EXPECT_EQ(static_cast<std::int64_t>(r.terminal_latency_ms.count()), terminal);
+  EXPECT_EQ(r.terminal_latency_ms.count(), r.total.prefetch.passed);
 }
 
 TEST(FfsVaSim, OfflineConservesFrames) {
   const auto r = simulate_ffsva(setup_for(0.2, 1, false));
-  EXPECT_EQ(r.total_ingested, 3000);
-  EXPECT_EQ(r.total_dropped, 0);
+  EXPECT_EQ(r.total.prefetch.passed, 3000u);
+  EXPECT_EQ(r.total.dropped_at_ingest, 0u);
   check_conservation(r);
 }
 
 TEST(FfsVaSim, MultiStreamOfflineConserves) {
   const auto r = simulate_ffsva(setup_for(0.2, 4, false,
                                           core::BatchPolicy::kDynamic, 1500));
-  EXPECT_EQ(r.total_ingested, 4 * 1500);
+  EXPECT_EQ(r.total.prefetch.passed, 4u * 1500);
   check_conservation(r);
 }
 
 TEST(FfsVaSim, DeterministicAcrossRuns) {
   const auto a = simulate_ffsva(setup_for(0.3, 3, true));
   const auto b = simulate_ffsva(setup_for(0.3, 3, true));
-  EXPECT_EQ(a.total_ingested, b.total_ingested);
-  EXPECT_EQ(a.total_outputs, b.total_outputs);
+  EXPECT_TRUE(a.total == b.total);
   EXPECT_DOUBLE_EQ(a.sim_time_sec, b.sim_time_sec);
   EXPECT_DOUBLE_EQ(a.output_latency_ms.mean(), b.output_latency_ms.mean());
 }
@@ -155,9 +153,9 @@ TEST(FfsVaSim, HigherTorLoadsLaterStages) {
   const auto low = simulate_ffsva(setup_for(0.1, 1, false));
   const auto high = simulate_ffsva(setup_for(0.8, 1, false));
   const double low_ty_share =
-      static_cast<double>(low.streams[0].tyolo_in) / low.streams[0].ingested;
+      low.streams[0].tyolo.in / static_cast<double>(low.streams[0].prefetch.passed);
   const double high_ty_share =
-      static_cast<double>(high.streams[0].tyolo_in) / high.streams[0].ingested;
+      high.streams[0].tyolo.in / static_cast<double>(high.streams[0].prefetch.passed);
   EXPECT_GT(high_ty_share, 1.5 * low_ty_share);
 }
 

@@ -5,17 +5,21 @@
 // snapshots — the paper's Section 4.3.1 control loop closed end to end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/cluster.hpp"
+#include "core/counters.hpp"
 #include "core/pipeline.hpp"
+#include "sim/ffsva_sim.hpp"
 #include "video/profiles.hpp"
 
 namespace ffsva::core {
@@ -71,6 +75,29 @@ class ReplaySource final : public video::FrameSource {
   std::size_t next_ = 0;
 };
 
+/// The last row of a metrics JSONL stream.
+std::string last_row(const std::string& rows) {
+  const std::size_t last = rows.rfind('\n', rows.size() - 2);
+  return rows.substr(last == std::string::npos ? 0 : last + 1);
+}
+
+/// One flat section of a metrics row ("counters" or "gauges"): name -> value.
+std::map<std::string, double> row_section(const std::string& row,
+                                          const std::string& section) {
+  std::map<std::string, double> out;
+  const std::size_t open = row.find("\"" + section + "\":{");
+  if (open == std::string::npos) return out;
+  const std::size_t end = row.find('}', open);
+  std::size_t at = row.find('{', open) + 1;
+  while (at < end) {
+    const std::size_t q = row.find('"', at + 1);
+    const std::size_t stop = std::min(row.find(',', q), end);
+    out[row.substr(at + 1, q - at - 1)] = std::stod(row.substr(q + 2, stop - q - 2));
+    at = stop + 1;
+  }
+  return out;
+}
+
 TEST(PipelineTelemetry, RealRunExportsTraceAndMetrics) {
   auto& w = world();
   FfsVaConfig cfg;
@@ -120,9 +147,7 @@ TEST(PipelineTelemetry, RealRunExportsTraceAndMetrics) {
   }
 
   // The final row's funnel counters agree with the run's frozen stats.
-  const std::size_t last = rows.rfind('\n', rows.size() - 2);
-  const std::string final_row =
-      rows.substr(last == std::string::npos ? 0 : last + 1);
+  const std::string final_row = last_row(rows);
   const std::size_t c0 = final_row.find("\"counters\":{");
   ASSERT_NE(c0, std::string::npos);
   // Every value in the section ends in ','.
@@ -198,6 +223,56 @@ TEST(PipelineTelemetry, SnapshotIsSafeAndMonotonicMidRun) {
                 static_cast<const StreamCounters&>(stats.streams[i]))
         << "stream " << i;
   }
+}
+
+// One counter schema (core/counters.hpp): the engine's exporter and the
+// simulator's virtual-time rows both carry every metric it declares, each
+// in its declared section, and the simulator's final offline row chains the
+// funnel stage to stage.
+TEST(PipelineTelemetry, EngineAndSimulatorExportOneCounterSchema) {
+  std::vector<std::pair<std::string, Section>> declared;
+  for_each_metric([&declared](const char* name, Section section, auto) {
+    declared.emplace_back(name, section);
+  });
+  ASSERT_FALSE(declared.empty());
+
+  auto& w = world();
+  FfsVaInstance instance(FfsVaConfig{});
+  instance.add_stream(std::make_unique<ReplaySource>(&w.window, 0), w.models);
+  instance.set_output_sink([](const OutputEvent&) {});
+  std::ostringstream engine_rows;
+  instance.enable_metrics_export(&engine_rows);
+  instance.run(/*online=*/false);
+
+  sim::SimSetup setup;
+  setup.num_streams = 2;
+  setup.online = false;
+  setup.frames_per_stream = 400;
+  std::ostringstream sim_rows;
+  setup.metrics_sink = &sim_rows;
+  sim::simulate_ffsva(setup);
+
+  for (const auto& [who, rows] : {std::pair{"engine", engine_rows.str()},
+                                  std::pair{"simulator", sim_rows.str()}}) {
+    ASSERT_FALSE(rows.empty()) << who;
+    const std::string row = last_row(rows);
+    const auto counters = row_section(row, "counters");
+    const auto gauges = row_section(row, "gauges");
+    for (const auto& [name, section] : declared) {
+      const bool counter = section == Section::kCounter;
+      EXPECT_EQ(counters.count(name), counter ? 1u : 0u) << who << " " << name;
+      EXPECT_EQ(gauges.count(name), counter ? 0u : 1u) << who << " " << name;
+    }
+  }
+
+  auto v = row_section(last_row(sim_rows.str()), "counters");
+  v.merge(row_section(last_row(sim_rows.str()), "gauges"));
+  EXPECT_EQ(v["prefetch.passed"], 800);
+  EXPECT_EQ(v["prefetch.passed"], v["sdd.in"]);
+  EXPECT_EQ(v["sdd.passed"], v["snm.in"]);
+  EXPECT_EQ(v["snm.passed"], v["tyolo.in"]);
+  EXPECT_EQ(v["tyolo.passed"], v["ref.in"]);
+  EXPECT_GT(v["ref.in"], 0);
 }
 
 // Section 4.3.1 end to end: an instance whose live snapshots show full SNM /
