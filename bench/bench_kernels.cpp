@@ -1,0 +1,242 @@
+// Kernel microbenchmarks, timed with the repeated-run helper of common.hpp.
+//
+// GEMM: seed scalar gemm_naive vs the blocked/packed nn::gemm at the shapes
+// the inference hot path runs: a square 256^3 problem, the SNM conv2 GEMM,
+// and T-YOLO-style conv GEMMs (3x3 filters lowered by im2col). Pruned
+// variants zero 50% of A's k-columns the way magnitude pruning does
+// (nn/compress.hpp), exercising the pack-time zero-step compaction. SNM's
+// conv1 GEMM (m=8, k=9) is absent: k < 16 routes nn::gemm to the reference
+// kernel by design, so there is nothing to compare. The binary exits
+// non-zero when the two kernels disagree.
+//
+// The CPU kernels nothing else measures: scene rendering, the SDD-input
+// resize, SNM batch inference at 1/8/16 frames, delta-RLE decode, the three
+// convolution paths (direct, im2col, im2col over pruned weights), and two
+// pipeline primitives (bounded-queue push/pop, the T-YOLO scheduler).
+// Per-filter inference (SDD distance, SNM, T-YOLO and the reference model)
+// is measured inside the engine benchmark (enginebench/probes.cpp).
+//
+// Every row's fps is calls per second (SNM rows add frames_per_sec). One
+// run is a batch of calls at least 10 ms long, so clock resolution vanishes.
+//
+// Flags:
+//   --threads N   set runtime compute parallelism before measuring
+//   --json PATH   write the rows (bench/common.hpp JsonReport)
+
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <random>
+#include <vector>
+
+#include "common.hpp"
+#include "core/policies.hpp"
+#include "detect/snm.hpp"
+#include "image/ops.hpp"
+#include "nn/gemm.hpp"
+#include "nn/layers.hpp"
+#include "runtime/bounded_queue.hpp"
+#include "runtime/parallel_for.hpp"
+#include "runtime/stopwatch.hpp"
+#include "video/codec.hpp"
+#include "video/profiles.hpp"
+
+using namespace ffsva;
+
+namespace {
+
+/// Keeps `value` observable, so the compiler cannot drop the work that
+/// produced it.
+template <typename T>
+void keep(const T& value) {
+  asm volatile("" : : "r,m"(value) : "memory");
+}
+
+/// Measures each op as a variant of one bench::measure() group. A run is a
+/// batch of calls sized (by doubling) to last at least 10 ms.
+std::vector<bench::Series> time_calls(const std::vector<std::function<void()>>& ops) {
+  std::vector<int> calls;
+  for (const auto& op : ops) {
+    int n = 1;
+    for (;; n *= 2) {
+      const runtime::Stopwatch w;
+      for (int i = 0; i < n; ++i) op();
+      if (w.elapsed_sec() >= 0.01 || n >= (1 << 24)) break;
+    }
+    calls.push_back(n);
+  }
+  return bench::measure(static_cast<int>(ops.size()), [&](int v) {
+    const int n = calls[static_cast<std::size_t>(v)];
+    const runtime::Stopwatch w;
+    for (int i = 0; i < n; ++i) ops[static_cast<std::size_t>(v)]();
+    return bench::Run{n / w.elapsed_sec(), 0.0, 0.0, {}};
+  });
+}
+
+struct Shape {
+  const char* name;
+  int m, k, n;
+  double zero_k_fraction;  ///< Fraction of A's k-columns zeroed (pruning).
+};
+
+constexpr Shape kShapes[] = {
+    {"gemm_256x256x256", 256, 256, 256, 0.0},
+    {"gemm_256x256x256_pruned50", 256, 256, 256, 0.5},
+    {"snm_conv2_16x72x169", 16, 72, 169, 0.0},
+    {"snm_conv2_16x72x169_pruned50", 16, 72, 169, 0.5},
+    {"tyolo_conv1_16x27x2704", 16, 27, 2704, 0.0},
+    {"tyolo_conv2_32x144x676", 32, 144, 676, 0.0},
+    {"tyolo_conv2_32x144x676_pruned50", 32, 144, 676, 0.5},
+};
+
+/// Times naive vs blocked GEMM at every shape; false on a kernel mismatch.
+bool bench_gemm(bench::JsonReport& report) {
+  std::mt19937 rng(42);
+  std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
+  bool all_ok = true;
+  for (const Shape& s : kShapes) {
+    std::vector<float> a(static_cast<std::size_t>(s.m) * s.k);
+    std::vector<float> b(static_cast<std::size_t>(s.k) * s.n);
+    std::vector<float> c_naive(static_cast<std::size_t>(s.m) * s.n);
+    std::vector<float> c_blocked(c_naive.size());
+    for (float& v : a) v = dist(rng);
+    for (float& v : b) v = dist(rng);
+    if (s.zero_k_fraction > 0.0) {
+      // Zero whole k-columns of A across all rows, like channel-structured
+      // magnitude pruning: every MR-row slice of that step is zero, so the
+      // packer can compact it.
+      std::bernoulli_distribution zap(s.zero_k_fraction);
+      for (int kk = 0; kk < s.k; ++kk) {
+        if (!zap(rng)) continue;
+        for (int i = 0; i < s.m; ++i) a[static_cast<std::size_t>(i) * s.k + kk] = 0.0f;
+      }
+    }
+
+    nn::GemmScratch ws;
+    const auto series = time_calls({
+        [&] { nn::gemm_naive(a.data(), b.data(), c_naive.data(), s.m, s.k, s.n); },
+        [&] { nn::gemm(a.data(), b.data(), c_blocked.data(), s.m, s.k, s.n, ws); },
+    });
+
+    float max_err = 0.0f;
+    for (std::size_t i = 0; i < c_naive.size(); ++i) {
+      max_err = std::max(max_err, std::abs(c_naive[i] - c_blocked[i]));
+    }
+    // Both kernels accumulate in exact k-order per element at these
+    // shapes' magnitudes; anything beyond reassociation noise is a bug.
+    const bool ok = max_err <= 1e-3f * static_cast<float>(s.k);
+    all_ok = all_ok && ok;
+
+    const double flops = 2.0 * s.m * s.k * s.n;
+    const double speedup = series[1].fps.median / series[0].fps.median;
+    const std::string name = s.name;
+    bench::print_series(name + "/naive", series[0]);
+    bench::print_series(name + "/blocked", series[1]);
+    std::printf("%40s GFLOP/s %.2f -> %.2f, speedup %.2fx%s\n", "",
+                flops * series[0].fps.median * 1e-9,
+                flops * series[1].fps.median * 1e-9, speedup, ok ? "" : "  MISMATCH");
+    report.add(name + "/naive", series[0],
+               {{"gflops", flops * series[0].fps.median * 1e-9}});
+    report.add(name + "/blocked", series[1],
+               {{"gflops", flops * series[1].fps.median * 1e-9}, {"speedup", speedup}});
+  }
+  return all_ok;
+}
+
+/// Times `ops` as one group and archives each under its name.
+void bench_group(bench::JsonReport& report, const std::vector<std::string>& names,
+                 const std::vector<std::function<void()>>& ops) {
+  const auto series = time_calls(ops);
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    bench::print_series(names[i], series[i]);
+    report.add(names[i], series[i]);
+  }
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  for (int i = 1; i + 1 < argc; ++i) {
+    if (std::strcmp(argv[i], "--threads") == 0) {
+      runtime::set_compute_parallelism(std::atoi(argv[i + 1]));
+    }
+  }
+  bench::JsonReport report(argc, argv);
+
+  bench::print_header("KERNELS -- GEMM (seed scalar vs blocked) and CPU kernels");
+  std::printf("compute threads: %d, %d runs per kernel\n",
+              runtime::compute_parallelism(), bench::kReps);
+  bench::print_series_header("kernel");
+  const bool gemm_ok = bench_gemm(report);
+
+  // A jackson-profile camera (320x240): 200 frames to render, resize and
+  // decode. SNM cost does not depend on its weights, so an untrained filter
+  // over the same network stands in for a specialized one.
+  video::SceneConfig cfg = video::jackson_profile();
+  cfg.tor = 0.3;
+  const video::SceneSimulator sim(cfg, 42, 200);
+  std::vector<video::Frame> frames;
+  for (int i = 0; i < 200; ++i) frames.push_back(sim.render(i));
+  const video::StoredVideo stored = video::StoredVideo::encode(frames, 32, 4);
+  const detect::SnmFilter snm(detect::SnmConfig{}, frames[0].image, 42);
+
+  std::int64_t next_render = 0;
+  bench_group(report, {"scene_render"}, {[&] {
+                keep(sim.render(next_render));
+                next_render = (next_render + 1) % 200;
+              }});
+  bench_group(report, {"resize_to_sdd_input"},
+              {[&] { keep(image::resize_bilinear(frames[0].image, 100, 100)); }});
+
+  for (const int batch : {1, 8, 16}) {
+    std::vector<const image::Image*> imgs;
+    for (int k = 0; k < batch; ++k) {
+      imgs.push_back(&frames[static_cast<std::size_t>(k)].image);
+    }
+    const auto series = time_calls({[&] { keep(snm.predict_batch(imgs)); }});
+    const std::string name = "snm_predict_batch/" + std::to_string(batch);
+    bench::print_series(name, series[0]);
+    report.add(name, series[0], {{"frames_per_sec", batch * series[0].fps.median}});
+  }
+
+  video::VideoReader reader(stored);
+  bench_group(report, {"decode_frame"}, {[&] {
+                auto frame = reader.next();
+                if (!frame) {
+                  reader.seek(0);
+                  frame = reader.next();
+                }
+                keep(frame);
+              }});
+
+  // SNM-sized conv layer (8 -> 16 channels, 3x3 stride 2) over a 25x25 map.
+  runtime::Xoshiro256 conv_rng(5);
+  nn::Conv2d direct(8, 16, 3, 2, 1, conv_rng);
+  direct.set_use_im2col(false);
+  nn::Conv2d im2col = direct;
+  im2col.set_use_im2col(true);
+  nn::Conv2d pruned = im2col;
+  // Hand-prune half the weights; gemm() skips exact zeros.
+  for (std::size_t i = 0; i < pruned.weight.size(); i += 2) pruned.weight[i] = 0.0f;
+  nn::Tensor x(1, 8, 25, 25);
+  for (std::size_t i = 0; i < x.size(); ++i) x[i] = static_cast<float>(i % 13) * 0.1f;
+  bench_group(report, {"conv2d/direct", "conv2d/im2col", "conv2d/im2col_pruned50"},
+              {[&] { keep(direct.forward(x, false)); },
+               [&] { keep(im2col.forward(x, false)); },
+               [&] { keep(pruned.forward(x, false)); }});
+
+  runtime::BoundedQueue<int> queue(64);
+  core::TYoloScheduler sched(4);
+  const std::vector<int> depths(30, 3);
+  bench_group(report, {"bounded_queue_push_pop", "tyolo_scheduler_cycle"},
+              {[&] {
+                 queue.push(1);
+                 keep(queue.pop());
+               },
+               [&] { keep(sched.next(depths)); }});
+
+  bench::print_rule();
+  std::printf("GEMM correctness vs seed kernel: %s\n", gemm_ok ? "OK" : "FAILED");
+  return gemm_ok ? 0 : 1;
+}

@@ -1,11 +1,94 @@
 #include "common.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <ctime>
 #include <fstream>
 
 #include "runtime/parallel_for.hpp"
+#include "runtime/stopwatch.hpp"
 
 namespace ffsva::bench {
+
+Quartiles quartiles(std::vector<double> samples) {
+  if (samples.empty()) return {};
+  std::sort(samples.begin(), samples.end());
+  const auto at = [&](double q) {
+    const double pos = q * static_cast<double>(samples.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, samples.size() - 1);
+    return samples[lo] + (pos - static_cast<double>(lo)) * (samples[hi] - samples[lo]);
+  };
+  return {at(0.25), at(0.5), at(0.75)};
+}
+
+std::vector<Series> measure(int variants, const std::function<Run(int)>& run) {
+  struct Timed {
+    Run run;
+    double wall_ms;
+    double cpu_ms;
+  };
+  if (variants <= 0) return {};
+  (void)run(0);  // warm-up, discarded
+  std::vector<std::vector<Timed>> timed(static_cast<std::size_t>(variants));
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (int v = 0; v < variants; ++v) {
+      const runtime::Stopwatch wall;
+      const std::clock_t cpu0 = std::clock();
+      Run r = run(v);
+      const double cpu_ms = 1e3 * static_cast<double>(std::clock() - cpu0) /
+                            static_cast<double>(CLOCKS_PER_SEC);
+      const double wall_ms = wall.elapsed_ms();
+      timed[static_cast<std::size_t>(v)].push_back({std::move(r), wall_ms, cpu_ms});
+    }
+  }
+  std::vector<Series> out;
+  for (const auto& runs : timed) {
+    const auto quartiles_of = [&](const auto& field) {
+      std::vector<double> v;
+      for (const Timed& t : runs) v.push_back(field(t));
+      return quartiles(std::move(v));
+    };
+    Series s;
+    s.fps = quartiles_of([](const Timed& t) { return t.run.fps; });
+    s.p50_ms = quartiles_of([](const Timed& t) { return t.run.p50_ms; }).median;
+    s.p99_ms = quartiles_of([](const Timed& t) { return t.run.p99_ms; }).median;
+    s.wall_ms = quartiles_of([](const Timed& t) { return t.wall_ms; }).median;
+    s.cpu_ms = quartiles_of([](const Timed& t) { return t.cpu_ms; }).median;
+    for (std::size_t k = 0; k < runs.front().run.extras.size(); ++k) {
+      s.extras.emplace_back(
+          runs.front().run.extras[k].first,
+          quartiles_of([k](const Timed& t) { return t.run.extras[k].second; }).median);
+    }
+    out.push_back(std::move(s));
+  }
+  return out;
+}
+
+bool resolves(const Series& a, const Series& b, double budget) {
+  return std::max(a.fps.iqr_rel(), b.fps.iqr_rel()) <= budget;
+}
+
+void print_series_header(const char* first_column) {
+  std::printf("%-40s %11s %8s %9s %9s %9s %9s\n", first_column, "per sec",
+              "IQR/med", "p50(ms)", "p99(ms)", "wall(ms)", "cpu(ms)");
+  print_rule();
+}
+
+void print_series(const std::string& label, const Series& s) {
+  const auto ms = [](double v) {
+    char buf[16];
+    if (v > 0.0) {
+      std::snprintf(buf, sizeof(buf), "%.1f", v);
+    } else {
+      std::snprintf(buf, sizeof(buf), "-");
+    }
+    return std::string(buf);
+  };
+  std::printf("%-40s %11.1f %7.2f%% %9s %9s %9.1f %9.1f\n", label.c_str(),
+              s.fps.median, 100.0 * s.fps.iqr_rel(), ms(s.p50_ms).c_str(),
+              ms(s.p99_ms).c_str(), s.wall_ms, s.cpu_ms);
+}
 
 JsonReport::JsonReport(int argc, char** argv) {
   for (int i = 1; i + 1 < argc; ++i) {
@@ -13,9 +96,8 @@ JsonReport::JsonReport(int argc, char** argv) {
   }
 }
 
-void JsonReport::add(const std::string& name, double fps, double p50_ms,
-                     double p99_ms, Extras extras) {
-  if (active()) rows_.push_back({name, fps, p50_ms, p99_ms, std::move(extras)});
+void JsonReport::add(const std::string& name, const Series& s, Extras extras) {
+  if (active()) rows_.push_back({name, s, std::move(extras)});
 }
 
 namespace {
@@ -27,6 +109,14 @@ void put_number(std::ofstream& out, const char* key, double v) {
     out << buf;
   } else {
     out << "null";
+  }
+}
+
+void put_extras(std::ofstream& out, const Extras& extras) {
+  for (const auto& [key, value] : extras) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.6g", value);
+    out << ", \"" << key << "\": " << buf;
   }
 }
 }  // namespace
@@ -42,17 +132,19 @@ JsonReport::~JsonReport() {
   out << "[\n";
   for (std::size_t i = 0; i < rows_.size(); ++i) {
     const Row& r = rows_[i];
+    const Series& s = r.series;
     out << "  {\"name\": \"" << r.name << "\", ";
-    put_number(out, "fps", r.fps);
+    put_number(out, "fps", s.fps.median);
     out << ", ";
-    put_number(out, "p50_ms", r.p50_ms);
+    put_number(out, "p50_ms", s.p50_ms);
     out << ", ";
-    put_number(out, "p99_ms", r.p99_ms);
-    for (const auto& [key, value] : r.extras) {
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "%.6g", value);
-      out << ", \"" << key << "\": " << buf;
-    }
+    put_number(out, "p99_ms", s.p99_ms);
+    put_extras(out, {{"fps_iqr_rel", s.fps.iqr_rel()},
+                     {"wall_ms", s.wall_ms},
+                     {"cpu_ms", s.cpu_ms},
+                     {"reps", kReps}});
+    put_extras(out, s.extras);
+    put_extras(out, r.extras);
     out << ", \"threads\": " << threads << "}" << (i + 1 < rows_.size() ? "," : "")
         << "\n";
   }

@@ -19,27 +19,6 @@
 
 using namespace ffsva;
 
-namespace {
-
-/// Yields frames [begin, end) of a shared scene simulator.
-class ClipSource final : public video::FrameSource {
- public:
-  ClipSource(std::shared_ptr<const video::SceneSimulator> sim, std::int64_t begin,
-             std::int64_t end)
-      : sim_(std::move(sim)), next_(begin), end_(end) {}
-  std::optional<video::Frame> next() override {
-    if (next_ >= end_) return std::nullopt;
-    return sim_->render(next_++);
-  }
-  std::int64_t total_frames() const override { return end_; }
-
- private:
-  std::shared_ptr<const video::SceneSimulator> sim_;
-  std::int64_t next_, end_;
-};
-
-}  // namespace
-
 int main() {
   // --- 1. The camera -------------------------------------------------------
   video::SceneConfig cfg = video::jackson_profile();
@@ -66,7 +45,7 @@ int main() {
   core::FfsVaConfig config;       // NumberofObjects 1, feedback thresholds
   config.number_of_objects = 1;   // {2,10,2}, dynamic batch
   core::FfsVaInstance instance(config);
-  instance.add_stream(std::make_unique<ClipSource>(sim, 900, 2000), models);
+  instance.add_stream(std::make_unique<video::LiveSource>(sim, 0, 900, 2000), models);
 
   std::printf("Analyzing frames 900..2000 offline...\n\n");
   const auto stats = instance.run(/*online=*/false);

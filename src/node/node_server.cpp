@@ -34,7 +34,7 @@ NodeServer::~NodeServer() {
 bool NodeServer::start() {
   if (!listener_.listen(opts_.listen)) return false;
   inst_.set_output_sink([this](const core::OutputEvent& ev) {
-    // Reference-thread context. WindowSource stamps the cluster-global
+    // Reference-thread context. The spec's LiveSource stamps the cluster-global
     // stream id into every frame, so no translation is needed here.
     runtime::MutexLock lk(mu_);
     emitted_[static_cast<std::uint32_t>(ev.frame.stream_id)].push_back(

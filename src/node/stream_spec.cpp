@@ -78,7 +78,7 @@ MaterializedStream materialize(const StreamSpec& spec) {
   sc.snm.epochs = static_cast<int>(spec.snm_epochs);
   MaterializedStream m;
   m.models = detect::specialize_stream(calib, sc, spec.seed);
-  m.source = std::make_unique<WindowSource>(
+  m.source = std::make_unique<video::LiveSource>(
       std::move(sim), static_cast<int>(spec.stream_id),
       static_cast<std::int64_t>(spec.begin),
       static_cast<std::int64_t>(spec.end));

@@ -54,30 +54,6 @@ struct StreamSpec {
   video::SceneConfig scene() const;
 };
 
-/// Serves the spec's [begin, end) window off a shared simulator; frames
-/// carry the cluster-global stream id and their absolute index, so results
-/// from different nodes merge without translation.
-class WindowSource final : public video::FrameSource {
- public:
-  WindowSource(std::shared_ptr<const video::SceneSimulator> sim, int stream_id,
-               std::int64_t begin, std::int64_t end)
-      : sim_(std::move(sim)), stream_id_(stream_id), next_(begin), end_(end),
-        begin_(begin) {}
-
-  std::optional<video::Frame> next() override {
-    if (next_ >= end_) return std::nullopt;
-    return sim_->render(next_++, stream_id_);
-  }
-  std::int64_t total_frames() const override { return end_ - begin_; }
-
- private:
-  std::shared_ptr<const video::SceneSimulator> sim_;
-  int stream_id_;
-  std::int64_t next_;
-  std::int64_t end_;
-  std::int64_t begin_;
-};
-
 /// Everything FfsVaInstance::add_stream needs for one spec.
 struct MaterializedStream {
   detect::StreamModels models;
@@ -85,7 +61,9 @@ struct MaterializedStream {
 };
 
 /// Deterministically rebuild the stream: render the calibration window,
-/// specialize the models, and open a WindowSource over [begin, end).
+/// specialize the models, and open a video::LiveSource over [begin, end):
+/// frames carry the cluster-global stream id and their absolute index, so
+/// results from different nodes merge without translation.
 /// Identical specs materialize identically on every node.
 MaterializedStream materialize(const StreamSpec& spec);
 

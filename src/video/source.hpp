@@ -14,6 +14,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "video/codec.hpp"
 #include "video/scene.hpp"
@@ -71,23 +72,57 @@ class FrameSource {
   virtual std::optional<CodecStats> codec_stats() const { return std::nullopt; }
 };
 
-/// Renders frames from a shared scene simulator (a "camera").
+/// Renders frames [begin, end) of a shared scene simulator (a "camera"),
+/// stamped with `stream_id` and their absolute timeline index. The window
+/// defaults to the simulator's whole timeline.
 class LiveSource final : public FrameSource {
  public:
   LiveSource(std::shared_ptr<const SceneSimulator> sim, int stream_id)
-      : sim_(std::move(sim)), stream_id_(stream_id) {}
+      : LiveSource(sim, stream_id, 0, sim->total_frames()) {}
+  LiveSource(std::shared_ptr<const SceneSimulator> sim, int stream_id,
+             std::int64_t begin, std::int64_t end)
+      : sim_(std::move(sim)), stream_id_(stream_id), begin_(begin), end_(end),
+        next_index_(begin) {}
 
   std::optional<Frame> next() override {
-    if (next_index_ >= sim_->total_frames()) return std::nullopt;
+    if (next_index_ >= end_) return std::nullopt;
     return sim_->render(next_index_++, stream_id_);
   }
 
-  std::int64_t total_frames() const override { return sim_->total_frames(); }
+  std::int64_t total_frames() const override { return end_ - begin_; }
 
  private:
   std::shared_ptr<const SceneSimulator> sim_;
   int stream_id_;
-  std::int64_t next_index_ = 0;
+  std::int64_t begin_;
+  std::int64_t end_;
+  std::int64_t next_index_;
+};
+
+/// Replays a pre-rendered window shared by any number of streams (no render
+/// or decode cost). Frames keep their index and are stamped with `stream_id`.
+class ReplaySource final : public FrameSource {
+ public:
+  using Window = std::shared_ptr<const std::vector<Frame>>;
+
+  ReplaySource(Window window, int stream_id)
+      : window_(std::move(window)), stream_id_(stream_id) {}
+
+  std::optional<Frame> next() override {
+    if (next_ >= window_->size()) return std::nullopt;
+    Frame f = (*window_)[next_++];
+    f.stream_id = stream_id_;
+    return f;
+  }
+
+  std::int64_t total_frames() const override {
+    return static_cast<std::int64_t>(window_->size());
+  }
+
+ private:
+  Window window_;
+  int stream_id_;
+  std::size_t next_ = 0;
 };
 
 /// Decodes frames from a stored video (a "recording").

@@ -22,14 +22,17 @@
 #include "core/pipeline.hpp"
 #include "video/fault_injection.hpp"
 #include "video/profiles.hpp"
+#include "video/source.hpp"
 
 namespace ffsva::core {
 namespace {
 
+using video::ReplaySource;
+
 struct FaultWorld {
   video::SceneConfig cfg;
   detect::StreamModels models;
-  std::vector<video::Frame> window;  ///< Pre-rendered eval frames.
+  ReplaySource::Window window;  ///< Pre-rendered eval frames.
 
   FaultWorld() {
     cfg = video::jackson_profile();
@@ -43,7 +46,9 @@ struct FaultWorld {
     sc.target = cfg.target;
     sc.snm.epochs = 3;
     models = detect::specialize_stream(calib, sc, 23);
-    for (int i = 400; i < 460; ++i) window.push_back(sim.render(i));
+    std::vector<video::Frame> frames;
+    for (int i = 400; i < 460; ++i) frames.push_back(sim.render(i));
+    window = std::make_shared<const std::vector<video::Frame>>(std::move(frames));
   }
 };
 
@@ -51,28 +56,6 @@ FaultWorld& world() {
   static auto* w = new FaultWorld();
   return *w;
 }
-
-/// Replays the shared pre-rendered window as one stream.
-class ReplaySource final : public video::FrameSource {
- public:
-  ReplaySource(const std::vector<video::Frame>* window, int stream_id)
-      : window_(window), stream_id_(stream_id) {}
-
-  std::optional<video::Frame> next() override {
-    if (next_ >= window_->size()) return std::nullopt;
-    video::Frame f = (*window_)[next_++];
-    f.stream_id = stream_id_;
-    return f;
-  }
-  std::int64_t total_frames() const override {
-    return static_cast<std::int64_t>(window_->size());
-  }
-
- private:
-  const std::vector<video::Frame>* window_;
-  int stream_id_;
-  std::size_t next_ = 0;
-};
 
 /// Cycles the window forever — for stop()/deadline tests, which must end
 /// the run themselves.
@@ -96,10 +79,10 @@ class EndlessSource final : public video::FrameSource {
 };
 
 std::unique_ptr<video::FaultInjectingSource> faulty(
-    const std::vector<video::Frame>* window, int stream_id,
+    ReplaySource::Window window, int stream_id,
     video::FaultPlan plan, std::uint64_t seed) {
   return std::make_unique<video::FaultInjectingSource>(
-      std::make_unique<ReplaySource>(window, stream_id), plan, seed);
+      std::make_unique<ReplaySource>(std::move(window), stream_id), plan, seed);
 }
 
 /// Survivor frame indices per stream, via the output sink.
@@ -122,7 +105,7 @@ const std::vector<std::int64_t>& clean_survivors() {
     auto& w = world();
     FfsVaConfig cfg;
     FfsVaInstance instance(cfg);
-    instance.add_stream(std::make_unique<ReplaySource>(&w.window, 0), w.models);
+    instance.add_stream(std::make_unique<ReplaySource>(w.window, 0), w.models);
     auto* map = new SurvivorMap();
     instance.set_output_sink(map->sink());
     instance.run(/*online=*/false);
@@ -139,7 +122,7 @@ TEST(FaultTolerance, RunWithZeroStreamsThrows) {
 TEST(FaultTolerance, SecondRunThrows) {
   auto& w = world();
   FfsVaInstance instance(FfsVaConfig{});
-  instance.add_stream(std::make_unique<ReplaySource>(&w.window, 0), w.models);
+  instance.add_stream(std::make_unique<ReplaySource>(w.window, 0), w.models);
   instance.set_output_sink([](const OutputEvent&) {});
   instance.run(false);
   EXPECT_THROW(instance.run(false), std::logic_error);
@@ -149,7 +132,7 @@ TEST(FaultTolerance, SecondRunThrows) {
 // faulty stream's survivors are identical to a clean run's.
 TEST(FaultTolerance, TransientErrorsRetryWithoutFrameLoss) {
   auto& w = world();
-  const auto frames = static_cast<std::uint64_t>(w.window.size());
+  const auto frames = static_cast<std::uint64_t>(w.window->size());
   video::FaultPlan plan;
   plan.p_transient = 0.1;
   plan.transient_at = 5;  // plus one pinned error for determinism
@@ -157,7 +140,7 @@ TEST(FaultTolerance, TransientErrorsRetryWithoutFrameLoss) {
   FfsVaConfig cfg;
   cfg.source_max_retries = 6;
   FfsVaInstance instance(cfg);
-  instance.add_stream(faulty(&w.window, 0, plan, 99), w.models);
+  instance.add_stream(faulty(w.window, 0, plan, 99), w.models);
   SurvivorMap survivors;
   instance.set_output_sink(survivors.sink());
 
@@ -176,12 +159,12 @@ TEST(FaultTolerance, TransientErrorsRetryWithoutFrameLoss) {
 // one restart, zero frame loss.
 TEST(FaultTolerance, FatalErrorRestartsSourceWithoutFrameLoss) {
   auto& w = world();
-  const auto frames = static_cast<std::uint64_t>(w.window.size());
+  const auto frames = static_cast<std::uint64_t>(w.window->size());
   video::FaultPlan plan;
   plan.fatal_at = 17;
 
   FfsVaInstance instance(FfsVaConfig{});
-  instance.add_stream(faulty(&w.window, 0, plan, 1), w.models);
+  instance.add_stream(faulty(w.window, 0, plan, 1), w.models);
   SurvivorMap survivors;
   instance.set_output_sink(survivors.sink());
 
@@ -203,7 +186,7 @@ TEST(FaultTolerance, UnrecoverableSourceEndsStreamGracefully) {
   plan.restartable = false;
 
   FfsVaInstance instance(FfsVaConfig{});
-  instance.add_stream(faulty(&w.window, 0, plan, 1), w.models);
+  instance.add_stream(faulty(w.window, 0, plan, 1), w.models);
   instance.set_output_sink([](const OutputEvent&) {});
 
   const auto stats = instance.run(false);
@@ -220,14 +203,14 @@ TEST(FaultTolerance, UnrecoverableSourceEndsStreamGracefully) {
 // conservation still holds frame-for-frame.
 TEST(FaultTolerance, DegradePolicyDropTerminatesUnevaluableFrames) {
   auto& w = world();
-  const auto frames = static_cast<std::uint64_t>(w.window.size());
+  const auto frames = static_cast<std::uint64_t>(w.window->size());
   video::FaultPlan plan;
   plan.p_truncated = 0.3;
 
   FfsVaConfig cfg;
   cfg.degrade_policy = DegradePolicy::kDrop;
   FfsVaInstance instance(cfg);
-  instance.add_stream(faulty(&w.window, 0, plan, 42), w.models);
+  instance.add_stream(faulty(w.window, 0, plan, 42), w.models);
   SurvivorMap survivors;
   instance.set_output_sink(survivors.sink());
 
@@ -250,14 +233,14 @@ TEST(FaultTolerance, DegradePolicyDropTerminatesUnevaluableFrames) {
 // bypass must not leak unvetted frames out of the system.
 TEST(FaultTolerance, DegradePolicyBypassNeverEmitsUnvetted) {
   auto& w = world();
-  const auto frames = static_cast<std::uint64_t>(w.window.size());
+  const auto frames = static_cast<std::uint64_t>(w.window->size());
   video::FaultPlan plan;
   plan.p_truncated = 0.3;
 
   FfsVaConfig cfg;
   cfg.degrade_policy = DegradePolicy::kBypass;
   FfsVaInstance instance(cfg);
-  instance.add_stream(faulty(&w.window, 0, plan, 42), w.models);
+  instance.add_stream(faulty(w.window, 0, plan, 42), w.models);
   SurvivorMap survivors;
   instance.set_output_sink(survivors.sink());
 
@@ -286,7 +269,7 @@ TEST(FaultTolerance, FaultMatrixIsolatesFaultyStreams) {
   auto& w = world();
   constexpr int kStreams = 32;
   constexpr int kStall = 1, kTransient = 5, kEos = 9, kTruncated = 13;
-  const auto frames = static_cast<std::uint64_t>(w.window.size());
+  const auto frames = static_cast<std::uint64_t>(w.window->size());
 
   FfsVaConfig cfg;
   cfg.stall_timeout_ms = 250;
@@ -316,7 +299,7 @@ TEST(FaultTolerance, FaultMatrixIsolatesFaultyStreams) {
       default:
         break;  // clean plan: the wrapper is transparent
     }
-    instance.add_stream(faulty(&w.window, s, plan, 99), w.models);
+    instance.add_stream(faulty(w.window, s, plan, 99), w.models);
   }
   SurvivorMap survivors;
   instance.set_output_sink(survivors.sink());
@@ -370,7 +353,7 @@ TEST(FaultTolerance, StopUnwindsAnEndlessRun) {
   FfsVaConfig cfg;
   FfsVaInstance instance(cfg);
   for (int s = 0; s < 4; ++s) {
-    instance.add_stream(std::make_unique<EndlessSource>(&w.window, s), w.models);
+    instance.add_stream(std::make_unique<EndlessSource>(w.window.get(), s), w.models);
   }
   instance.set_output_sink([](const OutputEvent&) {});
 
@@ -393,7 +376,7 @@ TEST(FaultTolerance, DeadlineStopsTheRun) {
   cfg.run_deadline_ms = 300;
   FfsVaInstance instance(cfg);
   for (int s = 0; s < 4; ++s) {
-    instance.add_stream(std::make_unique<EndlessSource>(&w.window, s), w.models);
+    instance.add_stream(std::make_unique<EndlessSource>(w.window.get(), s), w.models);
   }
   instance.set_output_sink([](const OutputEvent&) {});
 

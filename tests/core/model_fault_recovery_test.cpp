@@ -24,6 +24,7 @@
 #include "runtime/cancel.hpp"
 #include "video/profiles.hpp"
 #include "video/scene.hpp"
+#include "video/source.hpp"
 
 namespace ffsva::core {
 namespace {
@@ -31,11 +32,12 @@ namespace {
 using detect::FaultHook;
 using detect::FaultStage;
 using detect::ModelFaultSpec;
+using video::ReplaySource;
 
 struct RecoveryWorld {
   video::SceneConfig cfg;
   detect::StreamModels models;
-  std::vector<video::Frame> window;  ///< Pre-rendered eval frames.
+  ReplaySource::Window window;  ///< Pre-rendered eval frames.
 
   RecoveryWorld() {
     cfg = video::jackson_profile();
@@ -54,7 +56,9 @@ struct RecoveryWorld {
     // the cheap filters must not starve the deep stages of traffic.
     models.sdd->set_delta(-1.0);
     models.snm->set_thresholds(0.0, 0.0);  // t_pre = 0: every score passes
-    for (int i = 400; i < 460; ++i) window.push_back(sim.render(i));
+    std::vector<video::Frame> frames;
+    for (int i = 400; i < 460; ++i) frames.push_back(sim.render(i));
+    window = std::make_shared<const std::vector<video::Frame>>(std::move(frames));
   }
 };
 
@@ -62,28 +66,6 @@ RecoveryWorld& world() {
   static auto* w = new RecoveryWorld();
   return *w;
 }
-
-/// Replays the shared pre-rendered window as one stream.
-class ReplaySource final : public video::FrameSource {
- public:
-  ReplaySource(const std::vector<video::Frame>* window, int stream_id)
-      : window_(window), stream_id_(stream_id) {}
-
-  std::optional<video::Frame> next() override {
-    if (next_ >= window_->size()) return std::nullopt;
-    video::Frame f = (*window_)[next_++];
-    f.stream_id = stream_id_;
-    return f;
-  }
-  std::int64_t total_frames() const override {
-    return static_cast<std::int64_t>(window_->size());
-  }
-
- private:
-  const std::vector<video::Frame>* window_;
-  int stream_id_;
-  std::size_t next_ = 0;
-};
 
 /// Cycles the window forever — for the shutdown-latency tests, which must
 /// end the run themselves while a wedge is in flight.
@@ -201,7 +183,7 @@ TEST(FaultHookUnit, StallWithoutTokenIsCappedByDuration) {
 TEST(ModelFaultRecovery, SixteenStreamWedgeMatrixConservesFrames) {
   auto& w = world();
   constexpr int kStreams = 16;
-  const auto frames = static_cast<std::uint64_t>(w.window.size());
+  const auto frames = static_cast<std::uint64_t>(w.window->size());
   // Each spec wedges one in-model call at a deterministic per-stage call
   // index; the 30 s duration is far past the 250 ms timeout, so completion
   // proves cancellation (not the cap) ended the stall.
@@ -227,7 +209,7 @@ TEST(ModelFaultRecovery, SixteenStreamWedgeMatrixConservesFrames) {
   cfg.number_of_objects = 0;  // T-YOLO passes everything: ref sees traffic
   FfsVaInstance instance(cfg);
   for (int s = 0; s < kStreams; ++s) {
-    instance.add_stream(std::make_unique<ReplaySource>(&w.window, s),
+    instance.add_stream(std::make_unique<ReplaySource>(w.window, s),
                         w.models);
   }
   instance.set_output_sink([](const OutputEvent&) {});
@@ -267,7 +249,7 @@ TEST(ModelFaultRecovery, SixteenStreamWedgeMatrixConservesFrames) {
 // SNM.
 TEST(ModelFaultRecovery, SecondWedgePoisonsTheFrameUnderBypass) {
   auto& w = world();
-  const auto frames = static_cast<std::uint64_t>(w.window.size());
+  const auto frames = static_cast<std::uint64_t>(w.window->size());
   FaultHook hook({
       ModelFaultSpec{FaultStage::kSdd, ModelFaultSpec::Kind::kStall,
                      /*offset=*/0, /*period=*/1, /*max_triggers=*/1'000'000,
@@ -282,7 +264,7 @@ TEST(ModelFaultRecovery, SecondWedgePoisonsTheFrameUnderBypass) {
   cfg.model_call_timeout_ms = 100;
   cfg.degrade_policy = DegradePolicy::kBypass;
   FfsVaInstance instance(cfg);
-  instance.add_stream(std::make_unique<ReplaySource>(&w.window, 0), w.models);
+  instance.add_stream(std::make_unique<ReplaySource>(w.window, 0), w.models);
   instance.set_output_sink([](const OutputEvent&) {});
 
   const auto stats = instance.run(/*online=*/false);
@@ -314,7 +296,7 @@ TEST(ModelFaultRecovery, StopMidModelCallReturnsPromptly) {
   cfg.model_call_timeout_ms = 250;
   FfsVaInstance instance(cfg);
   for (int s = 0; s < 2; ++s) {
-    instance.add_stream(std::make_unique<EndlessSource>(&w.window, s),
+    instance.add_stream(std::make_unique<EndlessSource>(w.window.get(), s),
                         w.models);
   }
   instance.set_output_sink([](const OutputEvent&) {});
@@ -350,7 +332,7 @@ TEST(ModelFaultRecovery, DeadlineMidModelCallReturnsPromptly) {
   cfg.model_call_timeout_ms = 250;
   FfsVaInstance instance(cfg);
   for (int s = 0; s < 2; ++s) {
-    instance.add_stream(std::make_unique<EndlessSource>(&w.window, s),
+    instance.add_stream(std::make_unique<EndlessSource>(w.window.get(), s),
                         w.models);
   }
   instance.set_output_sink([](const OutputEvent&) {});

@@ -12,14 +12,17 @@
 
 #include "core/pipeline.hpp"
 #include "video/profiles.hpp"
+#include "video/source.hpp"
 
 namespace ffsva::core {
 namespace {
 
+using video::ReplaySource;
+
 struct StressWorld {
   video::SceneConfig cfg;
   detect::StreamModels models;
-  std::vector<video::Frame> window;  ///< Pre-rendered eval frames.
+  ReplaySource::Window window;  ///< Pre-rendered eval frames.
 
   StressWorld() {
     cfg = video::jackson_profile();
@@ -33,7 +36,9 @@ struct StressWorld {
     sc.target = cfg.target;
     sc.snm.epochs = 3;
     models = detect::specialize_stream(calib, sc, 23);
-    for (int i = 400; i < 460; ++i) window.push_back(sim.render(i));
+    std::vector<video::Frame> frames;
+    for (int i = 400; i < 460; ++i) frames.push_back(sim.render(i));
+    window = std::make_shared<const std::vector<video::Frame>>(std::move(frames));
   }
 };
 
@@ -42,38 +47,16 @@ StressWorld& world() {
   return *w;
 }
 
-/// Replays the shared pre-rendered window as one stream.
-class ReplaySource final : public video::FrameSource {
- public:
-  ReplaySource(const std::vector<video::Frame>* window, int stream_id)
-      : window_(window), stream_id_(stream_id) {}
-
-  std::optional<video::Frame> next() override {
-    if (next_ >= window_->size()) return std::nullopt;
-    video::Frame f = (*window_)[next_++];
-    f.stream_id = stream_id_;
-    return f;
-  }
-  std::int64_t total_frames() const override {
-    return static_cast<std::int64_t>(window_->size());
-  }
-
- private:
-  const std::vector<video::Frame>* window_;
-  int stream_id_;
-  std::size_t next_ = 0;
-};
-
 TEST(PipelineStress, ManyStreamsConserveOrderAndShutDownCleanly) {
   auto& w = world();
   constexpr int kStreams = 32;
-  const auto frames = static_cast<std::uint64_t>(w.window.size());
+  const auto frames = static_cast<std::uint64_t>(w.window->size());
 
   FfsVaConfig cfg;
   cfg.batch_policy = BatchPolicy::kDynamic;
   FfsVaInstance instance(cfg);
   for (int s = 0; s < kStreams; ++s) {
-    instance.add_stream(std::make_unique<ReplaySource>(&w.window, s), w.models);
+    instance.add_stream(std::make_unique<ReplaySource>(w.window, s), w.models);
   }
 
   std::mutex mu;
@@ -131,14 +114,14 @@ TEST(PipelineStress, ManyStreamsConserveOrderAndShutDownCleanly) {
 TEST(PipelineStress, SingleWorkerServesManyStreams) {
   auto& w = world();
   constexpr int kStreams = 12;
-  const auto frames = static_cast<std::uint64_t>(w.window.size());
+  const auto frames = static_cast<std::uint64_t>(w.window->size());
 
   FfsVaConfig cfg;
   cfg.sdd_workers = 1;
   cfg.sdd_run_length = 4;  // force frequent rescans across streams
   FfsVaInstance instance(cfg);
   for (int s = 0; s < kStreams; ++s) {
-    instance.add_stream(std::make_unique<ReplaySource>(&w.window, s), w.models);
+    instance.add_stream(std::make_unique<ReplaySource>(w.window, s), w.models);
   }
   instance.set_output_sink([](const OutputEvent&) {});
   const auto stats = instance.run(false);
@@ -152,7 +135,7 @@ TEST(PipelineStress, SingleWorkerServesManyStreams) {
 TEST(PipelineStress, AllBatchPoliciesConserveAcrossStreams) {
   auto& w = world();
   constexpr int kStreams = 8;
-  const auto frames = static_cast<std::uint64_t>(w.window.size());
+  const auto frames = static_cast<std::uint64_t>(w.window->size());
   for (BatchPolicy p : {BatchPolicy::kStatic, BatchPolicy::kFeedback,
                         BatchPolicy::kDynamic}) {
     FfsVaConfig cfg;
@@ -160,7 +143,7 @@ TEST(PipelineStress, AllBatchPoliciesConserveAcrossStreams) {
     cfg.batch_size = 16;  // does not divide 60: final partial batch matters
     FfsVaInstance instance(cfg);
     for (int s = 0; s < kStreams; ++s) {
-      instance.add_stream(std::make_unique<ReplaySource>(&w.window, s), w.models);
+      instance.add_stream(std::make_unique<ReplaySource>(w.window, s), w.models);
     }
     instance.set_output_sink([](const OutputEvent&) {});
     const auto stats = instance.run(false);

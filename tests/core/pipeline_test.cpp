@@ -13,9 +13,12 @@
 
 #include "core/trace.hpp"
 #include "video/profiles.hpp"
+#include "video/source.hpp"
 
 namespace ffsva::core {
 namespace {
+
+using video::LiveSource;
 
 struct TestStream {
   video::SceneConfig cfg;
@@ -45,30 +48,11 @@ TestStream& shared_stream() {
   return *s;
 }
 
-/// Frames [700, 1100) of the shared stream as a bounded source.
-class WindowSource final : public video::FrameSource {
- public:
-  WindowSource(std::shared_ptr<const video::SceneSimulator> sim, int stream_id,
-               std::int64_t begin, std::int64_t end)
-      : sim_(std::move(sim)), stream_id_(stream_id), next_(begin), end_(end) {}
-
-  std::optional<video::Frame> next() override {
-    if (next_ >= end_) return std::nullopt;
-    return sim_->render(next_++, stream_id_);
-  }
-  std::int64_t total_frames() const override { return end_; }
-
- private:
-  std::shared_ptr<const video::SceneSimulator> sim_;
-  int stream_id_;
-  std::int64_t next_, end_;
-};
-
 TEST(Pipeline, OfflineConservesFrames) {
   auto& s = shared_stream();
   FfsVaConfig cfg;
   FfsVaInstance instance(cfg);
-  instance.add_stream(std::make_unique<WindowSource>(s.sim, 0, 700, 1000), s.models);
+  instance.add_stream(std::make_unique<LiveSource>(s.sim, 0, 700, 1000), s.models);
   const auto stats = instance.run(/*online=*/false);
 
   ASSERT_EQ(stats.streams.size(), 1u);
@@ -102,7 +86,7 @@ TEST(Pipeline, MatchesSequentialCascade) {
   FfsVaConfig cfg;
   cfg.number_of_objects = 1;
   FfsVaInstance instance(cfg);
-  instance.add_stream(std::make_unique<WindowSource>(s.sim, 0, 1000, 1200), s.models);
+  instance.add_stream(std::make_unique<LiveSource>(s.sim, 0, 1000, 1200), s.models);
   instance.run(false);
 
   std::set<std::int64_t> got;
@@ -113,7 +97,7 @@ TEST(Pipeline, MatchesSequentialCascade) {
 TEST(Pipeline, OutputSinkReceivesEvents) {
   auto& s = shared_stream();
   FfsVaInstance instance(FfsVaConfig{});
-  instance.add_stream(std::make_unique<WindowSource>(s.sim, 0, 700, 900), s.models);
+  instance.add_stream(std::make_unique<LiveSource>(s.sim, 0, 700, 900), s.models);
   std::atomic<int> events{0};
   instance.set_output_sink([&](const OutputEvent& ev) {
     EXPECT_GE(ev.latency_ms, 0.0);
@@ -129,8 +113,8 @@ TEST(Pipeline, MultiStreamKeepsStreamsSeparate) {
   auto& s = shared_stream();
   FfsVaConfig cfg;
   FfsVaInstance instance(cfg);
-  instance.add_stream(std::make_unique<WindowSource>(s.sim, 0, 700, 850), s.models);
-  instance.add_stream(std::make_unique<WindowSource>(s.sim, 1, 850, 1000), s.models);
+  instance.add_stream(std::make_unique<LiveSource>(s.sim, 0, 700, 850), s.models);
+  instance.add_stream(std::make_unique<LiveSource>(s.sim, 1, 850, 1000), s.models);
   const auto stats = instance.run(false);
   ASSERT_EQ(stats.streams.size(), 2u);
   EXPECT_EQ(stats.streams[0].prefetch.in, 150u);
@@ -156,7 +140,7 @@ TEST(Pipeline, BatchPoliciesProduceSameSurvivors) {
     cfg.batch_policy = p;
     cfg.batch_size = 8;
     FfsVaInstance instance(cfg);
-    instance.add_stream(std::make_unique<WindowSource>(s.sim, 0, 700, 950), s.models);
+    instance.add_stream(std::make_unique<LiveSource>(s.sim, 0, 700, 950), s.models);
     instance.run(false);
     for (const auto& ev : instance.outputs()) {
       outputs_by_policy[static_cast<int>(p)].insert(ev.frame.index);
@@ -171,7 +155,7 @@ TEST(Pipeline, OnlineModeSustainsRealtimeOnOneStream) {
   FfsVaConfig cfg;
   cfg.online_fps = 120.0;  // speed the wall-clock test up
   FfsVaInstance instance(cfg);
-  instance.add_stream(std::make_unique<WindowSource>(s.sim, 0, 700, 940), s.models);
+  instance.add_stream(std::make_unique<LiveSource>(s.sim, 0, 700, 940), s.models);
   const auto stats = instance.run(/*online=*/true);
   const auto& st = stats.streams[0];
   // One lightweight stream must not overload a whole host.
@@ -182,7 +166,7 @@ TEST(Pipeline, OnlineModeSustainsRealtimeOnOneStream) {
 TEST(Pipeline, PerStreamFifoOrderingOfOutputs) {
   auto& s = shared_stream();
   FfsVaInstance instance(FfsVaConfig{});
-  instance.add_stream(std::make_unique<WindowSource>(s.sim, 0, 700, 1000), s.models);
+  instance.add_stream(std::make_unique<LiveSource>(s.sim, 0, 700, 1000), s.models);
   instance.run(false);
   std::int64_t prev = -1;
   for (const auto& ev : instance.outputs()) {

@@ -16,9 +16,12 @@
 
 #include "core/pipeline.hpp"
 #include "video/profiles.hpp"
+#include "video/source.hpp"
 
 namespace ffsva::core {
 namespace {
+
+using video::LiveSource;
 
 struct TestStream {
   video::SceneConfig cfg;
@@ -46,25 +49,7 @@ TestStream& shared_stream() {
   return *t;
 }
 
-class WindowSource final : public video::FrameSource {
- public:
-  WindowSource(std::shared_ptr<const video::SceneSimulator> sim, int stream_id,
-               std::int64_t begin, std::int64_t end)
-      : sim_(std::move(sim)), stream_id_(stream_id), next_(begin), end_(end) {}
-
-  std::optional<video::Frame> next() override {
-    if (next_ >= end_) return std::nullopt;
-    return sim_->render(next_++, stream_id_);
-  }
-  std::int64_t total_frames() const override { return end_; }
-
- private:
-  std::shared_ptr<const video::SceneSimulator> sim_;
-  int stream_id_;
-  std::int64_t next_, end_;
-};
-
-/// WindowSource that truncates every `period`-th frame by two rows. The
+/// A frame window that truncates every `period`-th frame by two rows. The
 /// cheap filters all downscale to fixed detector inputs, so a truncated
 /// frame rides the cascade normally — and throws (shape mismatch against
 /// the full-resolution background) exactly at the reference model. That is
@@ -128,7 +113,7 @@ RunResult run_window(RefMode mode, int streams, std::int64_t begin,
                               s.sim, begin + i * span, begin + (i + 1) * span, 7),
                           s.models);
     } else {
-      instance.add_stream(std::make_unique<WindowSource>(
+      instance.add_stream(std::make_unique<LiveSource>(
                               s.sim, i, begin + i * span, begin + (i + 1) * span),
                           s.models);
     }

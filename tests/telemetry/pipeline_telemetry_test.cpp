@@ -21,9 +21,12 @@
 #include "core/pipeline.hpp"
 #include "sim/ffsva_sim.hpp"
 #include "video/profiles.hpp"
+#include "video/source.hpp"
 
 namespace ffsva::core {
 namespace {
+
+using video::ReplaySource;
 
 // The same world as pipeline_test's shared stream: it is known to carry
 // frames through every stage (SDD/SNM/T-YOLO survivors reach the reference
@@ -31,7 +34,7 @@ namespace {
 struct World {
   video::SceneConfig cfg;
   detect::StreamModels models;
-  std::vector<video::Frame> window;
+  ReplaySource::Window window;
 
   World() {
     cfg = video::jackson_profile();
@@ -45,7 +48,9 @@ struct World {
     sc.target = cfg.target;
     sc.snm.epochs = 5;
     models = detect::specialize_stream(calib, sc, 91);
-    for (int i = 700; i < 1000; ++i) window.push_back(sim.render(i));
+    std::vector<video::Frame> frames;
+    for (int i = 700; i < 1000; ++i) frames.push_back(sim.render(i));
+    window = std::make_shared<const std::vector<video::Frame>>(std::move(frames));
   }
 };
 
@@ -53,27 +58,6 @@ World& world() {
   static auto* w = new World();
   return *w;
 }
-
-class ReplaySource final : public video::FrameSource {
- public:
-  ReplaySource(const std::vector<video::Frame>* window, int stream_id)
-      : window_(window), stream_id_(stream_id) {}
-
-  std::optional<video::Frame> next() override {
-    if (next_ >= window_->size()) return std::nullopt;
-    video::Frame f = (*window_)[next_++];
-    f.stream_id = stream_id_;
-    return f;
-  }
-  std::int64_t total_frames() const override {
-    return static_cast<std::int64_t>(window_->size());
-  }
-
- private:
-  const std::vector<video::Frame>* window_;
-  int stream_id_;
-  std::size_t next_ = 0;
-};
 
 /// The last row of a metrics JSONL stream.
 std::string last_row(const std::string& rows) {
@@ -104,7 +88,7 @@ TEST(PipelineTelemetry, RealRunExportsTraceAndMetrics) {
   cfg.metrics_interval_ms = 20;
   FfsVaInstance instance(cfg);
   for (int s = 0; s < 4; ++s) {
-    instance.add_stream(std::make_unique<ReplaySource>(&w.window, s), w.models);
+    instance.add_stream(std::make_unique<ReplaySource>(w.window, s), w.models);
   }
   instance.set_output_sink([](const OutputEvent&) {});
   std::ostringstream metrics;
@@ -174,7 +158,7 @@ TEST(PipelineTelemetry, SnapshotIsSafeAndMonotonicMidRun) {
   FfsVaConfig cfg;
   FfsVaInstance instance(cfg);
   for (int s = 0; s < kStreams; ++s) {
-    instance.add_stream(std::make_unique<ReplaySource>(&w.window, s), w.models);
+    instance.add_stream(std::make_unique<ReplaySource>(w.window, s), w.models);
   }
   instance.set_output_sink([](const OutputEvent&) {});
 
@@ -238,7 +222,7 @@ TEST(PipelineTelemetry, EngineAndSimulatorExportOneCounterSchema) {
 
   auto& w = world();
   FfsVaInstance instance(FfsVaConfig{});
-  instance.add_stream(std::make_unique<ReplaySource>(&w.window, 0), w.models);
+  instance.add_stream(std::make_unique<ReplaySource>(w.window, 0), w.models);
   instance.set_output_sink([](const OutputEvent&) {});
   std::ostringstream engine_rows;
   instance.enable_metrics_export(&engine_rows);
@@ -295,7 +279,7 @@ TEST(PipelineTelemetry, LiveSnapshotsDriveClusterReforward) {
   // Instance 1: one light stream, run to completion, then observed idle for
   // a full admission window -> demonstrated spare capacity.
   FfsVaInstance light(cfg);
-  light.add_stream(std::make_unique<ReplaySource>(&w.window, 100), w.models);
+  light.add_stream(std::make_unique<ReplaySource>(w.window, 100), w.models);
   light.set_output_sink([](const OutputEvent&) {});
   light.run(/*online=*/false);
   cm.attach_stream(100, 1);
@@ -323,7 +307,7 @@ TEST(PipelineTelemetry, LiveSnapshotsDriveClusterReforward) {
        ++attempt) {
     FfsVaInstance busy(cfg);
     for (int s = 0; s < kBusyStreams; ++s) {
-      busy.add_stream(std::make_unique<ReplaySource>(&w.window, s), w.models);
+      busy.add_stream(std::make_unique<ReplaySource>(w.window, s), w.models);
     }
     busy.set_output_sink([](const OutputEvent&) {});
 

@@ -36,6 +36,45 @@ TEST(LiveSource, MatchesDirectRendering) {
   }
 }
 
+TEST(LiveSource, WindowYieldsAbsoluteIndicesThenEnds) {
+  auto sim = small_sim(30);
+  LiveSource src(sim, /*stream_id=*/5, /*begin=*/10, /*end=*/20);
+  EXPECT_EQ(src.total_frames(), 10);
+  for (int i = 10; i < 20; ++i) {
+    const auto f = src.next();
+    ASSERT_TRUE(f.has_value());
+    EXPECT_EQ(f->index, i);
+    EXPECT_EQ(f->stream_id, 5);
+    EXPECT_EQ(f->image, sim->render(i).image);
+  }
+  EXPECT_FALSE(src.next().has_value());
+}
+
+TEST(ReplaySource, StampsEachStreamOverOneSharedWindow) {
+  auto sim = small_sim(12);
+  std::vector<Frame> frames;
+  for (int i = 4; i < 9; ++i) frames.push_back(sim->render(i));
+  const auto window = std::make_shared<const std::vector<Frame>>(std::move(frames));
+  ReplaySource a(window, /*stream_id=*/1);
+  ReplaySource b(window, /*stream_id=*/2);
+  EXPECT_EQ(a.total_frames(), 5);
+  EXPECT_EQ(b.total_frames(), 5);
+  for (int i = 4; i < 9; ++i) {
+    const auto fa = a.next();
+    const auto fb = b.next();
+    ASSERT_TRUE(fa.has_value());
+    ASSERT_TRUE(fb.has_value());
+    EXPECT_EQ(fa->index, i);
+    EXPECT_EQ(fb->index, i);
+    EXPECT_EQ(fa->stream_id, 1);
+    EXPECT_EQ(fb->stream_id, 2);
+    EXPECT_EQ(fa->image, fb->image);
+  }
+  EXPECT_FALSE(a.next().has_value());
+  EXPECT_FALSE(b.next().has_value());
+  EXPECT_EQ((*window)[0].stream_id, 0);  // the shared window is untouched
+}
+
 TEST(StoredSource, DecodesWhatWasEncoded) {
   auto sim = small_sim(20);
   std::vector<Frame> frames;
