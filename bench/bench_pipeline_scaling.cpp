@@ -490,19 +490,16 @@ int run_all(int argc, char** argv) {
       cfg.model_call_timeout_ms = 150;
       cfg.number_of_objects = 0;
       Hooks hooks;
-      hooks.read = [&](core::FfsVaInstance& instance, const core::InstanceStats& stats,
+      hooks.read = [&](core::FfsVaInstance&, const core::InstanceStats& stats,
                        const auto&, bench::Run& row) {
         double wedges = 0.0;
         for (std::size_t i = 0; hook && i < 4; ++i) wedges += hook->triggered(i);
-        const auto& recovery = instance.metrics().histogram("latency.recovery_ms");
         row.extras = {
             {"wedges_fired", wedges},
             {"cancelled_stalls", hook ? num(hook->cancelled_stalls()) : 0.0},
-            {"cancels", num(stats.health.cancels)},
-            {"stage_restarts", num(stats.health.stage_restarts)},
+            {"cancels", num(stats.health.fault.cancelled_calls)},
             {"poisoned_frames", num(stats.health.fault.poisoned_frames)},
-            {"degraded_frames", num(stats.health.fault.degraded_frames)},
-            {"recovery_p99_ms", recovery.snapshot().quantile(0.99)}};
+            {"degraded_frames", num(stats.health.fault.degraded_frames)}};
       };
       bench::Run row = run_engine(cfg, n16, models, replay(window), false, hooks);
       if (hook) detect::FaultHook::uninstall();

@@ -127,8 +127,8 @@ struct FfsVaConfig {
   int ingest_buffer = 128;
 
   // --- supervision (fault tolerance; DESIGN.md Section 9) ------------------
-  /// A stage heartbeat continuously busy for longer than this quarantines
-  /// its stream: the stream's queues are closed and drained, its counters
+  /// A stream's prefetch call (a source decode, a fused stream's pixel SDD)
+  /// in flight for longer than this quarantines the stream: the stream's queues are closed and drained, its counters
   /// freeze, and the other streams keep running. 0 disables stall
   /// detection (a hung source then blocks its stream forever — the
   /// pre-supervision behavior).
@@ -145,10 +145,10 @@ struct FfsVaConfig {
   /// A model call (SDD distance, SNM/T-YOLO forward, reference
   /// segmentation, source decode) in flight for longer than this is
   /// cancelled by the watchdog: the call unwinds via CancelledError at its
-  /// next tile boundary, the frame follows degrade_policy, and the stage
-  /// restarts under a fixed budget (DESIGN.md Section 14). 0 disables
-  /// cancellation — a wedged call is then only observed via
-  /// health.stage_stall_ticks, the pre-escalation behavior.
+  /// next tile boundary, the frame follows degrade_policy (a frame's second
+  /// wedge poisons it), and the stage keeps serving (DESIGN.md Section 14).
+  /// 0 disables cancellation — a wedged call is then only observed via
+  /// health.stage_stall_ticks.
   int model_call_timeout_ms = 0;
 
   // --- dynamic streams / cluster serving (DESIGN.md §15) -------------------

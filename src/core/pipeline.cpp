@@ -29,15 +29,11 @@ namespace ffsva::core {
 namespace {
 using Clock = std::chrono::steady_clock;
 
-/// Restart budgets (DESIGN.md Sections 9 and 14). A source that keeps
-/// failing past kSourceMaxRestarts ends its stream; a stage past
-/// kStageMaxRestarts handles further cancels inline (degrade the frame,
-/// keep serving). Each backoff doubles per consecutive attempt, capped at
-/// 100 ms (sliced_backoff).
+/// Source restart budget (DESIGN.md Section 9): a source that keeps
+/// failing past kSourceMaxRestarts ends its stream. Each backoff doubles per
+/// consecutive attempt, capped at 100 ms (sliced_backoff).
 constexpr int kSourceMaxRestarts = 2;
 constexpr int kSourceBackoffMs = 1;
-constexpr int kStageMaxRestarts = 3;
-constexpr int kStageRestartBackoffMs = 1;
 
 double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
@@ -50,7 +46,7 @@ struct Item {
   /// Stages this frame wedged (its model call was cancelled by the
   /// watchdog). A frame that wedges two stages is poisoned: it is dropped
   /// regardless of the degrade policy, so one pathological input cannot
-  /// keep restarting stage after stage (DESIGN.md Section 14).
+  /// keep wedging stage after stage (DESIGN.md Section 14).
   int wedges = 0;
 };
 
@@ -73,24 +69,21 @@ void sliced_backoff(int base_ms, int attempt, Aborted&& aborted) {
 enum class CallOutcome : std::uint8_t { kOk, kWedged, kFailed };
 
 /// Runs one model call the way every stage must (DESIGN.md Section 14): the
-/// stage heartbeat is busy across it, and the call is registered in the
-/// worker's in-flight slot so the watchdog can cancel exactly this call.
-/// Free so the static prefetch loop can use it too.
+/// call is registered in the worker's in-flight slot, so the watchdog sees
+/// how long it has been busy and can cancel exactly this call. Free so the
+/// static prefetch loop can use it too.
 template <typename Fn>
-CallOutcome model_call(runtime::Heartbeat& hb, runtime::InflightCall& slot,
-                       int stream, std::int64_t frame, Fn&& fn) {
-  CallOutcome outcome = CallOutcome::kOk;
-  hb.busy();
+CallOutcome model_call(runtime::InflightCall& slot, int stream,
+                       std::int64_t frame, Fn&& fn) {
   try {
     runtime::ModelCallGuard guard(slot, stream, frame);
     fn();
   } catch (const runtime::CancelledError&) {
-    outcome = CallOutcome::kWedged;
+    return CallOutcome::kWedged;
   } catch (...) {
-    outcome = CallOutcome::kFailed;
+    return CallOutcome::kFailed;
   }
-  hb.idle();
-  return outcome;
+  return CallOutcome::kOk;
 }
 
 /// How a frame leaves the engine. Filter drops, degraded drops and poisoned
@@ -233,10 +226,14 @@ struct FfsVaInstance::Stream {
   std::atomic<std::uint64_t> cancels{0};
   std::atomic<std::uint64_t> poisoned{0};
 
-  /// The decode call currently in flight on this stream's prefetch thread.
-  /// The watchdog cancels it when it overruns model_call_timeout_ms, and
-  /// quarantine cancels it unconditionally — that cancel is what makes the
-  /// prefetch join bounded (the thread is joined, never detached).
+  /// The call currently in flight on this stream's prefetch thread: a
+  /// source decode or a fused stream's pixel SDD. Its busy age is the
+  /// stream's liveness — blocking on a feedback queue is healthy
+  /// backpressure and reads as idle — and past stall_timeout_ms the stream
+  /// is quarantined. The watchdog cancels the call when it overruns
+  /// model_call_timeout_ms, and quarantine cancels it unconditionally — that
+  /// cancel is what makes the prefetch join bounded (the thread is joined,
+  /// never detached).
   runtime::InflightCall prefetch_call;
 
   /// Per-stage frame counters: the one store of the cascade funnel. Each is
@@ -249,10 +246,6 @@ struct FfsVaInstance::Stream {
   std::atomic<std::uint64_t> tyolo_in{0}, tyolo_passed{0};
   std::atomic<std::uint64_t> ref_in{0}, ref_passed{0};
 
-  /// Liveness of the prefetch thread: busy only across source->next() and a
-  /// fused stream's pixel SDD — blocking on a feedback queue is healthy
-  /// backpressure and reads as idle.
-  runtime::Heartbeat hb;
   runtime::StopToken stop;  ///< Copy of the instance token.
 
   /// SDD worker-pool coordination: at most one worker serves this stream at
@@ -352,16 +345,10 @@ struct FfsVaInstance::Stream {
   }
 };
 
-struct FfsVaInstance::TYoloShared {
-  runtime::BoundedQueue<RefEntry> ref_q;
-  AdmissionController admission;
-  explicit TYoloShared(const FfsVaConfig& cfg)
-      : ref_q(static_cast<std::size_t>(cfg.capacity(cfg.ref_queue_depth))),
-        admission(cfg.admit_tyolo_fps, cfg.admit_window_sec) {}
-};
-
 FfsVaInstance::FfsVaInstance(FfsVaConfig config)
-    : config_(config), tyolo_shared_(std::make_unique<TYoloShared>(config)) {}
+    : config_(config),
+      ref_q_(std::make_unique<runtime::BoundedQueue<RefEntry>>(
+          static_cast<std::size_t>(config_.capacity(config_.ref_queue_depth)))) {}
 
 FfsVaInstance::~FfsVaInstance() = default;
 
@@ -491,7 +478,6 @@ void FfsVaInstance::wire_metrics() {
   hot_.ref_full_frame = &metrics_.counter("ref.full_frame_fallbacks");
   hot_.ref_seam_suppressed = &metrics_.counter("ref.seam_suppressed");
   hot_.drop_latency_ms = &metrics_.histogram("latency.drop_ms");
-  hot_.recovery_ms = &metrics_.histogram("latency.recovery_ms");
 
   // Per-stream frame, ingest and fault counts live in Stream atomics only
   // (single-writer cells the stage threads — prefetch included — tick
@@ -531,13 +517,6 @@ void FfsVaInstance::wire_metrics() {
     return static_cast<double>(
         stage_stall_ticks_.load(std::memory_order_relaxed));
   });
-  // Escalation rollups (DESIGN.md Section 14) — same schema, same registry.
-  metrics_.gauge("supervision.cancels", [this] {
-    return static_cast<double>(cancels_.load(std::memory_order_relaxed));
-  });
-  metrics_.gauge("supervision.stage_restarts", [this] {
-    return static_cast<double>(stage_restarts_.load(std::memory_order_relaxed));
-  });
   const auto depth_sum = [this](runtime::BoundedQueue<Item> Stream::* q) {
     return [this, q]() {
       std::size_t total = 0;
@@ -552,7 +531,7 @@ void FfsVaInstance::wire_metrics() {
   metrics_.gauge("queue.snm", depth_sum(&Stream::snm_q));
   metrics_.gauge("queue.tyolo", depth_sum(&Stream::tyolo_q));
   metrics_.gauge("queue.ref",
-                 [this] { return static_cast<double>(tyolo_shared_->ref_q.depth()); });
+                 [this] { return static_cast<double>(ref_q_->depth()); });
 }
 
 InstanceSnapshot FfsVaInstance::snapshot() const {
@@ -584,14 +563,12 @@ InstanceSnapshot FfsVaInstance::snapshot() const {
     snap.streams.push_back(std::move(ss));
   }
   snap.outputs = total.ref.passed;
-  snap.ref_queue_depth = tyolo_shared_->ref_q.depth();
+  snap.ref_queue_depth = ref_q_->depth();
   return snap;
 }
 
 HealthSummary FfsVaInstance::health() const {
   HealthSummary h;
-  h.cancels = cancels_.load(std::memory_order_relaxed);
-  h.stage_restarts = stage_restarts_.load(std::memory_order_relaxed);
   h.stage_stall_ticks = stage_stall_ticks_.load(std::memory_order_relaxed);
   h.stopped = stop_.stop_requested();
   h.deadline_hit = deadline_hit_.load(std::memory_order_relaxed);
@@ -686,31 +663,24 @@ void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online,
     std::optional<video::Frame> f;
     const auto decode_t0 = Clock::now();
     try {
-      s->hb.busy();  // a hung decode is what the watchdog must see
-      {
-        // Spans go to the process-global buffer, never the instance: the
-        // prefetch loop touches only its Stream (see prefetch_loop's decl).
-        telemetry::ScopedSpan sp(
-            trace(), "decode", telemetry::Stage::kPrefetch, s->id,
-            static_cast<std::int64_t>(
-                s->prefetch_in.load(std::memory_order_relaxed)));
-        // Register the decode as this stream's in-flight call so the
-        // watchdog can cancel it if it wedges (model_call_timeout_ms, or
-        // unconditionally at quarantine to keep the join bounded).
-        runtime::ModelCallGuard guard(
-            s->prefetch_call, s->id,
-            static_cast<std::int64_t>(
-                s->prefetch_in.load(std::memory_order_relaxed)));
-        f = s->source->next();
-      }
-      s->hb.idle();
+      // Spans go to the process-global buffer, never the instance: the
+      // prefetch loop touches only its Stream (see prefetch_loop's decl).
+      const auto index = static_cast<std::int64_t>(
+          s->prefetch_in.load(std::memory_order_relaxed));
+      telemetry::ScopedSpan sp(trace(), "decode", telemetry::Stage::kPrefetch,
+                               s->id, index);
+      // Register the decode as this stream's in-flight call: a hung decode
+      // is what the watchdog must see, and cancel if it wedges
+      // (model_call_timeout_ms, or unconditionally at quarantine to keep
+      // the join bounded).
+      runtime::ModelCallGuard guard(s->prefetch_call, s->id, index);
+      f = s->source->next();
     } catch (const runtime::CancelledError&) {
       // The watchdog cancelled a wedged decode. Quarantine means the stream
       // is already being torn down — just exit. Otherwise escalate like a
       // non-transient decode fault: restart the source under the restart
       // budget, and past it end the stream. (The cancel itself was counted
       // by the watchdog that issued it.)
-      s->hb.idle();
       if (aborted()) break;
       s->decode_errors.fetch_add(1, std::memory_order_relaxed);
       if (restarts_used < kSourceMaxRestarts && s->source->restart()) {
@@ -721,7 +691,6 @@ void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online,
       }
       break;
     } catch (const video::SourceError& e) {
-      s->hb.idle();
       s->decode_errors.fetch_add(1, std::memory_order_relaxed);
       if (e.transient() && consecutive_retries < cfg.source_max_retries) {
         // Transient contract (video/source.hpp): the source position is
@@ -738,7 +707,6 @@ void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online,
       }
       break;  // unrecoverable: end this stream; downstream drains normally
     } catch (...) {
-      s->hb.idle();
       s->decode_errors.fetch_add(1, std::memory_order_relaxed);
       break;
     }
@@ -759,7 +727,7 @@ void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online,
       } else {
         s->hint_fallbacks.fetch_add(1, std::memory_order_relaxed);
         const CallOutcome oc =
-            model_call(s->hb, s->prefetch_call, s->id, item.frame.index, [&] {
+            model_call(s->prefetch_call, s->id, item.frame.index, [&] {
               telemetry::ScopedSpan sp(trace(), "sdd.filter",
                                        telemetry::Stage::kSdd, s->id,
                                        item.frame.index);
@@ -824,35 +792,8 @@ void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online,
   s->ingest_done.store(true, std::memory_order_release);
 }
 
-void FfsVaInstance::serve_with_restarts(
-    const runtime::InflightCall& call,
-    const std::function<bool(bool allow_restart)>& loop) {
-  for (int restarts = 0;;) {
-    if (loop(restarts < kStageMaxRestarts)) return;
-    // A watchdog cancel unwound the stage mid-call; every popped frame was
-    // accounted before the loop returned, so re-entry resumes cleanly.
-    // Re-enter after a bounded backoff (stop() cuts it short); the time
-    // from the cancel to serving again is the recovery latency.
-    ++restarts;
-    stage_restarts_.fetch_add(1, std::memory_order_relaxed);
-    sliced_backoff(kStageRestartBackoffMs, restarts,
-                   [this] { return stop_.stop_requested(); });
-    const std::int64_t cancelled_at = call.cancelled_at_ms();
-    if (cancelled_at >= 0) {
-      hot_.recovery_ms->record(
-          static_cast<double>(runtime::steady_now_ms() - cancelled_at));
-    }
-  }
-}
-
-void FfsVaInstance::sdd_worker_entry(int worker) {
-  serve_with_restarts(sdd_call_[static_cast<std::size_t>(worker)],
-                      [&](bool allow) { return sdd_worker_loop(worker, allow); });
-}
-
-bool FfsVaInstance::sdd_worker_loop(int worker, bool allow_restart) {
+void FfsVaInstance::sdd_worker_loop(int worker) {
   const int run_length = std::max(1, config_.sdd_run_length);
-  runtime::Heartbeat& hb = sdd_hb_[static_cast<std::size_t>(worker)];
   runtime::InflightCall& call = sdd_call_[static_cast<std::size_t>(worker)];
   int cursor = worker;  // stagger workers across streams
   for (;;) {
@@ -873,7 +814,6 @@ bool FfsVaInstance::sdd_worker_loop(int worker, bool allow_restart) {
         continue;  // another worker is serving this stream
       }
       int processed = 0;
-      bool restart_requested = false;
       while (processed < run_length) {
         // Order matters: observe close *before* the failed pop, so an empty
         // pop on a closed queue really means end-of-stream (a push cannot
@@ -897,7 +837,7 @@ bool FfsVaInstance::sdd_worker_loop(int worker, bool allow_restart) {
         }
         s.sdd_in.fetch_add(1, std::memory_order_relaxed);
         bool pass = false;
-        const CallOutcome oc = model_call(hb, call, s.id, item->frame.index, [&] {
+        const CallOutcome oc = model_call(call, s.id, item->frame.index, [&] {
           telemetry::ScopedSpan sp(trace(), "sdd.filter", telemetry::Stage::kSdd,
                                    s.id, item->frame.index);
           pass = s.models.sdd->pass(item->frame.image);
@@ -915,15 +855,8 @@ bool FfsVaInstance::sdd_worker_loop(int worker, bool allow_restart) {
         } else {
           s.end(End::kDropped, &s.lat_sdd, ms_since(item->ingest));
         }
-        if (oc == CallOutcome::kWedged && allow_restart) {
-          // The frame is fully accounted (routed or dropped above); now
-          // restart this worker under the stage budget.
-          restart_requested = true;
-          break;
-        }
       }
       s.sdd_claimed.store(false, std::memory_order_release);
-      if (restart_requested) return false;
       if (processed > 0) {
         did_work = true;
         cursor = idx;  // keep draining near the stream we just served
@@ -934,7 +867,7 @@ bool FfsVaInstance::sdd_worker_loop(int worker, bool allow_restart) {
       // pool parks here waiting for the next add_stream() (whose notify
       // races safely against this wait via the prepared ticket); otherwise
       // — or once stop is requested — the run is over.
-      if (!config_.serving() || stop_.stop_requested()) return true;
+      if (!config_.serving() || stop_.stop_requested()) return;
       sdd_work_.wait(ticket);
       continue;
     }
@@ -942,14 +875,7 @@ bool FfsVaInstance::sdd_worker_loop(int worker, bool allow_restart) {
   }
 }
 
-void FfsVaInstance::gpu0_entry() {
-  serve_with_restarts(gpu0_call_, [this](bool allow) { return gpu0_loop(allow); });
-  // Single exit: the reference stage always sees end-of-stream, whatever
-  // path brought the executor down — and never before its final restart.
-  tyolo_shared_->ref_q.close();
-}
-
-bool FfsVaInstance::gpu0_loop(bool allow_restart) {
+void FfsVaInstance::gpu0_loop() {
   TYoloScheduler scheduler(config_.num_tyolo);
   const DynamicBatcher batcher(config_.batch_policy, config_.batch_size,
                                config_.snm_queue_depth);
@@ -962,7 +888,6 @@ bool FfsVaInstance::gpu0_loop(bool allow_restart) {
   std::vector<const image::Image*> imgs;
   items.reserve(static_cast<std::size_t>(std::max(1, config_.batch_size)));
   bool running = true;
-  bool restart_requested = false;
 
   // One T-YOLO service pick: up to num_tyolo frames from the next non-empty
   // stream in round-robin order (Section 3.2.3). Executed directly — this
@@ -987,7 +912,7 @@ bool FfsVaInstance::gpu0_loop(bool allow_restart) {
       progressed = true;
       if (s.quarantined.load(std::memory_order_acquire)) {
         s.end(End::kDiscarded);
-        continue;  // drain, but don't run the model or feed admission
+        continue;  // drain, but don't run the model
       }
       s.tyolo_in.fetch_add(1, std::memory_order_relaxed);
       // Keep the detections, not just the verdict: the boxes are the
@@ -997,21 +922,19 @@ bool FfsVaInstance::gpu0_loop(bool allow_restart) {
       // candidates, which routes it to the full-frame fallback.
       bool pass = false;
       detect::DetectionResult det;
-      const CallOutcome oc =
-          model_call(gpu0_hb_, gpu0_call_, s.id, item->frame.index, [&] {
-            det = s.models.tyolo->detect(item->frame.image);
-            pass = det.count_target(s.models.target,
-                                    s.models.tyolo->config().confidence_threshold) >=
-                   config_.number_of_objects;
-          });
+      const CallOutcome oc = model_call(gpu0_call_, s.id, item->frame.index, [&] {
+        det = s.models.tyolo->detect(item->frame.image);
+        pass = det.count_target(s.models.target,
+                                s.models.tyolo->config().confidence_threshold) >=
+               config_.number_of_objects;
+      });
       if (oc != CallOutcome::kOk) pass = s.failed(*item, oc, /*last_stage=*/false);
       ++served;
       if (pass) {
         s.tyolo_passed.fetch_add(1, std::memory_order_relaxed);
         auto candidates =
             oc == CallOutcome::kOk ? det.boxes() : std::vector<image::Box>{};
-        if (!tyolo_shared_->ref_q.push(
-                {s.id, std::move(*item), std::move(candidates)})) {
+        if (!ref_q_->push({s.id, std::move(*item), std::move(candidates)})) {
           // ref_q closed underneath us (shutdown): the popped frame cannot
           // reach the reference stage, so it terminates here.
           s.end(End::kDiscarded);
@@ -1020,20 +943,11 @@ bool FfsVaInstance::gpu0_loop(bool allow_restart) {
       } else {
         s.end(End::kDropped, &s.lat_tyolo, ms_since(item->ingest));
       }
-      if (oc == CallOutcome::kWedged && allow_restart) {
-        // The frame is accounted; stop picking and let the cycle end so the
-        // executor restarts with no frame in hand.
-        restart_requested = true;
-        break;
-      }
     }
     span.set_batch(served);
     if (served > 0) {
       hot_.tyolo_picks->add();
       hot_.tyolo_take->record(static_cast<double>(served));
-      const double now =
-          std::chrono::duration<double>(Clock::now().time_since_epoch()).count();
-      tyolo_shared_->admission.on_tyolo_served(now, served);
     }
     return progressed;
   };
@@ -1089,14 +1003,11 @@ bool FfsVaInstance::gpu0_loop(bool allow_restart) {
       hot_.batch_size->record(static_cast<double>(items.size()));
       std::vector<double> scores;
       const CallOutcome oc =
-          model_call(gpu0_hb_, gpu0_call_, s.id, items.front().frame.index, [&] {
+          model_call(gpu0_call_, s.id, items.front().frame.index, [&] {
             telemetry::ScopedSpan sp(trace(), "snm.batch", telemetry::Stage::kSnm,
                                      s.id, -1, static_cast<int>(items.size()));
             scores = s.models.snm->predict_batch(imgs);
           });
-      // A wedged batch restarts the executor under the stage budget once
-      // every popped frame has its verdict (conservation holds).
-      if (oc == CallOutcome::kWedged && allow_restart) restart_requested = true;
       const double t_pre = s.models.snm->t_pre();
       // Every popped frame is accounted, even when `running` flips false
       // mid-batch (ref_q closed at shutdown): a frame that can no longer be
@@ -1134,10 +1045,6 @@ bool FfsVaInstance::gpu0_loop(bool allow_restart) {
     if (running && serve_tyolo()) did_work = true;
 
     if (!running) break;
-    // Restart at the end of the cycle: every frame popped this cycle has
-    // been routed or dropped, so the re-entered loop resumes cleanly from
-    // the queues.
-    if (restart_requested) return false;
     if (all_snm_done) {
       bool drained = true;
       for (std::size_t i = 0; i < n; ++i) {
@@ -1156,22 +1063,13 @@ bool FfsVaInstance::gpu0_loop(bool allow_restart) {
     }
     if (!did_work) gpu0_work_.wait(ticket);
   }
-  return true;
+  // Single exit: the reference stage always sees end-of-stream, whatever
+  // path brought the executor down.
+  ref_q_->close();
 }
 
-void FfsVaInstance::reference_entry() {
-  // Entries already popped from ref_q live here so they survive a stage
-  // restart: the re-entered loop keeps serving them in pop order (per-stream
-  // FIFO and frame conservation hold through the unwind).
-  std::vector<RefEntry> pending;
-  serve_with_restarts(ref_call_, [&](bool allow) {
-    return reference_loop(allow, pending);
-  });
-}
-
-bool FfsVaInstance::reference_loop(bool allow_restart,
-                                   std::vector<RefEntry>& pending) {
-  auto& ref_q = tyolo_shared_->ref_q;
+void FfsVaInstance::reference_loop() {
+  auto& ref_q = *ref_q_;
 
   // The ways a frame leaves the reference stage. Emission order is pop
   // order, so per-stream FIFO holds batched or not. Drops and quarantine
@@ -1215,8 +1113,8 @@ bool FfsVaInstance::reference_loop(bool allow_restart,
                                config_.ref_queue_depth);
   // bounded-ok: pending never exceeds ref_batch_size entries — the top-up
   // loop stops at the batch cap and the blocking pop adds one only when the
-  // policy is still waiting below the cap. (The vector itself lives in
-  // reference_entry so popped entries survive a stage restart.)
+  // policy is still waiting below the cap.
+  std::vector<RefEntry> pending;
   pending.reserve(static_cast<std::size_t>(batcher.batch_size()));
   std::vector<RefEntry*> batch;  // eligible entries, in batch order
   std::vector<const detect::ReferenceDetector*> detectors;
@@ -1262,7 +1160,6 @@ bool FfsVaInstance::reference_loop(bool allow_restart,
       batch.push_back(&e);
     }
 
-    CallOutcome oc = CallOutcome::kOk;
     if (!batch.empty()) {
       hot_.ref_batches->add();
       hot_.ref_batch_size->record(static_cast<double>(batch.size()));
@@ -1272,9 +1169,8 @@ bool FfsVaInstance::reference_loop(bool allow_restart,
       // detect_batch / consolidate_detect isolate per-frame errors and
       // re-raise a cancel after all their chunks join, so a whole-batch
       // failure is a cancel or a batch-setup error (e.g. allocation).
-      oc = model_call(
-          ref_hb_, ref_call_, batch.front()->stream,
-          batch.front()->item.frame.index, [&] {
+      const CallOutcome oc = model_call(
+          ref_call_, batch.front()->stream, batch.front()->item.frame.index, [&] {
             telemetry::ScopedSpan sp(trace(), "ref.batch", telemetry::Stage::kRef,
                                      /*stream=*/-1, /*index=*/-1,
                                      static_cast<int>(batch.size()));
@@ -1328,13 +1224,9 @@ bool FfsVaInstance::reference_loop(bool allow_restart,
         }
       }
     }
-    // Remove the processed entries before a restart: the re-entered loop
-    // must not serve them again.
     pending.erase(pending.begin(),
                   pending.begin() + static_cast<std::ptrdiff_t>(step.take));
-    if (oc == CallOutcome::kWedged && allow_restart) return false;
   }
-  return true;
 }
 
 void FfsVaInstance::quarantine(Stream& s) {
@@ -1350,9 +1242,16 @@ void FfsVaInstance::quarantine(Stream& s) {
   // call: the source unwinds via CancelledError at its next cancellation
   // check, the loop observes the quarantine and exits, and run()'s join is
   // bounded. (timeout -1: cancel whatever is in flight, however young.)
-  if (s.prefetch_call.try_cancel(runtime::steady_now_ms(), -1)) {
-    cancels_.fetch_add(1, std::memory_order_relaxed);
-    s.cancels.fetch_add(1, std::memory_order_relaxed);
+  cancel_overdue(s.prefetch_call, runtime::steady_now_ms(), -1);
+}
+
+void FfsVaInstance::cancel_overdue(runtime::InflightCall& call,
+                                   std::int64_t now_ms, std::int64_t timeout_ms) {
+  if (!call.try_cancel(now_ms, timeout_ms)) return;
+  const int st = call.stream();
+  if (st >= 0 && st < num_streams()) {
+    streams_[static_cast<std::size_t>(st)]->cancels.fetch_add(
+        1, std::memory_order_relaxed);
   }
 }
 
@@ -1368,25 +1267,17 @@ void FfsVaInstance::supervise(Clock::time_point t0) {
   // Escalation step one (DESIGN.md Section 14): a model call in flight past
   // model_call_timeout_ms is cancelled. The call unwinds via CancelledError
   // at its next tile boundary, the owning stage degrades (or poisons) the
-  // frame and restarts under the stage budget.
+  // frame and keeps serving.
   if (config_.model_call_timeout_ms > 0) {
     const auto call_timeout =
         static_cast<std::int64_t>(config_.model_call_timeout_ms);
-    const auto escalate = [&](runtime::InflightCall& call) {
-      if (!call.try_cancel(now, call_timeout)) return;
-      cancels_.fetch_add(1, std::memory_order_relaxed);
-      const int st = call.stream();
-      if (st >= 0 && st < num_streams()) {
-        streams_[static_cast<std::size_t>(st)]->cancels.fetch_add(
-            1, std::memory_order_relaxed);
-      }
-    };
-    for (auto& c : sdd_call_) escalate(c);
-    escalate(gpu0_call_);
-    escalate(ref_call_);
+    for (auto& c : sdd_call_) cancel_overdue(c, now, call_timeout);
+    cancel_overdue(gpu0_call_, now, call_timeout);
+    cancel_overdue(ref_call_, now, call_timeout);
     const int np = num_streams();
     for (int i = 0; i < np; ++i) {
-      escalate(streams_[static_cast<std::size_t>(i)]->prefetch_call);
+      cancel_overdue(streams_[static_cast<std::size_t>(i)]->prefetch_call, now,
+                     call_timeout);
     }
   }
   if (config_.stall_timeout_ms <= 0) return;
@@ -1395,21 +1286,21 @@ void FfsVaInstance::supervise(Clock::time_point t0) {
   for (int i = 0; i < nq; ++i) {
     auto& s = streams_[static_cast<std::size_t>(i)];
     if (!s->quarantined.load(std::memory_order_acquire)) {
-      if (s->hb.busy_age_ms() > timeout) quarantine(*s);
-    } else if (s->prefetch_call.try_cancel(now, timeout)) {
+      if (s->prefetch_call.busy_age_ms() > timeout) quarantine(*s);
+    } else {
       // A quarantined stream's prefetch thread is joined, not detached:
       // keep cancelling any decode still wedged (e.g. a fresh call that
       // raced the quarantine cancel) so the join stays bounded.
-      cancels_.fetch_add(1, std::memory_order_relaxed);
-      s->cancels.fetch_add(1, std::memory_order_relaxed);
+      cancel_overdue(s->prefetch_call, now, timeout);
     }
   }
   // Shared stages (SDD pool, GPU0 executor, reference thread) serve every
   // stream, so they cannot be quarantined per stream — a stall there is
   // surfaced in the health summary (and, with model_call_timeout_ms armed,
   // already being acted on by the cancellation scan above).
-  bool stalled = gpu0_hb_.busy_age_ms() > timeout || ref_hb_.busy_age_ms() > timeout;
-  for (const auto& hb : sdd_hb_) stalled = stalled || hb.busy_age_ms() > timeout;
+  bool stalled =
+      gpu0_call_.busy_age_ms() > timeout || ref_call_.busy_age_ms() > timeout;
+  for (const auto& c : sdd_call_) stalled = stalled || c.busy_age_ms() > timeout;
   if (stalled) stage_stall_ticks_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -1468,7 +1359,6 @@ InstanceStats FfsVaInstance::run(bool online) {
   // stream count — it keeps a full pool parked on the eventcount instead.
   const int workers =
       sdd_pool_size(serve ? std::numeric_limits<int>::max() : unfused);
-  sdd_hb_ = std::vector<runtime::Heartbeat>(static_cast<std::size_t>(workers));
   sdd_call_ = std::vector<runtime::InflightCall>(static_cast<std::size_t>(workers));
 
   // thread-ok: per-stream prefetch threads — a camera/decoder is inherently
@@ -1486,10 +1376,10 @@ InstanceStats FfsVaInstance::run(bool online) {
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(workers) + 2);
   for (int w = 0; w < workers; ++w) {
-    threads.emplace_back([this, w] { sdd_worker_entry(w); });
+    threads.emplace_back([this, w] { sdd_worker_loop(w); });
   }
-  threads.emplace_back([this] { gpu0_entry(); });
-  threads.emplace_back([this] { reference_entry(); });
+  threads.emplace_back([this] { gpu0_loop(); });
+  threads.emplace_back([this] { reference_loop(); });
 
   runtime::Watchdog watchdog;
   if (config_.stall_timeout_ms > 0 || config_.run_deadline_ms > 0 ||
@@ -1562,10 +1452,6 @@ InstanceStats FfsVaInstance::run(bool online) {
   }
   out.total_throughput_fps =
       out.wall_sec > 0.0 ? static_cast<double>(ingested) / out.wall_sec : 0.0;
-  {
-    runtime::MutexLock lk(outputs_mu_);
-    for (const auto& ev : outputs_) out.output_latency_ms.add(ev.latency_ms);
-  }
   return out;
 }
 

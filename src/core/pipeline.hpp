@@ -87,16 +87,14 @@ struct HealthSummary {
   int healthy_streams = 0;      ///< No fault counter ticked.
   int degraded_streams = 0;     ///< Faults observed, stream completed.
   int quarantined_streams = 0;  ///< Quarantined by the watchdog.
-  FaultStats fault;             ///< Every stream's faults, summed.
-  /// Escalation counters (DESIGN.md Section 14): model calls the watchdog
-  /// cancelled and stage restarts taken after a cancel.
-  std::uint64_t cancels = 0;
-  std::uint64_t stage_restarts = 0;
+  /// Every stream's faults, summed; `fault.cancelled_calls` counts the
+  /// calls the watchdog cancelled (DESIGN.md Section 14).
+  FaultStats fault;
   /// Watchdog ticks on which a *shared* stage (an SDD worker, the GPU0
   /// executor, the reference thread) was busy past the stall timeout.
   /// Shared stages cannot be quarantined per stream; with
-  /// model_call_timeout_ms armed the wedged call is cancelled and the stage
-  /// restarted, otherwise the stall is only surfaced here.
+  /// model_call_timeout_ms armed the wedged call is cancelled, otherwise the
+  /// stall is only surfaced here.
   std::uint64_t stage_stall_ticks = 0;
   bool stopped = false;       ///< stop() was requested (by a caller or the deadline).
   bool deadline_hit = false;  ///< run_deadline_ms expired.
@@ -107,7 +105,6 @@ struct InstanceStats {
   std::vector<StreamStats> streams;
   double wall_sec = 0.0;
   double total_throughput_fps = 0.0;  ///< Ingested frames / wall seconds.
-  runtime::Histogram output_latency_ms;
   HealthSummary health;
 
   StreamStats aggregate() const;
@@ -281,30 +278,22 @@ class FfsVaInstance {
   static void prefetch_loop(std::shared_ptr<Stream> s, bool online,
                             int affinity_base);
 
-  /// Stage entry points: each runs its loop under serve_with_restarts().
-  void sdd_worker_entry(int worker);
-  void gpu0_entry();
-  void reference_entry();
-  bool sdd_worker_loop(int worker, bool allow_restart);
-  bool gpu0_loop(bool allow_restart);
-  /// `pending` lives in reference_entry so entries already popped from
-  /// ref_q survive a stage restart (per-stream FIFO and conservation hold
-  /// through the unwind).
-  bool reference_loop(bool allow_restart, std::vector<RefEntry>& pending);
-  /// The restart policy of DESIGN.md Section 14: a loop returning false was
-  /// unwound by a watchdog cancel of `call` and re-enters after a backoff
-  /// (kStageRestartBackoffMs doubled per attempt, capped at 100 ms), up to
-  /// kStageMaxRestarts times; past the budget the loop handles
-  /// further cancels inline (degrade the frame, keep serving) and never
-  /// requests a restart. Loops return true when their work is finished.
-  void serve_with_restarts(const runtime::InflightCall& call,
-                           const std::function<bool(bool allow_restart)>& loop);
+  /// Stage loops, one per stage thread; each returns when its work is
+  /// finished. A cancelled call is one more failed frame (Stream::failed),
+  /// and the loop keeps serving. The GPU0 loop closes ref_q on exit.
+  void sdd_worker_loop(int worker);
+  void gpu0_loop();
+  void reference_loop();
 
   /// The watchdog tick: run deadline, wedged-call cancellation
   /// (model_call_timeout_ms), per-stream stall quarantine, shared-stage
   /// stall observation. Runs on the watchdog thread.
   void supervise(std::chrono::steady_clock::time_point t0);
   void quarantine(Stream& s);
+  /// Cancel `call` if it has been in flight for more than `timeout_ms`, and
+  /// count the cancel against the stream the call was serving.
+  void cancel_overdue(runtime::InflightCall& call, std::int64_t now_ms,
+                      std::int64_t timeout_ms);
 
   /// Resolved SDD pool size: config.sdd_workers, or the FFSVA_THREADS
   /// compute parallelism, capped by `eligible_streams` (the streams the
@@ -373,25 +362,19 @@ class FfsVaInstance {
   std::atomic<bool> run_called_{false};
   std::atomic<bool> deadline_hit_{false};
   std::atomic<std::uint64_t> stage_stall_ticks_{0};
-  /// Escalation totals (DESIGN.md Section 14) the health summary and the
-  /// supervision.* gauges read. Per-stream attribution lives in the Stream
-  /// atomics; poisoned frames are counted there only (the rollup sums them).
-  std::atomic<std::uint64_t> cancels_{0};
-  std::atomic<std::uint64_t> stage_restarts_{0};
-  std::vector<runtime::Heartbeat> sdd_hb_;  ///< One per SDD worker.
-  runtime::Heartbeat gpu0_hb_;
-  runtime::Heartbeat ref_hb_;
   /// In-flight model-call registration slots, one per worker thread that
   /// runs model calls (SDD pool workers, the GPU0 executor, the reference
-  /// thread; each Stream holds its prefetch slot). The watchdog scans these
-  /// to attribute a stall to a specific {worker, stream, frame} and cancel
-  /// exactly that call.
+  /// thread; each Stream holds its prefetch slot). They are the one
+  /// supervision record: the watchdog reads their busy ages to detect
+  /// stalls, attributes a stall to a specific {worker, stream, frame} and
+  /// cancels exactly that call. Cancels are counted per stream only.
   std::vector<runtime::InflightCall> sdd_call_;
   runtime::InflightCall gpu0_call_;
   runtime::InflightCall ref_call_;
 
-  struct TYoloShared;
-  std::unique_ptr<TYoloShared> tyolo_shared_;
+  /// T-YOLO survivors bound for the reference thread. Behind a pointer
+  /// because RefEntry is defined in pipeline.cpp.
+  std::unique_ptr<runtime::BoundedQueue<RefEntry>> ref_q_;
 
   // Telemetry. The registry lives in the instance; every stage thread —
   // prefetch included — joins before run() returns, so instance lifetime
@@ -429,10 +412,6 @@ class FfsVaInstance {
     /// quarantine-discarded — kept OUT of latency.output_ms so the output
     /// distribution describes only emitted frames.
     telemetry::AtomicHistogram* drop_latency_ms = nullptr;
-    /// Time from a watchdog cancel to the affected stage serving again
-    /// (after its restart backoff) — the time-to-recovery distribution of
-    /// the escalation path (DESIGN.md Section 14).
-    telemetry::AtomicHistogram* recovery_ms = nullptr;
   };
   Hot hot_;
 };

@@ -21,7 +21,7 @@
 namespace ffsva::net {
 
 inline constexpr std::uint32_t kWireMagic = 0x46465356u;  // "FFSV"
-inline constexpr std::uint16_t kWireVersion = 2;
+inline constexpr std::uint16_t kWireVersion = 3;
 /// Payload cap. Snapshots are ~220 B/stream, specs are smaller; anything
 /// near this bound is a corrupt or hostile length field, not a real frame.
 inline constexpr std::uint32_t kMaxFramePayload = 16u << 20;

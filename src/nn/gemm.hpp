@@ -58,7 +58,7 @@ void gemm(const float* a, const float* b, float* c, int m, int k, int n);
 
 /// The seed scalar kernel (ikj loops, per-element zero skip). Kept as the
 /// reference implementation for cross-checking and the before/after
-/// baseline in bench_gemm_kernels.
+/// baseline in bench_kernels.
 void gemm_naive(const float* a, const float* b, float* c, int m, int k, int n);
 
 /// Full convolution via im2col+GEMM into a caller-owned output tensor.

@@ -77,8 +77,6 @@ void write_health(std::ostream& os, const core::HealthSummary& h) {
   w(os, static_cast<std::int32_t>(h.degraded_streams));
   w(os, static_cast<std::int32_t>(h.quarantined_streams));
   write_counters(os, h.fault);
-  w(os, h.cancels);
-  w(os, h.stage_restarts);
   w(os, h.stage_stall_ticks);
   w(os, h.stopped);
   w(os, h.deadline_hit);
@@ -87,8 +85,7 @@ void write_health(std::ostream& os, const core::HealthSummary& h) {
 bool read_health(std::istream& is, core::HealthSummary* h) {
   std::int32_t healthy = 0, degraded = 0, quarantined = 0;
   if (!(r(is, &healthy) && r(is, &degraded) && r(is, &quarantined) &&
-        read_counters(is, &h->fault) && r(is, &h->cancels) &&
-        r(is, &h->stage_restarts) && r(is, &h->stage_stall_ticks) &&
+        read_counters(is, &h->fault) && r(is, &h->stage_stall_ticks) &&
         r(is, &h->stopped) && r(is, &h->deadline_hit))) {
     return false;
   }

@@ -1,7 +1,5 @@
 #include "runtime/cancel.hpp"
 
-#include <chrono>
-
 namespace ffsva::runtime {
 
 namespace {
@@ -9,12 +7,6 @@ namespace {
 thread_local const CancelToken* t_current_token = nullptr;
 
 }  // namespace
-
-std::int64_t CancelToken::now_ms() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 const CancelToken* current_cancel_token() { return t_current_token; }
 

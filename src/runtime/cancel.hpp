@@ -1,17 +1,16 @@
-// relaxed-ok: the cancel flag and deadline are advisory single-bit signals
-// polled on the kernel hot path; the unwind synchronizes via exception
+// relaxed-ok: the cancel flag is an advisory single-bit signal polled on
+// the kernel hot path; the unwind synchronizes via exception
 // propagation and queue edges, never via this flag's ordering.
 //
 // Cooperative cancellation for the inference hot path.
 //
-// A wedged model call (a stuck forward, a pathological frame) used to be
-// merely *observable* via heartbeat stall ticks; the thread itself stayed
-// stuck for the rest of the run. CancelToken makes such calls unwindable:
-// the watchdog flips a shared flag, and the call notices at the next tile
-// boundary — a GEMM row panel, a conv sample, a segmentation pass — and
-// unwinds via CancelledError. The check is designed to be cheap enough for
-// kernel inner loops: one thread-local load plus one relaxed atomic load
-// when no deadline is armed.
+// A wedged model call (a stuck forward, a pathological frame) would keep its
+// thread stuck for the rest of the run. CancelToken makes such calls
+// unwindable: the watchdog flips a shared flag, and the call notices at the
+// next tile boundary — a GEMM row panel, a conv sample, a segmentation
+// pass — and unwinds via CancelledError. The check is designed to be cheap
+// enough for kernel inner loops: one thread-local load plus one relaxed
+// atomic load.
 //
 // Propagation model: a stage thread installs its token with
 // ScopedCancelToken for the duration of one model call; parallel_for
@@ -23,7 +22,6 @@
 #pragma once
 
 #include <atomic>
-#include <cstdint>
 #include <memory>
 #include <stdexcept>
 
@@ -38,46 +36,26 @@ class CancelledError : public std::runtime_error {
   explicit CancelledError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Copyable handle on a shared cancellation flag plus an optional absolute
-/// deadline on the steady clock. All copies observe the same request.
-/// cancel() / set_deadline() may race with cancelled() from any thread; the
+/// Copyable handle on a shared cancellation flag. All copies observe the
+/// same request. cancel() may race with cancelled() from any thread; the
 /// flag is a relaxed load on the hot path (the unwind itself synchronizes
 /// via the exception propagation and queue edges, not via this flag).
 class CancelToken {
  public:
-  CancelToken() : state_(std::make_shared<State>()) {}
+  CancelToken() : flag_(std::make_shared<std::atomic<bool>>(false)) {}
 
   /// Request cancellation. Idempotent, thread-safe.
-  void cancel() const { state_->flag.store(true, std::memory_order_relaxed); }
+  void cancel() const { flag_->store(true, std::memory_order_relaxed); }
 
-  /// Clear the flag and deadline so the token can guard the next call.
-  /// Only the owning stage thread calls this, between calls.
-  void reset() const {
-    state_->flag.store(false, std::memory_order_relaxed);
-    state_->deadline_ms.store(0, std::memory_order_relaxed);
-  }
+  /// Clear the flag so the token can guard the next call. Only the owning
+  /// stage thread calls this, between calls.
+  void reset() const { flag_->store(false, std::memory_order_relaxed); }
 
-  /// Arm an absolute deadline (steady_now_ms() timebase). 0 disarms.
-  void set_deadline_ms(std::int64_t deadline_ms) const {
-    state_->deadline_ms.store(deadline_ms, std::memory_order_relaxed);
-  }
-
-  /// True once cancel() was called or the armed deadline passed.
-  bool cancelled() const {
-    if (state_->flag.load(std::memory_order_relaxed)) return true;
-    const std::int64_t d = state_->deadline_ms.load(std::memory_order_relaxed);
-    return d > 0 && now_ms() >= d;
-  }
+  /// True once cancel() was called (and not reset since).
+  bool cancelled() const { return flag_->load(std::memory_order_relaxed); }
 
  private:
-  struct State {
-    std::atomic<bool> flag{false};
-    std::atomic<std::int64_t> deadline_ms{0};  // 0 = no deadline armed
-  };
-
-  static std::int64_t now_ms();
-
-  std::shared_ptr<State> state_;
+  std::shared_ptr<std::atomic<bool>> flag_;
 };
 
 /// The token installed on the current thread, or nullptr. Kernel-level

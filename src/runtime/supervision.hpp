@@ -1,9 +1,9 @@
-// relaxed-ok: InflightCall slot fields (stream/frame/start/cancelled_at)
-// ride the seq counter's acquire/release edges; the cancel flag itself is
-// advisory (see runtime/cancel.hpp).
+// relaxed-ok: InflightCall slot fields (stream/frame/start) ride the seq
+// counter's acquire/release edges; the cancel flag itself is advisory (see
+// runtime/cancel.hpp).
 //
 // Supervision primitives for the threaded pipeline engine: cooperative
-// cancellation, stage heartbeats, and a watchdog thread.
+// cancellation, one in-flight record per worker, and a watchdog thread.
 //
 // The engine's availability contract (DESIGN.md Section 9) is that a fault
 // in one stream — a hung decoder, a throwing model — must stay a bounded,
@@ -14,17 +14,16 @@
 //    same state, so a token handed to a worker thread outlives the object
 //    that issued it (std::stop_token is not used because the engine needs
 //    to pair the flag with queue closes, not with std::jthread).
-//  * Heartbeat — a stage publishes busy()/idle() transitions around calls
-//    that may hang (a source decode, a model forward). Blocking on a
-//    bounded queue is *healthy* backpressure and is reported as idle; only
-//    time spent busy counts toward a stall.
-//  * Watchdog — one thread running a supplied check on a fixed tick. The
-//    engine's check compares heartbeat busy-ages against the configured
-//    stall timeout and quarantines the offending stream.
 //  * InflightCall / ModelCallGuard — a per-worker registration slot for the
-//    cancellable model call currently in flight, so the watchdog can
-//    attribute a stall to a specific {worker, stream, frame} and cancel
-//    exactly that call instead of only observing it.
+//    call that may hang (a source decode, a model forward) currently in
+//    flight. It is the worker's one supervision record: the watchdog reads
+//    its busy age to detect a stall, attributes the stall to a specific
+//    {worker, stream, frame}, and cancels exactly that call. Blocking on a
+//    bounded queue happens outside any call and reads as idle — that is
+//    healthy backpressure, not a stall.
+//  * Watchdog — one thread running a supplied check on a fixed tick. The
+//    engine's check compares slot busy-ages against the configured
+//    timeouts, cancels overdue calls and quarantines stalled streams.
 #pragma once
 
 #include <atomic>
@@ -39,7 +38,7 @@
 
 namespace ffsva::runtime {
 
-/// Milliseconds on the steady clock (monotonic; heartbeat timebase).
+/// Milliseconds on the steady clock (monotonic; the supervision timebase).
 inline std::int64_t steady_now_ms() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -57,26 +56,6 @@ class StopToken {
 
  private:
   std::shared_ptr<std::atomic<bool>> state_;
-};
-
-/// One stage's liveness signal. The stage marks busy() immediately before a
-/// call that may hang and idle() when it returns; the watchdog reads
-/// busy_age_ms() to detect a stall. Single-writer (the stage thread),
-/// any-reader (the watchdog).
-class Heartbeat {
- public:
-  void busy() { busy_since_ms_.store(steady_now_ms(), std::memory_order_release); }
-  void idle() { busy_since_ms_.store(-1, std::memory_order_release); }
-
-  /// Milliseconds the stage has been inside its current busy section, or -1
-  /// when the stage is idle (parked, blocked on backpressure, or finished).
-  std::int64_t busy_age_ms() const {
-    const std::int64_t t = busy_since_ms_.load(std::memory_order_acquire);
-    return t < 0 ? -1 : steady_now_ms() - t;
-  }
-
- private:
-  std::atomic<std::int64_t> busy_since_ms_{-1};
 };
 
 /// One worker slot's cancellable in-flight model call. Single-writer for
@@ -112,30 +91,34 @@ class InflightCall {
   /// Watchdog: cancel the in-flight call if it has been running for more
   /// than timeout_ms. Returns true when a cancel was issued.
   bool try_cancel(std::int64_t now_ms, std::int64_t timeout_ms) {
-    const std::uint64_t s = seq_.load(std::memory_order_acquire);
-    if ((s & 1U) == 0) return false;  // idle
-    const std::int64_t start = start_ms_.load(std::memory_order_relaxed);
+    const std::int64_t start = busy_since_ms();
     if (start < 0 || now_ms - start <= timeout_ms) return false;
     if (token_.cancelled()) return false;  // already cancelled; don't recount
-    cancelled_at_ms_.store(now_ms, std::memory_order_relaxed);
     token_.cancel();
     return true;
+  }
+
+  /// Milliseconds the registered call has been in flight, or -1 when no
+  /// call is registered (the worker is parked, blocked on backpressure, or
+  /// finished).
+  std::int64_t busy_age_ms() const {
+    const std::int64_t start = busy_since_ms();
+    return start < 0 ? -1 : steady_now_ms() - start;
   }
 
   /// Stream the cancelled/in-flight call was serving (-1 = none recorded).
   int stream() const { return stream_.load(std::memory_order_relaxed); }
 
-  /// When the watchdog issued the cancel (steady ms) — the start point of
-  /// the time-to-recovery measurement. -1 until the first cancel.
-  std::int64_t cancelled_at_ms() const {
-    return cancelled_at_ms_.load(std::memory_order_relaxed);
+ private:
+  /// Start of the registered call (steady ms), or -1 when none is.
+  std::int64_t busy_since_ms() const {
+    if ((seq_.load(std::memory_order_acquire) & 1U) == 0) return -1;
+    return start_ms_.load(std::memory_order_relaxed);
   }
 
- private:
   CancelToken token_;
   std::atomic<std::uint64_t> seq_{0};
   std::atomic<std::int64_t> start_ms_{-1};
-  std::atomic<std::int64_t> cancelled_at_ms_{-1};
   std::atomic<int> stream_{-1};
   std::atomic<std::int64_t> frame_{-1};
 };

@@ -3,20 +3,22 @@
 // contract under test: a model call stalled past model_call_timeout_ms is
 // cancelled by the watchdog and unwinds cooperatively, the wedged frame
 // follows the degrade policy (and is poisoned on its second wedge), the
-// owning stage restarts under its budget, frame conservation holds through
-// every cancellation path, and stop()/run_deadline_ms issued mid-model-call
+// owning stage keeps serving, frame conservation holds through every
+// cancellation path, and stop()/run_deadline_ms issued mid-model-call
 // return in bounded time instead of waiting out the wedge.
 //
 // This binary carries the `tsan` and `asan` ctest labels: the watchdog
-// cancel / stage restart machinery is exactly the code whose races and
-// lifetimes the sanitizers must vet.
+// cancel machinery is exactly the code whose races and lifetimes the
+// sanitizers must vet.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/pipeline.hpp"
@@ -91,6 +93,26 @@ class EndlessSource final : public video::FrameSource {
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+/// (stream, frame) -> reference-model detections of every emitted frame.
+using Emitted = std::map<std::pair<int, std::int64_t>, std::size_t>;
+
+/// Runs `streams` replayed windows to completion and collects what the
+/// reference stage emitted. The sink runs on the reference thread only, and
+/// run() joins that thread before returning.
+InstanceStats run_collecting(const FfsVaConfig& cfg, int streams,
+                             Emitted* emitted) {
+  auto& w = world();
+  FfsVaInstance instance(cfg);
+  for (int s = 0; s < streams; ++s) {
+    instance.add_stream(std::make_unique<ReplaySource>(w.window, s), w.models);
+  }
+  instance.set_output_sink([emitted](const OutputEvent& ev) {
+    emitted->emplace(std::make_pair(ev.frame.stream_id, ev.frame.index),
+                     ev.result.detections.size());
+  });
+  return instance.run(/*online=*/false);
 }
 
 // --- FaultHook unit behavior ------------------------------------------------
@@ -177,9 +199,10 @@ TEST(FaultHookUnit, StallWithoutTokenIsCappedByDuration) {
 // The acceptance matrix: 16 streams, each shared stage (an SDD worker, the
 // GPU0 executor at both SNM and T-YOLO, the reference thread) wedged at
 // least once by a stall far past model_call_timeout_ms. The watchdog must
-// cancel every wedge, the stages must restart within their budgets, and
-// every stream must still conserve all of its frames (wedged frames
-// terminate as degraded drops, never vanish).
+// cancel every wedge, the stages must keep serving, and every stream must
+// still conserve all of its frames (wedged frames terminate as degraded
+// drops, never vanish). Verdicts: the wedged run emits a subset of what the
+// same streams emit without faults, short by at most its degraded frames.
 TEST(ModelFaultRecovery, SixteenStreamWedgeMatrixConservesFrames) {
   auto& w = world();
   constexpr int kStreams = 16;
@@ -207,39 +230,52 @@ TEST(ModelFaultRecovery, SixteenStreamWedgeMatrixConservesFrames) {
   cfg.model_call_timeout_ms = 250;
   cfg.degrade_policy = DegradePolicy::kDrop;
   cfg.number_of_objects = 0;  // T-YOLO passes everything: ref sees traffic
-  FfsVaInstance instance(cfg);
-  for (int s = 0; s < kStreams; ++s) {
-    instance.add_stream(std::make_unique<ReplaySource>(w.window, s),
-                        w.models);
-  }
-  instance.set_output_sink([](const OutputEvent&) {});
-
-  const auto stats = instance.run(/*online=*/false);
+  Emitted wedged;
+  const auto stats = run_collecting(cfg, kStreams, &wedged);
   FaultHook::uninstall();
 
-  // Every seeded wedge fired and was unwound by a watchdog cancel.
+  // Every seeded wedge fired and was unwound by a watchdog cancel, and each
+  // cancel is counted once, against the stream its call was serving.
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(hook.triggered(i), 1) << "spec " << i << " never fired";
   }
   EXPECT_GE(hook.cancelled_stalls(), 4);
-  EXPECT_GE(stats.health.cancels, 4u);
-  EXPECT_GE(stats.health.stage_restarts, 1u);
+  EXPECT_GE(stats.health.fault.cancelled_calls, 4u);
   EXPECT_EQ(stats.health.quarantined_streams, 0);
+  // Every cancelled call failed at least one frame; under kDrop a frame's
+  // first wedge already drops it, so none can wedge twice.
+  EXPECT_GE(stats.health.fault.degraded_frames, 4u);
+  EXPECT_EQ(stats.health.fault.poisoned_frames, 0u);
 
   // Conservation: every stream accounts every frame — wedged ones included
   // (they terminate as degraded drops with their latency recorded).
   ASSERT_EQ(stats.streams.size(), static_cast<std::size_t>(kStreams));
-  std::uint64_t cancelled_calls = 0;
   for (int s = 0; s < kStreams; ++s) {
     const auto& st = stats.streams[static_cast<std::size_t>(s)];
     EXPECT_EQ(st.prefetch.passed, frames) << "stream " << s;
     EXPECT_EQ(st.latency_ms.count(), frames) << "stream " << s;
     EXPECT_FALSE(st.fault.quarantined) << "stream " << s;
-    cancelled_calls += st.fault.cancelled_calls;
   }
-  EXPECT_GE(cancelled_calls, 1u);  // cancels attributed to specific streams
-  // Time-to-recovery was measured for the restarted stages.
-  EXPECT_GE(instance.metrics().histogram("latency.recovery_ms").count(), 1u);
+
+  // Verdicts: a wedge only removes the frames it failed. Every frame the
+  // wedged run emitted is emitted by the clean run with the same reference
+  // result, and the clean run's surplus is covered by the degraded frames.
+  // The clean run is the oracle, so no watchdog may cancel a slow call in it
+  // (a sanitized build is slow enough to trip 250 ms).
+  FfsVaConfig clean_cfg = cfg;
+  clean_cfg.model_call_timeout_ms = 0;
+  Emitted clean;
+  const auto clean_stats = run_collecting(clean_cfg, kStreams, &clean);
+  EXPECT_EQ(clean_stats.health.fault.degraded_frames, 0u);
+  for (const auto& [frame, detections] : wedged) {
+    const auto it = clean.find(frame);
+    ASSERT_NE(it, clean.end()) << "stream " << frame.first << " frame "
+                               << frame.second << " emitted only under faults";
+    EXPECT_EQ(it->second, detections)
+        << "stream " << frame.first << " frame " << frame.second;
+  }
+  ASSERT_GE(clean.size(), wedged.size());
+  EXPECT_LE(clean.size() - wedged.size(), stats.health.fault.degraded_frames);
 }
 
 // Escalation step three: a frame that wedges a stage twice is poisoned and
@@ -275,7 +311,7 @@ TEST(ModelFaultRecovery, SecondWedgePoisonsTheFrameUnderBypass) {
   EXPECT_EQ(st.latency_ms.count(), frames);  // poisoned frames still counted
   EXPECT_GE(st.fault.poisoned_frames, 1u);
   EXPECT_GE(stats.health.fault.poisoned_frames, 1u);
-  EXPECT_GE(stats.health.cancels, 2u);
+  EXPECT_GE(stats.health.fault.cancelled_calls, 2u);
 }
 
 // stop() issued while a model call is wedged returns in bounded time: the
@@ -312,7 +348,7 @@ TEST(ModelFaultRecovery, StopMidModelCallReturnsPromptly) {
 
   EXPECT_LT(shutdown, 20.0) << "stop() waited out a wedged model call";
   EXPECT_TRUE(stats.health.stopped);
-  EXPECT_GE(stats.health.cancels, 1u);
+  EXPECT_GE(stats.health.fault.cancelled_calls, 1u);
 }
 
 // run_deadline_ms is the same mechanism armed from config: the deadline

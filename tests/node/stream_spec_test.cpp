@@ -165,8 +165,6 @@ core::InstanceSnapshot distinct_snapshot(int streams) {
   h.degraded_streams = static_cast<int>(next());
   h.quarantined_streams = static_cast<int>(next());
   fill_fault(h.fault);
-  h.cancels = next();
-  h.stage_restarts = next();
   h.stage_stall_ticks = next();
   h.stopped = true;
   h.deadline_hit = true;
@@ -214,7 +212,7 @@ TEST(Protocol, SnapshotRoundTrip) {
   }
 }
 
-// The wire layout of snapshot v2, pinned byte for byte: the counter
+// The wire layout of snapshot v3, pinned byte for byte: the counter
 // fields travel in core/counters.hpp's visit order, so reordering that list
 // changes these bytes (and must bump net::kWireVersion).
 TEST(Protocol, SnapshotWireBytesArePinned) {
@@ -222,14 +220,14 @@ TEST(Protocol, SnapshotWireBytesArePinned) {
       "0100000000008028400100000000000000020000000000000003000000040000"
       "0005000000060000000000000007000000000000000800000000000000090000"
       "00000000000a000000000000000b000000000000000c00000000000000010d00"
-      "0000000000000e000000000000000f0000000000000001010100000010000000"
+      "0000000000000101010000000e0000000f000000000000001000000000000000"
       "1100000000000000120000000000000013000000000000001400000000000000"
       "1500000000000000160000000000000017000000000000001800000000000000"
       "19000000000000001a000000000000001b000000000000001c00000000000000"
-      "1d000000000000001e000000000000001f00000000000000000000000000f83f"
+      "1d00000000000000000000000000f83f1e000000000000001f00000000000000"
       "2000000000000000210000000000000022000000000000002300000000000000"
-      "2400000000000000250000000000000026000000000000000127000000000000"
-      "0001280000000000000029000000000000002a00000000000000";
+      "2400000000000000012500000000000000012600000000000000270000000000"
+      "00002800000000000000";
   const std::string blob = serialize_snapshot(distinct_snapshot(1));
   std::string hex;
   for (const unsigned char c : blob) {
@@ -237,7 +235,7 @@ TEST(Protocol, SnapshotWireBytesArePinned) {
     hex += "0123456789abcdef"[c & 15];
   }
   EXPECT_EQ(hex, kGolden);
-  EXPECT_EQ(net::kWireVersion, 2);
+  EXPECT_EQ(net::kWireVersion, 3);
 }
 
 long peak_rss_kb() {

@@ -1,4 +1,4 @@
-// Cooperative cancellation: CancelToken flag/deadline semantics, the
+// Cooperative cancellation: CancelToken flag semantics, the
 // thread-local install protocol (runtime/cancel.hpp), and the propagation
 // contract parallel_for promises — the caller's token is observed by every
 // pool worker running that loop's chunks, so one cancel unwinds the whole
@@ -12,7 +12,6 @@
 #include <thread>
 
 #include "runtime/parallel_for.hpp"
-#include "runtime/supervision.hpp"
 
 namespace ffsva::runtime {
 namespace {
@@ -32,38 +31,14 @@ TEST(CancelToken, CancelLatchesAndCopiesAlias) {
   EXPECT_TRUE(c.cancelled());
 }
 
-TEST(CancelToken, ResetClearsFlagAndDeadline) {
+TEST(CancelToken, ResetClearsTheFlag) {
   CancelToken t;
+  CancelToken alias = t;
   t.cancel();
-  t.set_deadline_ms(1);  // long past on the steady clock
   ASSERT_TRUE(t.cancelled());
   t.reset();
-  EXPECT_FALSE(t.cancelled());  // both the flag and the deadline are gone
-}
-
-TEST(CancelToken, PastDeadlineCancels) {
-  CancelToken t;
-  t.set_deadline_ms(steady_now_ms() - 10);
-  EXPECT_TRUE(t.cancelled());
-}
-
-TEST(CancelToken, FutureDeadlineCancelsOnlyOncePassed) {
-  CancelToken t;
-  t.set_deadline_ms(steady_now_ms() + 40);
   EXPECT_FALSE(t.cancelled());
-  const auto limit = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (!t.cancelled() && std::chrono::steady_clock::now() < limit) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_TRUE(t.cancelled());
-}
-
-TEST(CancelToken, ZeroDisarmsTheDeadline) {
-  CancelToken t;
-  t.set_deadline_ms(steady_now_ms() - 10);
-  ASSERT_TRUE(t.cancelled());
-  t.set_deadline_ms(0);
-  EXPECT_FALSE(t.cancelled());  // flag was never set; deadline disarmed
+  EXPECT_FALSE(alias.cancelled());  // copies share the cleared state
 }
 
 TEST(CancelCheck, NoTokenInstalledIsANoOp) {
@@ -129,15 +104,6 @@ TEST(CancelParallelFor, CancelMidLoopUnwindsEveryLane) {
   });
   EXPECT_THROW(park_until_cancelled_loop(timed_out), CancelledError);
   canceller.join();
-  EXPECT_EQ(timed_out.load(std::memory_order_relaxed), 0);
-}
-
-TEST(CancelParallelFor, ArmedDeadlineUnwindsTheLoop) {
-  CancelToken token;
-  token.set_deadline_ms(steady_now_ms() + 50);
-  ScopedCancelToken install(token);
-  std::atomic<int> timed_out{0};
-  EXPECT_THROW(park_until_cancelled_loop(timed_out), CancelledError);
   EXPECT_EQ(timed_out.load(std::memory_order_relaxed), 0);
 }
 

@@ -1,5 +1,5 @@
-// Supervision primitives: StopToken aliasing, Heartbeat busy-age readings,
-// and the Watchdog tick/stop protocol (runtime/supervision.hpp).
+// Supervision primitives: StopToken aliasing, InflightCall busy-age
+// readings, and the Watchdog tick/stop protocol (runtime/supervision.hpp).
 #include "runtime/supervision.hpp"
 
 #include <gtest/gtest.h>
@@ -37,30 +37,45 @@ TEST(StopToken, FreshTokensAreIndependent) {
   EXPECT_FALSE(b.stop_requested());
 }
 
-TEST(Heartbeat, IdleReadsMinusOne) {
-  Heartbeat hb;
-  EXPECT_EQ(hb.busy_age_ms(), -1);  // never marked busy
-  hb.busy();
-  hb.idle();
-  EXPECT_EQ(hb.busy_age_ms(), -1);  // idle again after a busy section
+TEST(InflightCall, IdleReadsMinusOne) {
+  InflightCall call;
+  EXPECT_EQ(call.busy_age_ms(), -1);  // no call ever registered
+  call.begin(/*stream=*/0, /*frame=*/0);
+  call.end();
+  EXPECT_EQ(call.busy_age_ms(), -1);  // idle again after the call returned
 }
 
-TEST(Heartbeat, BusyAgeGrowsWhileBusy) {
-  Heartbeat hb;
-  hb.busy();
-  EXPECT_GE(hb.busy_age_ms(), 0);
+TEST(InflightCall, BusyAgeGrowsWhileInFlight) {
+  InflightCall call;
+  call.begin(/*stream=*/1, /*frame=*/7);
+  EXPECT_GE(call.busy_age_ms(), 0);
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  EXPECT_GE(hb.busy_age_ms(), 25);  // slack for timer coarseness
-  hb.idle();
-  EXPECT_EQ(hb.busy_age_ms(), -1);
+  EXPECT_GE(call.busy_age_ms(), 25);  // slack for timer coarseness
+  call.end();
+  EXPECT_EQ(call.busy_age_ms(), -1);
 }
 
-TEST(Heartbeat, ReBusyResetsTheAge) {
-  Heartbeat hb;
-  hb.busy();
+TEST(InflightCall, NextBeginResetsTheAge) {
+  InflightCall call;
+  call.begin(/*stream=*/0, /*frame=*/0);
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  hb.busy();  // a new busy section: the stall clock restarts
-  EXPECT_LT(hb.busy_age_ms(), 25);
+  call.end();
+  call.begin(/*stream=*/0, /*frame=*/1);  // a new call: the stall clock restarts
+  EXPECT_GE(call.busy_age_ms(), 0);
+  EXPECT_LT(call.busy_age_ms(), 25);
+  call.end();
+}
+
+// The guard is how the engine registers a call: the slot reads busy for
+// exactly the guarded scope.
+TEST(InflightCall, GuardRegistersForItsScope) {
+  InflightCall call;
+  {
+    ModelCallGuard guard(call, /*stream=*/2, /*frame=*/3);
+    EXPECT_GE(call.busy_age_ms(), 0);
+    EXPECT_EQ(call.stream(), 2);
+  }
+  EXPECT_EQ(call.busy_age_ms(), -1);
 }
 
 TEST(Watchdog, RunsTheCheckRepeatedly) {
