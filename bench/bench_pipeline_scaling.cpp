@@ -43,6 +43,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -375,14 +376,19 @@ int run_all(int argc, char** argv) {
     print_title("telemetry overhead (16 streams, offline)");
     const auto series = bench::measure(2, [&](int v) {
       std::ostringstream discard;
+      std::ofstream archive;
       Hooks hooks;
       if (v == 1) {
-        hooks.arm = [&](core::FfsVaInstance& instance) {
-          if (metrics_out.empty()) {
-            instance.enable_metrics_export(&discard, "bench16");
-          } else if (!instance.enable_metrics_export(metrics_out, "bench16")) {
+        std::ostream* sink = &discard;
+        if (!metrics_out.empty()) {
+          archive.open(metrics_out, std::ios::app);
+          if (!archive) {
             throw std::runtime_error("cannot write --metrics-out " + metrics_out);
           }
+          sink = &archive;
+        }
+        hooks.arm = [sink](core::FfsVaInstance& instance) {
+          instance.enable_metrics_export(sink, "bench16");
         };
       }
       return run_engine({}, n16, base.models, replay(base.window), false, hooks);

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <fstream>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -73,10 +72,9 @@ enum class CallOutcome : std::uint8_t { kOk, kWedged, kFailed };
 /// how long it has been busy and can cancel exactly this call. Free so the
 /// static prefetch loop can use it too.
 template <typename Fn>
-CallOutcome model_call(runtime::InflightCall& slot, int stream,
-                       std::int64_t frame, Fn&& fn) {
+CallOutcome model_call(runtime::InflightCall& slot, int stream, Fn&& fn) {
   try {
-    runtime::ModelCallGuard guard(slot, stream, frame);
+    runtime::ModelCallGuard guard(slot, stream);
     fn();
   } catch (const runtime::CancelledError&) {
     return CallOutcome::kWedged;
@@ -201,6 +199,11 @@ struct FfsVaInstance::Stream {
   /// snapshot gauges read it live while the prefetch thread records, so
   /// recording must be lock-free and thread-safe.
   telemetry::AtomicHistogram decode_ms;
+  /// Ingest-to-end latency of every emitted or dropped frame, recorded by
+  /// end(). Its writers are the stage threads a frame can end on (an SDD
+  /// worker or a fused stream's prefetch thread, the GPU0 executor, the
+  /// reference thread), hence the lock-free recorder.
+  telemetry::AtomicHistogram latency_ms;
 
   /// Degrade / quarantine accounting, written by whichever stage thread
   /// observes the event (SDD worker, GPU0 executor, reference thread).
@@ -257,21 +260,6 @@ struct FfsVaInstance::Stream {
   std::atomic<bool> sdd_claimed{false};
   std::atomic<bool> sdd_done{false};
 
-  /// Per-stage latency histograms. Each is written by exactly one logical
-  /// owner (SDD claim holder / GPU0 executor / reference thread) and merged
-  /// into stats.latency_ms after the stage threads are joined — stages on
-  /// different threads must not share one histogram.
-  runtime::Histogram lat_sdd;
-  runtime::Histogram lat_snm;
-  runtime::Histogram lat_tyolo;
-  runtime::Histogram lat_ref;
-  /// Ingest-to-drop latency of frames the reference stage dropped on error.
-  /// Separate from lat_ref so the reference-stage latency distribution
-  /// describes only frames the model actually evaluated and emitted; still
-  /// merged into stats.latency_ms (every ingested frame terminates exactly
-  /// once). Written by the reference thread only.
-  runtime::Histogram lat_drop;
-
   Stream(int id_, std::unique_ptr<video::FrameSource> src, detect::StreamModels m,
          const FfsVaConfig& cfg_)
       : id(id_), source(std::move(src)), models(std::move(m)), cfg(cfg_),
@@ -297,19 +285,22 @@ struct FfsVaInstance::Stream {
     return !last_stage && cfg.degrade_policy == DegradePolicy::kBypass;
   }
 
-  /// The one place a frame ends. Counts the end, records `ms` into `lat`
-  /// when one is given, and ticks `terminated` last, once the outcome is
-  /// durable (an emitted frame has been delivered).
-  void end(End how, runtime::Histogram* lat = nullptr, double ms = 0.0) {
+  /// The one place a frame ends. Counts the end, records an emitted or
+  /// dropped frame's ingest-to-end `ms` into latency_ms, and ticks
+  /// `terminated` last, once the outcome is durable (an emitted frame has
+  /// been delivered).
+  void end(End how, double ms = 0.0) {
     switch (how) {
-      case End::kEmitted: ref_passed.fetch_add(1, std::memory_order_relaxed); break;
-      case End::kDropped: break;
+      case End::kEmitted:
+        ref_passed.fetch_add(1, std::memory_order_relaxed);
+        latency_ms.record(ms);
+        break;
+      case End::kDropped: latency_ms.record(ms); break;
       case End::kDiscarded: discarded.fetch_add(1, std::memory_order_relaxed); break;
       case End::kLostAtIngest:
         dropped_ingest.fetch_add(1, std::memory_order_relaxed);
         break;
     }
-    if (lat != nullptr) lat->add(ms);
     terminated.fetch_add(1, std::memory_order_release);
   }
 
@@ -441,23 +432,9 @@ bool FfsVaInstance::attach(Stream& s) {
   return !s.fused_ingest;
 }
 
-bool FfsVaInstance::enable_metrics_export(const std::string& path,
-                                          std::string label) {
-  // Validate the sink now (enable is the caller's error boundary); the
-  // exporter reopens in append mode when run() starts.
-  std::ofstream probe(path, std::ios::app);
-  if (!probe) return false;
-  probe.close();
-  metrics_path_ = path;
-  metrics_sink_ = nullptr;
-  metrics_label_ = std::move(label);
-  return true;
-}
-
 void FfsVaInstance::enable_metrics_export(std::ostream* sink,
                                           std::string label) {
   metrics_sink_ = sink;
-  metrics_path_.clear();
   metrics_label_ = std::move(label);
 }
 
@@ -503,12 +480,12 @@ void FfsVaInstance::wire_metrics() {
   });
   const auto decode_quantile = [this](double q) {
     return [this, q]() {
-      telemetry::HistogramSnapshot merged;
+      runtime::Histogram merged;
       const int n = num_streams();
       for (int i = 0; i < n; ++i) {
         merged.merge(streams_[static_cast<std::size_t>(i)]->decode_ms.snapshot());
       }
-      return merged.count ? merged.quantile(q) : 0.0;
+      return merged.quantile(q);
     };
   };
   metrics_.gauge("latency.decode_p50_ms", decode_quantile(0.5));
@@ -656,7 +633,7 @@ void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online,
         s->sdd_in.fetch_add(1, std::memory_order_relaxed);
         const double ms = ms_since(t0);
         s->decode_ms.record(ms);
-        s->end(End::kDropped, &s->lat_sdd, ms);
+        s->end(End::kDropped, ms);
         continue;
       }
     }
@@ -673,7 +650,7 @@ void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online,
       // is what the watchdog must see, and cancel if it wedges
       // (model_call_timeout_ms, or unconditionally at quarantine to keep
       // the join bounded).
-      runtime::ModelCallGuard guard(s->prefetch_call, s->id, index);
+      runtime::ModelCallGuard guard(s->prefetch_call, s->id);
       f = s->source->next();
     } catch (const runtime::CancelledError&) {
       // The watchdog cancelled a wedged decode. Quarantine means the stream
@@ -726,15 +703,13 @@ void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online,
         s->hint_passes.fetch_add(1, std::memory_order_relaxed);
       } else {
         s->hint_fallbacks.fetch_add(1, std::memory_order_relaxed);
-        const CallOutcome oc =
-            model_call(s->prefetch_call, s->id, item.frame.index, [&] {
-              telemetry::ScopedSpan sp(trace(), "sdd.filter",
-                                       telemetry::Stage::kSdd, s->id,
-                                       item.frame.index);
-              const double dist = s->models.sdd->distance(item.frame.image);
-              csdd->anchor(dist);
-              pass = dist > s->models.sdd->config().delta_diff;
-            });
+        const CallOutcome oc = model_call(s->prefetch_call, s->id, [&] {
+          telemetry::ScopedSpan sp(trace(), "sdd.filter", telemetry::Stage::kSdd,
+                                   s->id, item.frame.index);
+          const double dist = s->models.sdd->distance(item.frame.image);
+          csdd->anchor(dist);
+          pass = dist > s->models.sdd->config().delta_diff;
+        });
         if (oc != CallOutcome::kOk) {
           // Same per-frame contract as the SDD worker pool; an unmeasured
           // frame leaves the chain unanchored.
@@ -752,7 +727,7 @@ void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online,
           break;
         }
       } else {
-        s->end(End::kDropped, &s->lat_sdd, ms_since(item.ingest));
+        s->end(End::kDropped, ms_since(item.ingest));
       }
       s->prefetch_passed.fetch_add(1, std::memory_order_relaxed);
       continue;
@@ -837,7 +812,7 @@ void FfsVaInstance::sdd_worker_loop(int worker) {
         }
         s.sdd_in.fetch_add(1, std::memory_order_relaxed);
         bool pass = false;
-        const CallOutcome oc = model_call(call, s.id, item->frame.index, [&] {
+        const CallOutcome oc = model_call(call, s.id, [&] {
           telemetry::ScopedSpan sp(trace(), "sdd.filter", telemetry::Stage::kSdd,
                                    s.id, item->frame.index);
           pass = s.models.sdd->pass(item->frame.image);
@@ -853,7 +828,7 @@ void FfsVaInstance::sdd_worker_loop(int worker) {
             break;  // closed by quarantine
           }
         } else {
-          s.end(End::kDropped, &s.lat_sdd, ms_since(item->ingest));
+          s.end(End::kDropped, ms_since(item->ingest));
         }
       }
       s.sdd_claimed.store(false, std::memory_order_release);
@@ -922,7 +897,7 @@ void FfsVaInstance::gpu0_loop() {
       // candidates, which routes it to the full-frame fallback.
       bool pass = false;
       detect::DetectionResult det;
-      const CallOutcome oc = model_call(gpu0_call_, s.id, item->frame.index, [&] {
+      const CallOutcome oc = model_call(gpu0_call_, s.id, [&] {
         det = s.models.tyolo->detect(item->frame.image);
         pass = det.count_target(s.models.target,
                                 s.models.tyolo->config().confidence_threshold) >=
@@ -941,7 +916,7 @@ void FfsVaInstance::gpu0_loop() {
           running = false;
         }
       } else {
-        s.end(End::kDropped, &s.lat_tyolo, ms_since(item->ingest));
+        s.end(End::kDropped, ms_since(item->ingest));
       }
     }
     span.set_batch(served);
@@ -1002,12 +977,11 @@ void FfsVaInstance::gpu0_loop() {
       hot_.snm_batches->add();
       hot_.batch_size->record(static_cast<double>(items.size()));
       std::vector<double> scores;
-      const CallOutcome oc =
-          model_call(gpu0_call_, s.id, items.front().frame.index, [&] {
-            telemetry::ScopedSpan sp(trace(), "snm.batch", telemetry::Stage::kSnm,
-                                     s.id, -1, static_cast<int>(items.size()));
-            scores = s.models.snm->predict_batch(imgs);
-          });
+      const CallOutcome oc = model_call(gpu0_call_, s.id, [&] {
+        telemetry::ScopedSpan sp(trace(), "snm.batch", telemetry::Stage::kSnm, s.id,
+                                 -1, static_cast<int>(items.size()));
+        scores = s.models.snm->predict_batch(imgs);
+      });
       const double t_pre = s.models.snm->t_pre();
       // Every popped frame is accounted, even when `running` flips false
       // mid-batch (ref_q closed at shutdown): a frame that can no longer be
@@ -1035,7 +1009,7 @@ void FfsVaInstance::gpu0_loop() {
             s.end(End::kDiscarded);
           }
         } else {
-          s.end(End::kDropped, &s.lat_snm, ms_since(items[j].ingest));
+          s.end(End::kDropped, ms_since(items[j].ingest));
         }
       }
     }
@@ -1073,10 +1047,9 @@ void FfsVaInstance::reference_loop() {
 
   // The ways a frame leaves the reference stage. Emission order is pop
   // order, so per-stream FIFO holds batched or not. Drops and quarantine
-  // discards feed the drop-latency histogram; dropped frames feed lat_drop,
-  // NOT lat_ref — the reference-stage latency distribution describes
-  // emitted frames only, and lat_drop still merges into stats.latency_ms
-  // (every ingested frame terminates exactly once).
+  // discards feed the drop-latency histogram, kept apart from
+  // latency.output_ms so the output distribution describes emitted frames
+  // only; the stream's latency_ms records emitted and dropped frames alike.
   const auto discard = [&](Stream& s, const Item& item) {
     hot_.drop_latency_ms->record(ms_since(item.ingest));
     s.end(End::kDiscarded);
@@ -1084,7 +1057,7 @@ void FfsVaInstance::reference_loop() {
   const auto drop = [&](Stream& s, const Item& item) {
     const double ms = ms_since(item.ingest);
     hot_.drop_latency_ms->record(ms);
-    s.end(End::kDropped, &s.lat_drop, ms);
+    s.end(End::kDropped, ms);
   };
   const auto emit = [&](Stream& s, Item&& item,
                         detect::DetectionResult&& result) {
@@ -1099,7 +1072,7 @@ void FfsVaInstance::reference_loop() {
     }
     // Ended after the sink call: stream_quiesced() implying "all outputs
     // delivered" is what lets a hand-off serialize a complete result set.
-    s.end(End::kEmitted, &s.lat_ref, latency);
+    s.end(End::kEmitted, latency);
   };
 
   // Drain ref_q under a second DynamicBatcher (the run's BatchPolicy, with
@@ -1170,7 +1143,7 @@ void FfsVaInstance::reference_loop() {
       // re-raise a cancel after all their chunks join, so a whole-batch
       // failure is a cancel or a batch-setup error (e.g. allocation).
       const CallOutcome oc = model_call(
-          ref_call_, batch.front()->stream, batch.front()->item.frame.index, [&] {
+          ref_call_, batch.front()->stream, [&] {
             telemetry::ScopedSpan sp(trace(), "ref.batch", telemetry::Stage::kRef,
                                      /*stream=*/-1, /*index=*/-1,
                                      static_cast<int>(batch.size()));
@@ -1323,10 +1296,7 @@ InstanceStats FfsVaInstance::run(bool online) {
   // from here the hot path never touches the registry map.
   wire_metrics();
   if (tracing_requested_) trace().enable();
-  if (!metrics_path_.empty()) {
-    exporter_.start_file(metrics_path_, config_.metrics_interval_ms,
-                         metrics_label_);
-  } else if (metrics_sink_ != nullptr) {
+  if (metrics_sink_ != nullptr) {
     exporter_.start_stream(metrics_sink_, config_.metrics_interval_ms,
                            metrics_label_);
   }
@@ -1437,13 +1407,7 @@ InstanceStats FfsVaInstance::run(bool online) {
     StreamStats st;
     static_cast<StreamCounters&>(st) = s.counters();
     st.decode_ms = s.decode_ms.snapshot();
-    // Merge the per-stage terminal-latency histograms now that every stage
-    // thread is joined; keeping them separate during the run is what makes
-    // concurrent recording race-free.
-    for (const auto* lat : {&s.lat_sdd, &s.lat_snm, &s.lat_tyolo, &s.lat_ref,
-                            &s.lat_drop}) {
-      st.latency_ms.merge(*lat);
-    }
+    st.latency_ms = s.latency_ms.snapshot();
     const double iw = s.ingest_wall_sec.load(std::memory_order_relaxed);
     if (iw > 0.0) st.ingest_fps = static_cast<double>(st.prefetch.passed) / iw;
     ingested += st.prefetch.passed;

@@ -44,7 +44,6 @@
 // objects (src/core/policies.hpp) under virtual time.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
@@ -76,9 +75,11 @@ struct OutputEvent {
 /// One stream after run(): its counters plus what only a finished run
 /// reports — latency distributions and the realized ingest rate.
 struct StreamStats : StreamCounters {
-  runtime::Histogram latency_ms;    ///< Terminal latency of every ingested frame.
-  double ingest_fps = 0.0;          ///< Realized ingest rate.
-  telemetry::HistogramSnapshot decode_ms;  ///< Decode-stage latency (per frame).
+  /// Ingest-to-end latency of every emitted or dropped frame (not of frames
+  /// discarded by stop/quarantine or lost at ingest).
+  runtime::Histogram latency_ms;
+  double ingest_fps = 0.0;        ///< Realized ingest rate.
+  runtime::Histogram decode_ms;   ///< Decode-stage latency (per frame).
 };
 
 /// Instance-level health rollup: how many streams finished clean, how many
@@ -146,14 +147,6 @@ struct InstanceSnapshot {
     std::uint64_t n = 0;
     for (const auto& s : streams) n += s.tyolo.in;
     return n;
-  }
-  /// Largest filter-queue depth across streams (overload indicator).
-  std::size_t max_queue_depth() const {
-    std::size_t d = 0;
-    for (const auto& s : streams) {
-      d = std::max({d, s.sdd_queue_depth, s.snm_queue_depth, s.tyolo_queue_depth});
-    }
-    return d;
   }
 };
 
@@ -245,10 +238,9 @@ class FfsVaInstance {
   telemetry::Registry& metrics() { return metrics_; }
 
   /// Sample the registry every config.metrics_interval_ms during run() and
-  /// append JSONL rows to `path` (append mode). Call before run(); false if
-  /// the file cannot be opened (export then stays off).
-  bool enable_metrics_export(const std::string& path, std::string label = {});
-  /// Same, into a caller-owned stream that must outlive run().
+  /// write JSONL rows to `sink`, a caller-owned stream that must outlive
+  /// run() (open a file in append mode to keep several runs in one archive).
+  /// Call before run().
   void enable_metrics_export(std::ostream* sink, std::string label = {});
 
   /// Stamp exported metrics rows with a cluster node id (DESIGN.md §15).
@@ -366,7 +358,7 @@ class FfsVaInstance {
   /// runs model calls (SDD pool workers, the GPU0 executor, the reference
   /// thread; each Stream holds its prefetch slot). They are the one
   /// supervision record: the watchdog reads their busy ages to detect
-  /// stalls, attributes a stall to a specific {worker, stream, frame} and
+  /// stalls, attributes a stall to a specific {worker, stream} and
   /// cancels exactly that call. Cancels are counted per stream only.
   std::vector<runtime::InflightCall> sdd_call_;
   runtime::InflightCall gpu0_call_;
@@ -384,7 +376,6 @@ class FfsVaInstance {
   telemetry::Registry metrics_;
   telemetry::MetricsExporter exporter_{metrics_};
   std::ostream* metrics_sink_ = nullptr;
-  std::string metrics_path_;
   std::string metrics_label_;
   bool tracing_requested_ = false;
   std::atomic<bool> running_{false};

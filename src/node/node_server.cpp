@@ -42,8 +42,14 @@ bool NodeServer::start() {
   });
   wire_node_metrics();
   if (!opts_.metrics_path.empty()) {
-    inst_.set_metrics_node_id(static_cast<int>(opts_.node_id));
-    inst_.enable_metrics_export(opts_.metrics_path, opts_.metrics_label);
+    metrics_file_.open(opts_.metrics_path, std::ios::app);
+    if (metrics_file_) {
+      inst_.set_metrics_node_id(static_cast<int>(opts_.node_id));
+      inst_.enable_metrics_export(&metrics_file_, opts_.metrics_label);
+    } else {
+      std::fprintf(stderr, "ffsva_node[%u]: cannot open %s; metrics export off\n",
+                   opts_.node_id, opts_.metrics_path.c_str());
+    }
   }
   // thread-ok: the engine thread; joined in serve()'s epilogue (or stop()).
   engine_ = std::thread([this] {

@@ -25,6 +25,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <fstream>
 #include <map>
 #include <optional>
 #include <string>
@@ -97,6 +98,10 @@ class NodeServer {
   void wire_node_metrics();
 
   NodeOptions opts_;
+  /// The JSONL export sink (opts_.metrics_path, append mode so several
+  /// nodes can share one archive). Declared before inst_ so it outlives the
+  /// engine's exporter.
+  std::ofstream metrics_file_;
   core::FfsVaInstance inst_;
   net::Listener listener_;
   net::NetCounters counters_;

@@ -6,9 +6,9 @@
 // asynchronous pipeline instead of in lock step (paper Section 3.1.2).
 //
 // Design notes:
-//  * Blocking push/pop with condition variables; try_/timed_ variants for
-//    stages that must not commit to a wait (the GPU0 executor serving many
-//    queues, a live camera that drops a frame rather than block). Wait
+//  * Blocking push/pop with condition variables, plus try_pop for a
+//    consumer serving many queues (the GPU0 executor, the SDD pool) and
+//    push_for for a live camera that drops a frame rather than block. Wait
 //    conditions are explicit loops so the thread-safety analysis
 //    (runtime/annotations.hpp) can check every guarded access.
 //  * close() wakes all waiters; a closed queue drains remaining elements,
@@ -26,7 +26,6 @@
 #include <deque>
 #include <optional>
 #include <utility>
-#include <vector>
 
 #include "runtime/annotations.hpp"
 
@@ -65,24 +64,6 @@ class QueueWaiter {
     waiters_.fetch_add(1);
     while (epoch_.load() == ticket) cv_.wait(lk);
     waiters_.fetch_sub(1);
-  }
-
-  /// Timed variant; false on timeout with no activity.
-  template <typename Rep, typename Period>
-  bool wait_for(std::uint64_t ticket,
-                std::chrono::duration<Rep, Period> timeout) const {
-    const auto deadline = std::chrono::steady_clock::now() + timeout;
-    UniqueLock lk(mu_);
-    waiters_.fetch_add(1);
-    bool woke = true;
-    while (epoch_.load() == ticket) {
-      if (cv_.wait_until(lk, deadline) == std::cv_status::timeout) {
-        woke = epoch_.load() != ticket;
-        break;
-      }
-    }
-    waiters_.fetch_sub(1);
-    return woke;
   }
 
   /// Record activity; wake armed waiters only if any are parked.
@@ -126,21 +107,7 @@ class BoundedQueue {
     while (items_.size() >= capacity_ && !closed_) not_full_.wait(lk);
     if (closed_) return false;
     items_.push_back(std::move(value));
-    ++total_pushed_;
     lk.unlock();
-    not_empty_.notify_one();
-    if (waiter_) waiter_->notify();
-    return true;
-  }
-
-  /// Non-blocking push. Returns false if full or closed.
-  bool try_push(T value) {
-    {
-      MutexLock lk(mu_);
-      if (closed_ || items_.size() >= capacity_) return false;
-      items_.push_back(std::move(value));
-      ++total_pushed_;
-    }
     not_empty_.notify_one();
     if (waiter_) waiter_->notify();
     return true;
@@ -159,7 +126,6 @@ class BoundedQueue {
     }
     if (closed_) return false;
     items_.push_back(std::move(value));
-    ++total_pushed_;
     lk.unlock();
     not_empty_.notify_one();
     if (waiter_) waiter_->notify();
@@ -174,7 +140,6 @@ class BoundedQueue {
     if (items_.empty()) return std::nullopt;
     T v = std::move(items_.front());
     items_.pop_front();
-    ++total_popped_;
     lk.unlock();
     not_full_.notify_one();
     return v;
@@ -186,65 +151,9 @@ class BoundedQueue {
     if (items_.empty()) return std::nullopt;
     T v = std::move(items_.front());
     items_.pop_front();
-    ++total_popped_;
     lk.unlock();
     not_full_.notify_one();
     return v;
-  }
-
-  /// Pop waiting at most `timeout`.
-  template <typename Rep, typename Period>
-  std::optional<T> pop_for(std::chrono::duration<Rep, Period> timeout) {
-    const auto deadline = std::chrono::steady_clock::now() + timeout;
-    UniqueLock lk(mu_);
-    while (items_.empty() && !closed_) {
-      if (not_empty_.wait_until(lk, deadline) == std::cv_status::timeout) {
-        if (items_.empty() && !closed_) return std::nullopt;
-        break;
-      }
-    }
-    if (items_.empty()) return std::nullopt;
-    T v = std::move(items_.front());
-    items_.pop_front();
-    ++total_popped_;
-    lk.unlock();
-    not_full_.notify_one();
-    return v;
-  }
-
-  /// Pop up to `max_count` elements at once (the dynamic-batch primitive:
-  /// "pop out a batch ... otherwise the frames are popped until the queue
-  /// is empty", paper Section 4.3.2). Blocks for the *first* element only.
-  /// Returns an empty vector once closed and drained.
-  std::vector<T> pop_batch(std::size_t max_count) {
-    UniqueLock lk(mu_);
-    while (items_.empty() && !closed_) not_empty_.wait(lk);
-    std::vector<T> out;
-    while (!items_.empty() && out.size() < max_count) {
-      out.push_back(std::move(items_.front()));
-      items_.pop_front();
-      ++total_popped_;
-    }
-    lk.unlock();
-    not_full_.notify_all();
-    return out;
-  }
-
-  /// Blocks until at least `count` elements are present (or close), then
-  /// pops exactly min(count, size) elements. This is the *static* batch
-  /// primitive: wait for a full batch.
-  std::vector<T> pop_exact(std::size_t count) {
-    UniqueLock lk(mu_);
-    while (items_.size() < count && !closed_) not_empty_.wait(lk);
-    std::vector<T> out;
-    while (!items_.empty() && out.size() < count) {
-      out.push_back(std::move(items_.front()));
-      items_.pop_front();
-      ++total_popped_;
-    }
-    lk.unlock();
-    not_full_.notify_all();
-    return out;
   }
 
   /// Close the queue: producers fail, consumers drain then see end-of-stream.
@@ -271,16 +180,6 @@ class BoundedQueue {
 
   std::size_t capacity() const { return capacity_; }
 
-  /// Lifetime counters; used by tests to prove no element is lost.
-  std::uint64_t total_pushed() const {
-    MutexLock lk(mu_);
-    return total_pushed_;
-  }
-  std::uint64_t total_popped() const {
-    MutexLock lk(mu_);
-    return total_popped_;
-  }
-
  private:
   const std::size_t capacity_;
   QueueWaiter* waiter_ = nullptr;  ///< Optional multi-queue wakeup target.
@@ -293,8 +192,6 @@ class BoundedQueue {
   // is the bounded queue's own storage, not an unbounded channel.
   std::deque<T> items_ FFSVA_GUARDED_BY(mu_);
   bool closed_ FFSVA_GUARDED_BY(mu_) = false;
-  std::uint64_t total_pushed_ FFSVA_GUARDED_BY(mu_) = 0;
-  std::uint64_t total_popped_ FFSVA_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace ffsva::runtime

@@ -2,47 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 namespace ffsva::runtime {
-
-void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const auto na = static_cast<double>(n_);
-  const auto nb = static_cast<double>(other.n_);
-  const double nt = na + nb;
-  mean_ += delta * nb / nt;
-  m2_ += other.m2_ + delta * delta * na * nb / nt;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ += other.n_;
-}
-
-double RunningStats::variance() const {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-Histogram::Histogram() : buckets_(64 * kSubBuckets, 0) {}
 
 std::size_t Histogram::bucket_index(double value) {
   if (!(value > 1.0)) return 0;  // [0,1] and NaN land in bucket 0
@@ -65,40 +26,44 @@ double Histogram::bucket_value(std::size_t index) {
 }
 
 void Histogram::add(double value) {
-  stats_.add(value);
-  const std::size_t idx = std::min(bucket_index(value), buckets_.size() - 1);
-  ++buckets_[idx];
+  if (count == 0) {
+    min = max = value;
+  } else {
+    min = std::min(min, value);
+    max = std::max(max, value);
+  }
+  ++count;
+  sum += value;
+  ++buckets[std::min(bucket_index(value), kBuckets - 1)];
 }
 
 void Histogram::merge(const Histogram& other) {
-  stats_.merge(other.stats_);
-  for (std::size_t i = 0; i < buckets_.size(); ++i) buckets_[i] += other.buckets_[i];
+  if (other.count == 0) return;
+  if (count == 0) {
+    *this = other;
+    return;
+  }
+  count += other.count;
+  sum += other.sum;
+  min = std::min(min, other.min);
+  max = std::max(max, other.max);
+  for (std::size_t i = 0; i < kBuckets; ++i) buckets[i] += other.buckets[i];
 }
 
 double Histogram::quantile(double q) const {
-  const std::uint64_t n = stats_.count();
-  if (n == 0) return 0.0;
+  if (count == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
-  const auto target = static_cast<std::uint64_t>(q * static_cast<double>(n - 1));
+  const auto target = static_cast<std::uint64_t>(q * static_cast<double>(count - 1));
   std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    seen += buckets_[i];
+  for (std::size_t i = 0; i < kBuckets; ++i) {
+    seen += buckets[i];
     if (seen > target) {
       // Clamp the bucket's representative value into the observed range so
       // bucketing error never reports beyond min/max.
-      return std::clamp(bucket_value(i), stats_.min(), stats_.max());
+      return std::clamp(bucket_value(i), min, max);
     }
   }
-  return stats_.max();
-}
-
-std::string Histogram::summary() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "n=%llu mean=%.3f p50=%.3f p90=%.3f p99=%.3f max=%.3f",
-                static_cast<unsigned long long>(count()), mean(), p50(), p90(),
-                p99(), max());
-  return buf;
+  return max;
 }
 
 }  // namespace ffsva::runtime

@@ -4,75 +4,47 @@
 // Histogram uses logarithmic bucketing (HdrHistogram-style, 32 sub-buckets
 // per octave) so that recording is O(1), memory is bounded, and percentile
 // error is < ~3% across nanoseconds-to-minutes ranges — good enough for the
-// p50/p90/p99 tables in EXPERIMENTS.md.
+// p50/p99 tables in EXPERIMENTS.md.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace ffsva::runtime {
 
-/// Running scalar summary: count / mean / min / max / variance (Welford).
-class RunningStats {
- public:
-  void add(double x);
-  void merge(const RunningStats& other);
-
-  std::uint64_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-  double variance() const;
-  double stddev() const;
-  double sum() const { return n_ ? mean_ * static_cast<double>(n_) : 0.0; }
-
- private:
-  std::uint64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
-/// Log-bucketed histogram over non-negative values (typically microseconds).
-class Histogram {
- public:
-  Histogram();
-
-  void add(double value);
-  void merge(const Histogram& other);
-
-  std::uint64_t count() const { return stats_.count(); }
-  double mean() const { return stats_.mean(); }
-  double min() const { return stats_.min(); }
-  double max() const { return stats_.max(); }
-
-  /// Value at quantile q in [0, 1]; returns the representative value of the
-  /// bucket containing the q-th sample.
-  double quantile(double q) const;
-
-  double p50() const { return quantile(0.50); }
-  double p90() const { return quantile(0.90); }
-  double p99() const { return quantile(0.99); }
-
-  /// One-line summary, e.g. "n=1000 mean=3.2 p50=3.0 p99=9.7 max=12.1".
-  std::string summary() const;
-
+/// Log-bucketed histogram over non-negative values (typically milliseconds).
+/// A plain value: the fields are the whole state, so the telemetry
+/// registry's AtomicHistogram snapshots into this type and every consumer
+/// merges and reads one shape.
+struct Histogram {
   static constexpr int kSubBucketsLog2 = 5;  // 32 sub-buckets per octave
   static constexpr int kSubBuckets = 1 << kSubBucketsLog2;
   static constexpr std::size_t kBuckets = 64 * kSubBuckets;
 
+  std::uint64_t count = 0;
+  double sum = 0.0;
+  double min = 0.0;  ///< 0 while empty.
+  double max = 0.0;  ///< 0 while empty.
+  std::vector<std::uint64_t> buckets = std::vector<std::uint64_t>(kBuckets);
+
+  void add(double value);
+  void merge(const Histogram& other);
+
+  double mean() const { return count ? sum / static_cast<double>(count) : 0.0; }
+
+  /// Value at quantile q in [0, 1]; returns the representative value of the
+  /// bucket containing the q-th sample, clamped into [min, max].
+  double quantile(double q) const;
+
+  double p50() const { return quantile(0.50); }
+  double p99() const { return quantile(0.99); }
+
   /// The bucketing scheme, exposed so other recorders (the telemetry
   /// registry's lock-free AtomicHistogram) can share it and stay mergeable
-  /// with this class bucket-for-bucket.
+  /// with this type bucket-for-bucket.
   static std::size_t bucket_index(double value);
   static double bucket_value(std::size_t index);
-
- private:
-  std::vector<std::uint64_t> buckets_;
-  RunningStats stats_;
 };
 
 /// Per-stage pipeline counters: frames in, frames passed, frames filtered.

@@ -1,4 +1,4 @@
-// relaxed-ok: InflightCall slot fields (stream/frame/start) ride the seq
+// relaxed-ok: InflightCall slot fields (stream/start) ride the seq
 // counter's acquire/release edges; the cancel flag itself is advisory (see
 // runtime/cancel.hpp).
 //
@@ -18,7 +18,7 @@
 //    call that may hang (a source decode, a model forward) currently in
 //    flight. It is the worker's one supervision record: the watchdog reads
 //    its busy age to detect a stall, attributes the stall to a specific
-//    {worker, stream, frame}, and cancels exactly that call. Blocking on a
+//    {worker, stream}, and cancels exactly that call. Blocking on a
 //    bounded queue happens outside any call and reads as idle — that is
 //    healthy backpressure, not a stall.
 //  * Watchdog — one thread running a supplied check on a fixed tick. The
@@ -71,10 +71,9 @@ class StopToken {
 class InflightCall {
  public:
   /// Stage thread: register a call about to start. Resets the token.
-  void begin(int stream, std::int64_t frame) {
+  void begin(int stream) {
     token_.reset();
     stream_.store(stream, std::memory_order_relaxed);
-    frame_.store(frame, std::memory_order_relaxed);
     start_ms_.store(steady_now_ms(), std::memory_order_relaxed);
     seq_.fetch_add(1, std::memory_order_release);  // even -> odd: in flight
   }
@@ -120,7 +119,6 @@ class InflightCall {
   std::atomic<std::uint64_t> seq_{0};
   std::atomic<std::int64_t> start_ms_{-1};
   std::atomic<int> stream_{-1};
-  std::atomic<std::int64_t> frame_{-1};
 };
 
 /// RAII guard around one model call: registers it with the worker's
@@ -128,8 +126,8 @@ class InflightCall {
 /// kernel-level check_cancel() observes a watchdog cancel.
 class ModelCallGuard {
  public:
-  ModelCallGuard(InflightCall& call, int stream, std::int64_t frame)
-      : call_(call), install_((call.begin(stream, frame), call.token())) {}
+  ModelCallGuard(InflightCall& call, int stream)
+      : call_(call), install_((call.begin(stream), call.token())) {}
   ~ModelCallGuard() { call_.end(); }
 
   ModelCallGuard(const ModelCallGuard&) = delete;

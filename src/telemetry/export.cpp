@@ -98,24 +98,10 @@ std::string metrics_jsonl_row(const MetricsSnapshot& cur,
   return out;
 }
 
-bool MetricsExporter::start_file(const std::string& path, int interval_ms,
-                                 std::string label) {
-  stop();
-  file_.open(path, std::ios::app);
-  if (!file_) return false;
-  sink_ = &file_;
-  start(interval_ms, std::move(label));
-  return true;
-}
-
 void MetricsExporter::start_stream(std::ostream* sink, int interval_ms,
                                    std::string label) {
   stop();
   sink_ = sink;
-  start(interval_ms, std::move(label));
-}
-
-void MetricsExporter::start(int interval_ms, std::string label) {
   label_ = std::move(label);
   {
     runtime::MutexLock lk(mu_);
@@ -173,7 +159,6 @@ void MetricsExporter::stop() {
     sample_once();  // the run's closing state always lands in the sink
     sink_->flush();
   }
-  if (file_.is_open()) file_.close();
   sink_ = nullptr;
 }
 

@@ -20,7 +20,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <functional>
 #include <ostream>
 #include <string>
@@ -49,12 +48,9 @@ class MetricsExporter {
   MetricsExporter(const MetricsExporter&) = delete;
   MetricsExporter& operator=(const MetricsExporter&) = delete;
 
-  /// Start sampling every `interval_ms` into a file (append mode, so one
-  /// archive can hold several runs). False if the file cannot be opened.
-  bool start_file(const std::string& path, int interval_ms,
-                  std::string label = {});
-
-  /// Start sampling into a caller-owned stream (must outlive stop()).
+  /// Start sampling every `interval_ms` into a caller-owned stream (must
+  /// outlive stop()). Open a file in append mode to let one archive hold
+  /// several runs.
   void start_stream(std::ostream* sink, int interval_ms, std::string label = {});
 
   /// Stop the sampler: takes one final sample, flushes, joins. Idempotent.
@@ -70,15 +66,13 @@ class MetricsExporter {
   }
 
  private:
-  void start(int interval_ms, std::string label);
   void loop(int interval_ms);
   void sample_once();
 
   Registry& registry_;
-  // Sink plumbing and sample history are written by start()/stop() and the
+  // Sink plumbing and sample history are written by start_stream()/stop() and the
   // sampler thread, ordered by the thread create/join edges — the mutex
   // below exists only for the stop handshake.
-  std::ofstream file_;
   std::ostream* sink_ = nullptr;
   std::string label_;
   int node_id_ = -1;

@@ -13,48 +13,12 @@ std::uint32_t thread_slot() {
   return slot;
 }
 
-double HistogramSnapshot::quantile(double q) const {
-  if (count == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const auto target =
-      static_cast<std::uint64_t>(q * static_cast<double>(count - 1));
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    seen += buckets[i];
-    if (seen > target) {
-      return std::clamp(runtime::Histogram::bucket_value(i), min, max);
-    }
-  }
-  return max;
-}
-
-void HistogramSnapshot::merge(const HistogramSnapshot& other) {
-  if (other.count == 0) return;
-  if (count == 0) {
-    *this = other;
-    return;
-  }
-  count += other.count;
-  sum += other.sum;
-  min = std::min(min, other.min);
-  max = std::max(max, other.max);
-  if (buckets.size() < other.buckets.size()) buckets.resize(other.buckets.size(), 0);
-  for (std::size_t i = 0; i < other.buckets.size(); ++i) buckets[i] += other.buckets[i];
-}
-
 AtomicHistogram::AtomicHistogram()
     : buckets_(runtime::Histogram::kBuckets) {}
 
 void AtomicHistogram::record(double value) {
-  const std::size_t idx =
-      std::min(runtime::Histogram::bucket_index(value), buckets_.size() - 1);
-  buckets_[idx].fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(value, std::memory_order_relaxed);
-  // min/max via CAS: first sample claims both (count_ still 0 until below).
-  if (count_.fetch_add(1, std::memory_order_relaxed) == 0) {
-    min_.store(value, std::memory_order_relaxed);
-    max_.store(value, std::memory_order_relaxed);
-  }
+  // min_/max_ start at +inf/-inf, so every record, the first included, is
+  // one CAS fold each: concurrent first records cannot lose an extreme.
   double cur = min_.load(std::memory_order_relaxed);
   while (value < cur &&
          !min_.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
@@ -63,15 +27,22 @@ void AtomicHistogram::record(double value) {
   while (value > cur &&
          !max_.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
   }
+  const std::size_t idx =
+      std::min(runtime::Histogram::bucket_index(value), buckets_.size() - 1);
+  buckets_[idx].fetch_add(1, std::memory_order_relaxed);
+  sum_.fetch_add(value, std::memory_order_relaxed);
+  count_.fetch_add(1, std::memory_order_relaxed);
 }
 
-HistogramSnapshot AtomicHistogram::snapshot() const {
-  HistogramSnapshot s;
+runtime::Histogram AtomicHistogram::snapshot() const {
+  runtime::Histogram s;
   s.count = count_.load(std::memory_order_relaxed);
   s.sum = sum_.load(std::memory_order_relaxed);
   s.min = min_.load(std::memory_order_relaxed);
   s.max = max_.load(std::memory_order_relaxed);
-  s.buckets.resize(buckets_.size());
+  // Nothing folded yet (or a snapshot racing a record's folds): report the
+  // empty range, so quantile() never clamps into min > max.
+  if (s.min > s.max) s.min = s.max = 0.0;
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
     s.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
   }
@@ -93,7 +64,7 @@ double MetricsSnapshot::gauge_or(std::string_view name, double fallback) const {
   return fallback;
 }
 
-const HistogramSnapshot* MetricsSnapshot::histogram(std::string_view name) const {
+const runtime::Histogram* MetricsSnapshot::histogram(std::string_view name) const {
   for (const auto& [n, v] : histograms) {
     if (n == name) return &v;
   }

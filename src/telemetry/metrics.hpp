@@ -18,7 +18,7 @@
 //    atomic). Registering costs a lock; the hot path never sees a gauge.
 //  * AtomicHistogram — log-bucketed distribution (the exact bucketing
 //    scheme of runtime::Histogram) over shared atomic buckets. record() is
-//    two relaxed fetch_adds plus CAS min/max — lock-free and alloc-free;
+//    relaxed fetch_adds plus CAS min/max — lock-free and alloc-free;
 //    batch-size and service-time distributions record at batch rate, so
 //    bucket contention is negligible.
 //
@@ -37,6 +37,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -106,26 +107,9 @@ class Gauge {
   Fn fn_;
 };
 
-/// Plain merged view of one histogram at snapshot time.
-struct HistogramSnapshot {
-  std::uint64_t count = 0;
-  double sum = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  std::vector<std::uint64_t> buckets;  ///< runtime::Histogram bucketing.
-
-  double mean() const { return count ? sum / static_cast<double>(count) : 0.0; }
-  /// Same semantics as runtime::Histogram::quantile (bucket representative
-  /// clamped into [min, max]).
-  double quantile(double q) const;
-  /// Fold another snapshot into this one (same bucketing scheme by
-  /// construction). Used to aggregate per-stream histograms at report time.
-  void merge(const HistogramSnapshot& other);
-};
-
 /// Log-bucketed histogram over shared atomic buckets. record() is lock-free
-/// and alloc-free from any thread; snapshot() is a relaxed walk that is
-/// exact once writers quiesce.
+/// and alloc-free from any thread; snapshot() is a relaxed walk into a plain
+/// runtime::Histogram that is exact once writers quiesce.
 class AtomicHistogram {
  public:
   AtomicHistogram();
@@ -134,14 +118,14 @@ class AtomicHistogram {
 
   void record(double value);
   std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  HistogramSnapshot snapshot() const;
+  runtime::Histogram snapshot() const;
 
  private:
   std::vector<std::atomic<std::uint64_t>> buckets_;
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
-  std::atomic<double> min_{0.0};
-  std::atomic<double> max_{0.0};
+  std::atomic<double> min_{std::numeric_limits<double>::infinity()};
+  std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
 };
 
 /// Everything the registry holds, merged into plain values. Entries are
@@ -149,11 +133,11 @@ class AtomicHistogram {
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, double>> gauges;
-  std::vector<std::pair<std::string, HistogramSnapshot>> histograms;
+  std::vector<std::pair<std::string, runtime::Histogram>> histograms;
 
   std::uint64_t counter_or(std::string_view name, std::uint64_t fallback = 0) const;
   double gauge_or(std::string_view name, double fallback = 0.0) const;
-  const HistogramSnapshot* histogram(std::string_view name) const;
+  const runtime::Histogram* histogram(std::string_view name) const;
 };
 
 /// Named metric registry. Handles returned by counter()/gauge()/histogram()

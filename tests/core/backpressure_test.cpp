@@ -101,7 +101,7 @@ TEST(Backpressure, InFlightPopulationIsBoundedByQueueBudget) {
                               cfg.batch_size + 8 + filtered;
   EXPECT_LE(max_in_flight.load(), budget);
   EXPECT_EQ(st.prefetch.passed, 400u);
-  EXPECT_EQ(st.latency_ms.count(), 400u);
+  EXPECT_EQ(st.latency_ms.count, 400u);
 }
 
 TEST(Backpressure, TinyQueuesStillProcessEverything) {
@@ -121,7 +121,7 @@ TEST(Backpressure, TinyQueuesStillProcessEverything) {
   const auto stats = instance.run(false);
   const auto& st = stats.streams[0];
   EXPECT_EQ(st.prefetch.passed, 200u);
-  EXPECT_EQ(st.latency_ms.count(), 200u);  // nothing lost, nothing stuck
+  EXPECT_EQ(st.latency_ms.count, 200u);  // nothing lost, nothing stuck
 }
 
 TEST(Backpressure, StaticPolicyDrainsPartialFinalBatch) {
@@ -134,7 +134,7 @@ TEST(Backpressure, StaticPolicyDrainsPartialFinalBatch) {
                           s.sim, 500, 650, *new std::atomic<std::int64_t>{0}),
                       s.models);
   const auto stats = instance.run(false);
-  EXPECT_EQ(stats.streams[0].latency_ms.count(), 150u)
+  EXPECT_EQ(stats.streams[0].latency_ms.count, 150u)
       << "the final partial batch must flush on close";
 }
 

@@ -147,7 +147,7 @@ TEST(FaultTolerance, TransientErrorsRetryWithoutFrameLoss) {
   const auto stats = instance.run(false);
   const auto& st = stats.streams[0];
   EXPECT_EQ(st.prefetch.passed, frames);
-  EXPECT_EQ(st.latency_ms.count(), frames);
+  EXPECT_EQ(st.latency_ms.count, frames);
   EXPECT_GT(st.fault.decode_errors, 0u);
   EXPECT_GT(st.fault.retries, 0u);
   EXPECT_FALSE(st.fault.quarantined);
@@ -173,7 +173,7 @@ TEST(FaultTolerance, FatalErrorRestartsSourceWithoutFrameLoss) {
   EXPECT_EQ(st.fault.restarts, 1u);
   EXPECT_EQ(st.fault.decode_errors, 1u);
   EXPECT_EQ(st.prefetch.passed, frames);
-  EXPECT_EQ(st.latency_ms.count(), frames);
+  EXPECT_EQ(st.latency_ms.count, frames);
   EXPECT_EQ(survivors.by_stream[0], clean_survivors());
 }
 
@@ -192,7 +192,7 @@ TEST(FaultTolerance, UnrecoverableSourceEndsStreamGracefully) {
   const auto stats = instance.run(false);
   const auto& st = stats.streams[0];
   EXPECT_EQ(st.prefetch.passed, 9u);
-  EXPECT_EQ(st.latency_ms.count(), 9u);  // all nine drained to a terminus
+  EXPECT_EQ(st.latency_ms.count, 9u);  // all nine drained to a terminus
   EXPECT_EQ(st.fault.decode_errors, 1u);
   EXPECT_EQ(st.fault.restarts, 0u);
   EXPECT_FALSE(st.fault.quarantined);
@@ -217,7 +217,7 @@ TEST(FaultTolerance, DegradePolicyDropTerminatesUnevaluableFrames) {
   const auto stats = instance.run(false);
   const auto& st = stats.streams[0];
   EXPECT_EQ(st.prefetch.passed, frames);
-  EXPECT_EQ(st.latency_ms.count(), frames);
+  EXPECT_EQ(st.latency_ms.count, frames);
   EXPECT_GT(st.fault.degraded_frames, 0u);
   // Dropped frames never reach the output: survivors are a subset of the
   // clean run's (the truncated frames' pixels are gone, nothing to emit).
@@ -247,7 +247,7 @@ TEST(FaultTolerance, DegradePolicyBypassNeverEmitsUnvetted) {
   const auto stats = instance.run(false);
   const auto& st = stats.streams[0];
   EXPECT_EQ(st.prefetch.passed, frames);
-  EXPECT_EQ(st.latency_ms.count(), frames);
+  EXPECT_EQ(st.latency_ms.count, frames);
   EXPECT_GT(st.fault.degraded_frames, 0u);
   // Every emitted frame came through detect() successfully: survivors are a
   // subset of the clean run's (a truncated frame has no pixels to vet).
@@ -317,13 +317,13 @@ TEST(FaultTolerance, FaultMatrixIsolatesFaultyStreams) {
     EXPECT_FALSE(st.fault.quarantined) << "stream " << s;
     if (s == kEos) {
       EXPECT_EQ(st.prefetch.passed, 20u);  // ended early, but cleanly
-      EXPECT_EQ(st.latency_ms.count(), 20u);
+      EXPECT_EQ(st.latency_ms.count, 20u);
       continue;
     }
     // Every other stream — including the retried-transient and the
     // degraded-truncated one — conserves all 60 frames.
     EXPECT_EQ(st.prefetch.passed, frames) << "stream " << s;
-    EXPECT_EQ(st.latency_ms.count(), frames) << "stream " << s;
+    EXPECT_EQ(st.latency_ms.count, frames) << "stream " << s;
     if (s != kTransient && s != kTruncated) {
       EXPECT_FALSE(st.fault.any()) << "stream " << s;
       std::lock_guard lk(survivors.mu);

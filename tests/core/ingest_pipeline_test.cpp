@@ -101,7 +101,7 @@ TEST(HintedIngest, ConservesFramesThroughFusedStage) {
   EXPECT_EQ(st.prefetch.passed, 300u);
   EXPECT_EQ(st.sdd.in, 300u);
   EXPECT_EQ(st.snm.in, st.sdd.passed);
-  EXPECT_EQ(st.latency_ms.count(), 300u);
+  EXPECT_EQ(st.latency_ms.count, 300u);
   // Decode accounting: a frame is either reconstructed or hint-skipped,
   // and every reconstructed frame was a hint pass or a fallback.
   EXPECT_EQ(st.ingest.decode_full + st.ingest.decode_skipped, 300u);
@@ -180,9 +180,9 @@ TEST(HintedIngest, MixedPolicyStreamsCoexist) {
   const auto stats = instance.run(/*online=*/false);
   ASSERT_EQ(stats.streams.size(), 2u);
   EXPECT_EQ(stats.streams[0].sdd.in, 300u);
-  EXPECT_EQ(stats.streams[0].latency_ms.count(), 300u);
+  EXPECT_EQ(stats.streams[0].latency_ms.count, 300u);
   EXPECT_EQ(stats.streams[1].ingest.decode_skipped, 0u);
-  EXPECT_EQ(stats.streams[1].latency_ms.count(), 1000u);
+  EXPECT_EQ(stats.streams[1].latency_ms.count, 1000u);
   const auto agg = stats.aggregate();
   EXPECT_EQ(agg.ingest.decode_full + agg.ingest.decode_skipped, 1300u);
 }

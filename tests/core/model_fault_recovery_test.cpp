@@ -253,7 +253,7 @@ TEST(ModelFaultRecovery, SixteenStreamWedgeMatrixConservesFrames) {
   for (int s = 0; s < kStreams; ++s) {
     const auto& st = stats.streams[static_cast<std::size_t>(s)];
     EXPECT_EQ(st.prefetch.passed, frames) << "stream " << s;
-    EXPECT_EQ(st.latency_ms.count(), frames) << "stream " << s;
+    EXPECT_EQ(st.latency_ms.count, frames) << "stream " << s;
     EXPECT_FALSE(st.fault.quarantined) << "stream " << s;
   }
 
@@ -308,7 +308,7 @@ TEST(ModelFaultRecovery, SecondWedgePoisonsTheFrameUnderBypass) {
 
   const auto& st = stats.streams[0];
   EXPECT_EQ(st.prefetch.passed, frames);
-  EXPECT_EQ(st.latency_ms.count(), frames);  // poisoned frames still counted
+  EXPECT_EQ(st.latency_ms.count, frames);  // poisoned frames still counted
   EXPECT_GE(st.fault.poisoned_frames, 1u);
   EXPECT_GE(stats.health.fault.poisoned_frames, 1u);
   EXPECT_GE(stats.health.fault.cancelled_calls, 2u);

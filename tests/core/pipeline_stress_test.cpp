@@ -84,11 +84,11 @@ TEST(PipelineStress, ManyStreamsConserveOrderAndShutDownCleanly) {
     EXPECT_EQ(st.ref.passed, st.ref.in) << "stream " << s;
     // Terminal accounting: in == passed + filtered at every stage implies
     // exactly one latency sample per ingested frame.
-    EXPECT_EQ(st.latency_ms.count(), frames) << "stream " << s;
+    EXPECT_EQ(st.latency_ms.count, frames) << "stream " << s;
   }
   const auto agg = stats.aggregate();
   EXPECT_EQ(agg.prefetch.passed, frames * kStreams);
-  EXPECT_EQ(agg.latency_ms.count(), frames * kStreams);
+  EXPECT_EQ(agg.latency_ms.count, frames * kStreams);
 
   // Per-stream FIFO: each stream's survivors arrive in frame order.
   std::lock_guard lk(mu);
@@ -127,7 +127,7 @@ TEST(PipelineStress, SingleWorkerServesManyStreams) {
   const auto stats = instance.run(false);
   const auto agg = stats.aggregate();
   EXPECT_EQ(agg.prefetch.passed, frames * kStreams);
-  EXPECT_EQ(agg.latency_ms.count(), frames * kStreams);
+  EXPECT_EQ(agg.latency_ms.count, frames * kStreams);
 }
 
 // Every batch policy survives the multi-stream executor with full
@@ -149,7 +149,7 @@ TEST(PipelineStress, AllBatchPoliciesConserveAcrossStreams) {
     const auto stats = instance.run(false);
     const auto agg = stats.aggregate();
     EXPECT_EQ(agg.prefetch.passed, frames * kStreams) << to_string(p);
-    EXPECT_EQ(agg.latency_ms.count(), frames * kStreams) << to_string(p);
+    EXPECT_EQ(agg.latency_ms.count, frames * kStreams) << to_string(p);
   }
 }
 

@@ -67,7 +67,7 @@ TEST(Pipeline, OfflineConservesFrames) {
   EXPECT_EQ(st.ref.in, st.tyolo.passed);
   EXPECT_EQ(st.ref.passed, st.ref.in);
   // Every frame terminated exactly once (latency recorded for each).
-  EXPECT_EQ(st.latency_ms.count(), 300u);
+  EXPECT_EQ(st.latency_ms.count, 300u);
   EXPECT_EQ(instance.outputs().size(), static_cast<std::size_t>(st.ref.passed));
 }
 
@@ -128,7 +128,7 @@ TEST(Pipeline, MultiStreamKeepsStreamsSeparate) {
   }
   const auto agg = stats.aggregate();
   EXPECT_EQ(agg.prefetch.in, 300u);
-  EXPECT_EQ(agg.latency_ms.count(), 300u);
+  EXPECT_EQ(agg.latency_ms.count, 300u);
 }
 
 TEST(Pipeline, BatchPoliciesProduceSameSurvivors) {

@@ -198,7 +198,7 @@ TEST(RefBatch, ThrowingFrameIsDroppedAloneInsideBatches) {
   EXPECT_EQ(st_b.fault.degraded_frames, st_s.fault.degraded_frames);
   EXPECT_EQ(st_b.ref.in - st_b.ref.passed, st_b.fault.degraded_frames);
   // Conservation: every ingested frame still terminates exactly once.
-  EXPECT_EQ(st_b.latency_ms.count(), st_b.prefetch.passed);
+  EXPECT_EQ(st_b.latency_ms.count, st_b.prefetch.passed);
 }
 
 TEST(RefBatch, DroppedFramesFeedDropHistogramNotOutputLatency) {

@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -42,10 +45,11 @@ core::FfsVaConfig small_config() {
 }
 
 struct TestNode {
-  explicit TestNode(std::uint32_t id) {
+  explicit TestNode(std::uint32_t id, std::string metrics_path = {}) {
     NodeOptions opts;
     opts.node_id = id;
     opts.config = small_config();
+    opts.metrics_path = std::move(metrics_path);
     server = std::make_unique<NodeServer>(std::move(opts));
   }
   void start() {
@@ -102,7 +106,10 @@ TEST(Handoff, TwoNodeForcedMigrationConservesEveryFrame) {
 }
 
 TEST(Handoff, SingleNodeNoMigrationStillVerifies) {
-  TestNode n0(0);
+  const std::string metrics_path =
+      ::testing::TempDir() + "/ffsva_handoff_node_metrics.jsonl";
+  std::remove(metrics_path.c_str());
+  TestNode n0(0, metrics_path);
   n0.start();
 
   const auto specs = make_specs(/*count=*/3, /*frames=*/300, /*calib=*/12,
@@ -123,6 +130,15 @@ TEST(Handoff, SingleNodeNoMigrationStillVerifies) {
     ASSERT_NE(got, nullptr);
     EXPECT_EQ(got->emitted, ref.emitted) << "stream " << ref.stream_id;
   }
+
+  // The node exported its metrics, and every row names the node.
+  std::ifstream in(metrics_path);
+  int rows = 0;
+  for (std::string line; std::getline(in, line); ++rows) {
+    EXPECT_NE(line.find("\"node_id\":0"), std::string::npos) << line;
+  }
+  EXPECT_GT(rows, 0);
+  std::remove(metrics_path.c_str());
 }
 
 }  // namespace

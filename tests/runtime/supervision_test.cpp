@@ -40,14 +40,14 @@ TEST(StopToken, FreshTokensAreIndependent) {
 TEST(InflightCall, IdleReadsMinusOne) {
   InflightCall call;
   EXPECT_EQ(call.busy_age_ms(), -1);  // no call ever registered
-  call.begin(/*stream=*/0, /*frame=*/0);
+  call.begin(/*stream=*/0);
   call.end();
   EXPECT_EQ(call.busy_age_ms(), -1);  // idle again after the call returned
 }
 
 TEST(InflightCall, BusyAgeGrowsWhileInFlight) {
   InflightCall call;
-  call.begin(/*stream=*/1, /*frame=*/7);
+  call.begin(/*stream=*/1);
   EXPECT_GE(call.busy_age_ms(), 0);
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   EXPECT_GE(call.busy_age_ms(), 25);  // slack for timer coarseness
@@ -57,10 +57,10 @@ TEST(InflightCall, BusyAgeGrowsWhileInFlight) {
 
 TEST(InflightCall, NextBeginResetsTheAge) {
   InflightCall call;
-  call.begin(/*stream=*/0, /*frame=*/0);
+  call.begin(/*stream=*/0);
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   call.end();
-  call.begin(/*stream=*/0, /*frame=*/1);  // a new call: the stall clock restarts
+  call.begin(/*stream=*/0);  // a new call: the stall clock restarts
   EXPECT_GE(call.busy_age_ms(), 0);
   EXPECT_LT(call.busy_age_ms(), 25);
   call.end();
@@ -71,7 +71,7 @@ TEST(InflightCall, NextBeginResetsTheAge) {
 TEST(InflightCall, GuardRegistersForItsScope) {
   InflightCall call;
   {
-    ModelCallGuard guard(call, /*stream=*/2, /*frame=*/3);
+    ModelCallGuard guard(call, /*stream=*/2);
     EXPECT_GE(call.busy_age_ms(), 0);
     EXPECT_EQ(call.stream(), 2);
   }

@@ -39,8 +39,8 @@ TEST_P(ConservationSweep, EveryFrameTerminatesExactlyOnce) {
     EXPECT_EQ(st.ref.in, st.tyolo.passed);
     EXPECT_EQ(st.ref.passed, st.ref.in);
   }
-  EXPECT_EQ(r.terminal_latency_ms.count(), r.total.prefetch.passed);
-  EXPECT_EQ(r.output_latency_ms.count(), r.total.ref.passed);
+  EXPECT_EQ(r.terminal_latency_ms.count, r.total.prefetch.passed);
+  EXPECT_EQ(r.output_latency_ms.count, r.total.ref.passed);
   if (!c.online) {
     EXPECT_EQ(r.total.dropped_at_ingest, 0u) << "offline mode must never drop";
     EXPECT_EQ(r.total.prefetch.passed, static_cast<std::uint64_t>(c.streams) * 1200);

@@ -32,7 +32,7 @@ void check_conservation(const SimResult& r) {
     EXPECT_EQ(s.ref.passed, s.ref.in);
   }
   // Every ingested frame terminated: filtered or output.
-  EXPECT_EQ(r.terminal_latency_ms.count(), r.total.prefetch.passed);
+  EXPECT_EQ(r.terminal_latency_ms.count, r.total.prefetch.passed);
 }
 
 TEST(FfsVaSim, OfflineConservesFrames) {

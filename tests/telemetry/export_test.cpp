@@ -6,8 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -115,41 +113,6 @@ TEST(Exporter, StopAlwaysTakesAFinalSample) {
   exporter.stop();
   EXPECT_EQ(exporter.samples(), 1u);
   EXPECT_NE(sink.str().find("\"events\":7"), std::string::npos);
-}
-
-TEST(Exporter, FileSinkAppendsAcrossRuns) {
-  const std::string path =
-      ::testing::TempDir() + "/ffsva_export_test_metrics.jsonl";
-  std::remove(path.c_str());
-
-  Registry reg;
-  reg.counter("events").add(1);
-  {
-    MetricsExporter exporter(reg);
-    ASSERT_TRUE(exporter.start_file(path, 60000, "first"));
-    exporter.stop();
-  }
-  {
-    MetricsExporter exporter(reg);
-    ASSERT_TRUE(exporter.start_file(path, 60000, "second"));
-    exporter.stop();
-  }
-
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  EXPECT_EQ(count_lines(text), 2);  // append mode: both runs survive
-  EXPECT_NE(text.find("\"label\":\"first\""), std::string::npos);
-  EXPECT_NE(text.find("\"label\":\"second\""), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST(Exporter, StartFileFailsOnBadPath) {
-  Registry reg;
-  MetricsExporter exporter(reg);
-  EXPECT_FALSE(exporter.start_file("/nonexistent-dir/x/metrics.jsonl", 100));
-  EXPECT_FALSE(exporter.running());
 }
 
 }  // namespace
