@@ -16,11 +16,11 @@
 
 #include "detect/crop_pack.hpp"
 #include "detect/sdd.hpp"
+#include "runtime/affinity.hpp"
 #include "runtime/bounded_queue.hpp"
 #include "runtime/parallel_for.hpp"
 #include "runtime/rate_limiter.hpp"
 #include "runtime/stopwatch.hpp"
-#include "runtime/thread_pool.hpp"
 #include "telemetry/spans.hpp"
 
 namespace ffsva::core {
@@ -443,13 +443,18 @@ bool FfsVaInstance::export_trace(const std::string& path) const {
 }
 
 void FfsVaInstance::wire_metrics() {
-  hot_.snm_batches = &metrics_.counter("executor.snm_batches");
-  hot_.tyolo_picks = &metrics_.counter("executor.tyolo_picks");
   hot_.batch_size = &metrics_.histogram("executor.batch_size");
   hot_.tyolo_take = &metrics_.histogram("executor.tyolo_take");
   hot_.output_latency_ms = &metrics_.histogram("latency.output_ms");
-  hot_.ref_batches = &metrics_.counter("executor.ref_batches");
   hot_.ref_batch_size = &metrics_.histogram("executor.ref_batch_size");
+  // Each model call records its size once, so a call count is the count of
+  // its size histogram.
+  const auto count_of = [](const telemetry::AtomicHistogram* h) {
+    return [h] { return h->count(); };
+  };
+  metrics_.counter("executor.snm_batches", count_of(hot_.batch_size));
+  metrics_.counter("executor.tyolo_picks", count_of(hot_.tyolo_take));
+  metrics_.counter("executor.ref_batches", count_of(hot_.ref_batch_size));
   hot_.crops_per_mosaic = &metrics_.histogram("ref.crops_per_mosaic");
   hot_.mosaic_fill = &metrics_.histogram("ref.mosaic_fill");
   hot_.ref_full_frame = &metrics_.counter("ref.full_frame_fallbacks");
@@ -921,7 +926,6 @@ void FfsVaInstance::gpu0_loop() {
     }
     span.set_batch(served);
     if (served > 0) {
-      hot_.tyolo_picks->add();
       hot_.tyolo_take->record(static_cast<double>(served));
     }
     return progressed;
@@ -974,7 +978,6 @@ void FfsVaInstance::gpu0_loop() {
       did_work = true;
       imgs.clear();
       for (const auto& it : items) imgs.push_back(&it.frame.image);
-      hot_.snm_batches->add();
       hot_.batch_size->record(static_cast<double>(items.size()));
       std::vector<double> scores;
       const CallOutcome oc = model_call(gpu0_call_, s.id, [&] {
@@ -1134,7 +1137,6 @@ void FfsVaInstance::reference_loop() {
     }
 
     if (!batch.empty()) {
-      hot_.ref_batches->add();
       hot_.ref_batch_size->record(static_cast<double>(batch.size()));
       std::vector<detect::RefBatchItem> results;
       // The batch spans streams; attribute the in-flight call to the first

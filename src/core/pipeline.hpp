@@ -386,14 +386,11 @@ class FfsVaInstance {
   /// Per-frame funnel counts are not here: they live in the Stream atomics
   /// only, and the registry reads them when sampled (wire_metrics()).
   struct Hot {
-    telemetry::Counter* snm_batches = nullptr;
-    telemetry::Counter* tyolo_picks = nullptr;
     telemetry::AtomicHistogram* batch_size = nullptr;
     telemetry::AtomicHistogram* tyolo_take = nullptr;
     telemetry::AtomicHistogram* output_latency_ms = nullptr;
     // GPU1 reference-stage batching/consolidation (one schema, same
     // registry: these are just more handles resolved in wire_metrics()).
-    telemetry::Counter* ref_batches = nullptr;
     telemetry::AtomicHistogram* ref_batch_size = nullptr;  ///< Occupancy.
     telemetry::AtomicHistogram* crops_per_mosaic = nullptr;
     telemetry::AtomicHistogram* mosaic_fill = nullptr;

@@ -1,7 +1,9 @@
-// Pipeline scheduling policies as pure logic, shared verbatim by the
-// threaded engine (src/core/pipeline.*) and the discrete-event simulator
-// (src/sim). Keeping them engine-agnostic is what makes the simulated
-// performance figures an evaluation of the *production* policy code.
+// Pipeline scheduling policies as pure logic. DynamicBatcher and
+// TYoloScheduler are shared verbatim by the threaded engine
+// (src/core/pipeline.*) and the discrete-event simulator (src/sim); keeping
+// them engine-agnostic is what makes the simulated performance figures an
+// evaluation of the *production* policy code. AdmissionController serves
+// core::ClusterManager's admission and re-forwarding decisions.
 #pragma once
 
 #include <algorithm>

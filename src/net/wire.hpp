@@ -38,7 +38,8 @@ enum class MsgType : std::uint16_t {
   kAssignAck = 7,    ///< Node accepted the stream (engine id inside).
   kEndStream = 8,    ///< Scheduler cuts a stream's ingest on the node.
   kStreamEnded = 9,  ///< Node: stream quiesced; terminal counters inside.
-  kDrain = 10,       ///< Stop accepting, finish what is running.
+  // 10 is retired (a drain request nothing sent); a peer that still sends
+  // it is ignored like any unknown type. Do not reuse it.
   kStop = 11,        ///< Graceful shutdown.
   kStopAck = 12,     ///< Node is about to exit.
   kResults = 13,     ///< Per-frame pass verdicts for a quiesced stream.

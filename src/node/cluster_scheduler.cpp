@@ -159,7 +159,6 @@ void ClusterScheduler::dispatch(int node, const net::WireFrame& frame) {
     case net::MsgType::kAssignStream:
     case net::MsgType::kAssignAck:
     case net::MsgType::kEndStream:
-    case net::MsgType::kDrain:
     case net::MsgType::kStop:
     case net::MsgType::kStopAck:
       return;

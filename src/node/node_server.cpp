@@ -120,15 +120,6 @@ void NodeServer::handle_frame(net::Channel& ch, const net::WireFrame& frame) {
       inst_.end_stream(local);
       return;
     }
-    case net::MsgType::kDrain: {
-      std::vector<int> locals;
-      {
-        runtime::MutexLock lk(mu_);
-        for (auto& [gid, owned] : owned_) locals.push_back(owned.local_id);
-      }
-      for (const int local : locals) inst_.end_stream(local);
-      return;
-    }
     case net::MsgType::kStop:
       // Ack only once the engine has fully stopped: the scheduler treats
       // kStopAck as "this node's process may exit now".

@@ -14,8 +14,8 @@
 //   * snapshot exchange kSnapshot → kSnapshot carrying the engine's own
 //                       InstanceSnapshot (ids translated to cluster-global),
 //                       which the scheduler feeds to ClusterManager.
-//   * drain/stop        kDrain ends every stream; kStop stops the engine,
-//                       answers kStopAck, and serve() returns.
+//   * stop              kStop stops the engine, answers kStopAck, and
+//                       serve() returns.
 //
 // Threading: the engine runs on its own thread (FfsVaInstance::run); the
 // control loop owns the listener and the single scheduler channel. A lost

@@ -58,19 +58,17 @@ inline constexpr std::uint32_t kEngineOutputs = 300;
 /// telemetry::Registry::mu_ — metric maps; gauge callbacks run under it,
 /// so anything a callback locks must rank higher.
 inline constexpr std::uint32_t kTelemetryRegistry = 400;
-/// telemetry::MetricsExporter::mu_ — sampler stop handshake.
-inline constexpr std::uint32_t kTelemetryExporter = 410;
 /// telemetry::TraceBuffer::mu_ — span-ring registration.
 inline constexpr std::uint32_t kTraceBuffer = 420;
 /// runtime::Watchdog::mu_ — tick/stop handshake (check() runs unlocked).
 inline constexpr std::uint32_t kWatchdog = 450;
 
 // --- Compute runtime --------------------------------------------------------
-/// parallel_for's ComputePool::mu — held across ThreadPool construction
-/// and shutdown (which takes the pool's own lock and joins workers).
+/// parallel_for's ComputePool::mu — held across the worker set's
+/// construction and teardown (which takes the queue lock and joins).
 inline constexpr std::uint32_t kComputePool = 600;
-/// runtime::ThreadPool::mu_ — task queue + idle tracking.
-inline constexpr std::uint32_t kThreadPool = 610;
+/// parallel_for's Workers::mu_ — the queue of loops awaiting a helper.
+inline constexpr std::uint32_t kComputeQueue = 610;
 /// parallel_for LoopState::mu — per-loop join/error handshake.
 inline constexpr std::uint32_t kLoopJoin = 620;
 

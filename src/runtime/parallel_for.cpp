@@ -6,14 +6,15 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <deque>
 #include <exception>
 #include <memory>
 #include <optional>
 #include <thread>
+#include <vector>
 
 #include "runtime/annotations.hpp"
 #include "runtime/cancel.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace ffsva::runtime {
 
@@ -28,53 +29,11 @@ int parallelism_from_env() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-struct ComputePool {
-  // Held across ThreadPool construction/shutdown, which takes the pool's
-  // own lock (kThreadPool) and joins its workers.
-  Mutex mu{rank::kComputePool, "ComputePool::mu"};
-  std::unique_ptr<ThreadPool> pool FFSVA_GUARDED_BY(mu);
-  int parallelism FFSVA_GUARDED_BY(mu) = 0;  // 0 = not yet resolved
-
-  int ensure(int requested) FFSVA_EXCLUDES(mu) {
-    MutexLock lk(mu);
-    const int want = requested > 0 ? requested
-                     : parallelism > 0 ? parallelism
-                                       : parallelism_from_env();
-    if (want == parallelism) return parallelism;
-    pool.reset();
-    // The caller is worker number `want`; the pool supplies the rest.
-    if (want > 1) pool = std::make_unique<ThreadPool>(static_cast<std::size_t>(want - 1));
-    parallelism = want;
-    return parallelism;
-  }
-
-  ThreadPool* get() FFSVA_EXCLUDES(mu) {
-    ensure(0);
-    MutexLock lk(mu);
-    return pool.get();
-  }
-};
-
-ComputePool& state() {
-  static auto* s = new ComputePool();  // leaked: outlives any static user
-  return *s;
-}
-
-}  // namespace
-
-ThreadPool* compute_pool() { return state().get(); }
-
-int compute_parallelism() { return state().ensure(0); }
-
-void set_compute_parallelism(int n) { state().ensure(std::max(1, n)); }
-
-namespace {
-
 /// Shared state of one parallel loop. Heap-owned (shared_ptr) by the
-/// caller and every helper task: a helper may be scheduled only after the
-/// join returned (or never, if every chunk was drained first), so it must
-/// not touch the caller's stack. The join condition is "every *chunk*
-/// finished", which the participating caller can always drive to
+/// caller and every queued helper entry: a helper may be scheduled only
+/// after the join returned (or never, if every chunk was drained first), so
+/// it must not touch the caller's stack. The join condition is "every
+/// *chunk* finished", which the participating caller can always drive to
 /// completion on its own — a queued helper that never runs claims no
 /// chunks, so nested loops cannot deadlock even when all workers are
 /// blocked in inner joins. `ctx` points into the caller's frame, but is
@@ -130,24 +89,116 @@ struct LoopState {
   }
 };
 
+/// The helper threads: each pops one queued loop and runs its chunks. The
+/// destructor drops still-queued entries before joining — safe because a
+/// helper that never runs claims no chunks, so no join waits on it.
+class Workers {
+ public:
+  explicit Workers(int n) {
+    threads_.reserve(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) threads_.emplace_back([this] { run(); });
+  }
+
+  ~Workers() FFSVA_EXCLUDES(mu_) {
+    {
+      MutexLock lk(mu_);
+      stopping_ = true;
+      queue_.clear();
+    }
+    ready_.notify_all();
+    for (auto& t : threads_) t.join();
+  }
+
+  Workers(const Workers&) = delete;
+  Workers& operator=(const Workers&) = delete;
+
+  int size() const { return static_cast<int>(threads_.size()); }
+
+  /// Queue `helpers` entries for `st`, waking one worker per entry.
+  void post(const std::shared_ptr<LoopState>& st, int helpers)
+      FFSVA_EXCLUDES(mu_) {
+    {
+      MutexLock lk(mu_);
+      for (int i = 0; i < helpers; ++i) queue_.push_back(st);
+    }
+    for (int i = 0; i < helpers; ++i) ready_.notify_one();
+  }
+
+ private:
+  void run() FFSVA_EXCLUDES(mu_) {
+    for (;;) {
+      std::shared_ptr<LoopState> st;
+      {
+        UniqueLock lk(mu_);
+        while (!stopping_ && queue_.empty()) ready_.wait(lk);
+        if (stopping_) return;
+        st = std::move(queue_.front());
+        queue_.pop_front();
+      }
+      st->run_chunks();
+    }
+  }
+
+  Mutex mu_{rank::kComputeQueue, "parallel_for::Workers::mu_"};
+  CondVar ready_;
+  // bounded-ok: at most workers-count entries per loop in flight, and the
+  // loops in flight are bounded by the threads that can call parallel_for.
+  std::deque<std::shared_ptr<LoopState>> queue_ FFSVA_GUARDED_BY(mu_);
+  bool stopping_ FFSVA_GUARDED_BY(mu_) = false;
+  std::vector<std::thread> threads_;  ///< Written by the ctor only.
+};
+
+struct ComputePool {
+  // Held across Workers construction/destruction, which takes the queue
+  // lock (kComputeQueue) and joins the threads.
+  Mutex mu{rank::kComputePool, "ComputePool::mu"};
+  std::unique_ptr<Workers> workers FFSVA_GUARDED_BY(mu);
+  int parallelism FFSVA_GUARDED_BY(mu) = 0;  // 0 = not yet resolved
+
+  int ensure(int requested) FFSVA_EXCLUDES(mu) {
+    MutexLock lk(mu);
+    const int want = requested > 0 ? requested
+                     : parallelism > 0 ? parallelism
+                                       : parallelism_from_env();
+    if (want == parallelism) return parallelism;
+    workers.reset();
+    // The caller is worker number `want`; the set supplies the rest.
+    if (want > 1) workers = std::make_unique<Workers>(want - 1);
+    parallelism = want;
+    return parallelism;
+  }
+
+  Workers* get() FFSVA_EXCLUDES(mu) {
+    ensure(0);
+    MutexLock lk(mu);
+    return workers.get();
+  }
+};
+
+ComputePool& state() {
+  static auto* s = new ComputePool();  // leaked: outlives any static user
+  return *s;
+}
+
 }  // namespace
+
+int compute_parallelism() { return state().ensure(0); }
+
+void set_compute_parallelism(int n) { state().ensure(std::max(1, n)); }
 
 namespace detail {
 
 void parallel_for_impl(std::int64_t begin, std::int64_t end, std::int64_t grain,
                        std::int64_t chunks, ChunkFn invoke, void* ctx) {
-  ThreadPool* pool = compute_pool();
-  if (pool == nullptr) {
+  Workers* workers = state().get();
+  if (workers == nullptr) {
     invoke(ctx, begin, end);
     return;
   }
 
   auto st = std::make_shared<LoopState>(begin, end, grain, chunks, invoke, ctx);
-  const int helpers = static_cast<int>(
-      std::min<std::int64_t>(static_cast<std::int64_t>(pool->size()), chunks - 1));
-  for (int t = 0; t < helpers; ++t) {
-    if (!pool->submit([st] { st->run_chunks(); })) break;
-  }
+  workers->post(st, static_cast<int>(std::min<std::int64_t>(workers->size(),
+                                                            chunks - 1)));
   st->run_chunks();
   if (st->finished.load(std::memory_order_acquire) != chunks) {
     UniqueLock lk(st->mu);

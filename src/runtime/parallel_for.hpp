@@ -1,17 +1,16 @@
-// Data-parallel loops over a shared, process-wide compute pool.
+// Data-parallel loops over a shared, process-wide set of compute workers.
 //
 // The inference hot path (blocked GEMM rows, batch preprocessing) wants
-// fork-join parallelism, not the pipeline's long-lived stage tasks, so the
-// compute pool is a separate singleton from any ThreadPool a pipeline
-// instance owns: its tasks are short chunk loops that never block on
-// queues, which keeps fork-join free of starvation no matter what the
-// pipeline threads are doing.
+// fork-join parallelism, not long-lived stage threads, so the workers are
+// private to parallel_for: each one runs the chunks of one queued loop at
+// a time. Chunk loops never block on queues, which keeps fork-join free of
+// starvation no matter what the pipeline threads are doing.
 //
 // Sizing: FFSVA_THREADS in the environment, else std::hardware_concurrency.
 // With parallelism 1 every parallel_for degrades to a plain serial loop
-// (no pool is created at all). The caller always participates in the work,
-// stealing chunks through a shared atomic cursor, so a busy pool can delay
-// but never deadlock a join — even for nested parallel_for calls.
+// (no worker is started at all). The caller always participates in the
+// work, stealing chunks through a shared atomic cursor, so busy workers can
+// delay but never deadlock a join — even for nested parallel_for calls.
 #pragma once
 
 #include <cstdint>
@@ -20,18 +19,12 @@
 
 namespace ffsva::runtime {
 
-class ThreadPool;
-
-/// The shared compute pool, or nullptr when parallelism is 1.
-/// Created lazily on first use.
-ThreadPool* compute_pool();
-
 /// Current compute parallelism (>= 1): workers available to parallel_for
 /// including the calling thread.
 int compute_parallelism();
 
 /// Override the compute parallelism (tests / benchmarks; also the hook the
-/// FFSVA_THREADS knob resolves through). Rebuilds the pool; must not be
+/// FFSVA_THREADS knob resolves through). Restarts the workers; must not be
 /// called while parallel loops are in flight.
 void set_compute_parallelism(int n);
 
@@ -46,14 +39,14 @@ void parallel_for_impl(std::int64_t begin, std::int64_t end, std::int64_t grain,
 }  // namespace detail
 
 /// Split [begin, end) into chunks of ~`grain` iterations and run
-/// fn(chunk_begin, chunk_end) across the compute pool. The calling thread
+/// fn(chunk_begin, chunk_end) across the compute workers. The calling thread
 /// participates. Serial — and allocation-free, which the zero-alloc
 /// inference contract relies on — when the range fits a single chunk or
 /// parallelism is 1; the callable is passed by reference (no std::function
 /// conversion) either way. Exceptions thrown by fn are rethrown on the
 /// calling thread (first one wins); remaining chunks are abandoned.
 /// The caller's CancelToken (runtime/cancel.hpp), if one is installed, is
-/// re-installed on every pool worker running this loop's chunks, so a
+/// re-installed on every worker running this loop's chunks, so a
 /// check_cancel() in the body unwinds the whole loop via CancelledError.
 template <typename Fn>
 void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,

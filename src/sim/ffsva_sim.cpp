@@ -68,8 +68,7 @@ class FfsVaSimulation {
         ref_q_(static_cast<std::size_t>(setup.config.capacity(setup.config.ref_queue_depth))),
         scheduler_(setup.config.num_tyolo),
         batcher_(setup.config.batch_policy, setup.config.batch_size,
-                 setup.config.snm_queue_depth),
-        admission_(setup.config.admit_tyolo_fps, setup.config.admit_window_sec) {
+                 setup.config.snm_queue_depth) {
     for (int i = 0; i < setup.num_streams; ++i) {
       auto outcomes = setup.make_outcomes
                           ? setup.make_outcomes(i)
@@ -331,7 +330,6 @@ class FfsVaSimulation {
       record_span("tyolo.batch", telemetry::Stage::kTyolo, s.id,
                   static_cast<int>(batch.size()), exec_us * 1e-6, kLaneGpu0);
       tyolo_served_ += static_cast<std::int64_t>(batch.size());
-      admission_.on_tyolo_served(engine_.now(), static_cast<int>(batch.size()));
       deliver_tyolo_outputs(s, std::move(batch), 0);
     });
   }
@@ -415,7 +413,6 @@ class FfsVaSimulation {
   SimQueue<std::pair<int, SimFrame>> ref_q_;
   core::TYoloScheduler scheduler_;
   core::DynamicBatcher batcher_;
-  core::AdmissionController admission_;
   std::vector<std::unique_ptr<SimStream>> streams_;
   bool tyolo_busy_ = false;
   bool ref_closed_ = false;

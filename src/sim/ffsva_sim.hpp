@@ -4,9 +4,9 @@
 // (GPU0, batched, per-stream weights), global T-YOLO (GPU0, round-robin,
 // per-stream cap), reference model (GPU1) — executed under virtual time
 // with the calibrated cost models of detect/cost_model.hpp. The policy
-// objects (DynamicBatcher, TYoloScheduler, AdmissionController) are the
-// production classes from core/policies.hpp; the feedback-queue thresholds
-// are the bounds of the SimQueues.
+// objects (DynamicBatcher, TYoloScheduler) are the production classes from
+// core/policies.hpp; the feedback-queue thresholds are the bounds of the
+// SimQueues.
 //
 // Per-frame filter outcomes come from an OutcomeSource: either a replayed
 // real trace or a calibrated Markov generator (sim/outcome.hpp).

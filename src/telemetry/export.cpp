@@ -1,5 +1,5 @@
 // relaxed-ok: see telemetry/export.hpp — samples_ is a monotonic progress
-// counter; everything else is ordered by the sampler thread's join.
+// counter; everything else is ordered by the watchdog thread's join.
 #include "telemetry/export.hpp"
 
 #include <algorithm>
@@ -101,39 +101,18 @@ std::string metrics_jsonl_row(const MetricsSnapshot& cur,
 void MetricsExporter::start_stream(std::ostream* sink, int interval_ms,
                                    std::string label) {
   stop();
+  if (sink == nullptr) return;
   sink_ = sink;
   label_ = std::move(label);
-  {
-    runtime::MutexLock lk(mu_);
-    stopping_ = false;
-  }
   samples_ = 0;
   have_prev_ = false;
   prev_t_sec_ = 0.0;
   t0_ = std::chrono::steady_clock::now();
-  // thread-ok: the sampler thread; stop() joins it before the sink closes.
-  thread_ = std::thread([this, interval_ms] { loop(std::max(1, interval_ms)); });
-}
-
-void MetricsExporter::loop(int interval_ms) {
-  runtime::UniqueLock lk(mu_);
-  for (;;) {
-    // One sampling interval: sleep until the deadline or a stop request
-    // (explicit wait loop; see runtime/annotations.hpp).
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(interval_ms);
-    while (!stopping_) {
-      if (cv_.wait_until(lk, deadline) == std::cv_status::timeout) break;
-    }
-    if (stopping_) return;  // final sample is taken by stop() after the join
-    lk.unlock();
-    sample_once();
-    lk.lock();
-  }
+  watchdog_.start(std::chrono::milliseconds(std::max(1, interval_ms)),
+                  [this] { sample_once(); });
 }
 
 void MetricsExporter::sample_once() {
-  if (!sink_) return;
   const double t_sec =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_)
           .count();
@@ -149,16 +128,10 @@ void MetricsExporter::sample_once() {
 }
 
 void MetricsExporter::stop() {
-  if (thread_.joinable()) {
-    {
-      runtime::MutexLock lk(mu_);
-      stopping_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-    sample_once();  // the run's closing state always lands in the sink
-    sink_->flush();
-  }
+  if (!watchdog_.running()) return;
+  watchdog_.stop();
+  sample_once();  // the run's closing state always lands in the sink
+  sink_->flush();
   sink_ = nullptr;
 }
 

@@ -1,5 +1,5 @@
-// Live metrics export: a sampler thread that periodically snapshots a
-// Registry and appends one JSON object per sample to a sink (JSONL).
+// Live metrics export: a runtime::Watchdog tick that periodically snapshots
+// a Registry and appends one JSON object per sample to a sink (JSONL).
 //
 // Each row carries the sample time, every counter (cumulative), per-counter
 // rates over the sampling interval (this is where per-stage FPS and drop
@@ -13,19 +13,17 @@
 // its gauge callbacks read) is destroyed.
 //
 // relaxed-ok: samples_ is a monotonic progress counter polled by tests;
-// the sampler's state is otherwise confined to its thread and the
-// start/stop join edges.
+// the sampler's state is otherwise confined to the watchdog's thread and
+// the start/stop join edges.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <ostream>
 #include <string>
-#include <thread>
 
-#include "runtime/annotations.hpp"
+#include "runtime/supervision.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace ffsva::telemetry {
@@ -50,7 +48,7 @@ class MetricsExporter {
 
   /// Start sampling every `interval_ms` into a caller-owned stream (must
   /// outlive stop()). Open a file in append mode to let one archive hold
-  /// several runs.
+  /// several runs. A null sink starts nothing.
   void start_stream(std::ostream* sink, int interval_ms, std::string label = {});
 
   /// Stop the sampler: takes one final sample, flushes, joins. Idempotent.
@@ -60,32 +58,26 @@ class MetricsExporter {
   /// start; negative (the default) omits the field.
   void set_node_id(int id) { node_id_ = id; }
 
-  bool running() const { return thread_.joinable(); }
+  bool running() const { return watchdog_.running(); }
   std::uint64_t samples() const {
     return samples_.load(std::memory_order_relaxed);
   }
 
  private:
-  void loop(int interval_ms);
   void sample_once();
 
   Registry& registry_;
-  // Sink plumbing and sample history are written by start_stream()/stop() and the
-  // sampler thread, ordered by the thread create/join edges — the mutex
-  // below exists only for the stop handshake.
+  // Sink plumbing and sample history are written by start_stream()/stop()
+  // and the watchdog's thread, ordered by its thread create/join edges.
   std::ostream* sink_ = nullptr;
   std::string label_;
   int node_id_ = -1;
-  std::thread thread_;  // thread-ok: sampler thread, joined in stop()
-  runtime::Mutex mu_{runtime::rank::kTelemetryExporter,
-                     "telemetry::MetricsExporter::mu_"};
-  runtime::CondVar cv_;
-  bool stopping_ FFSVA_GUARDED_BY(mu_) = false;
   std::atomic<std::uint64_t> samples_{0};
   bool have_prev_ = false;
   MetricsSnapshot prev_;
   double prev_t_sec_ = 0.0;
   std::chrono::steady_clock::time_point t0_;
+  runtime::Watchdog watchdog_;
 };
 
 }  // namespace ffsva::telemetry

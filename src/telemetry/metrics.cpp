@@ -1,4 +1,4 @@
-// relaxed-ok: see telemetry/metrics.hpp — sharded accumulators whose
+// relaxed-ok: see telemetry/metrics.hpp — relaxed accumulators whose
 // snapshots are approximate-until-quiesce by contract.
 #include "telemetry/metrics.hpp"
 

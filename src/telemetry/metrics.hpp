@@ -1,6 +1,6 @@
 // Lock-free metrics registry: named counters, gauges, and histograms whose
-// hot-path recording is wait-free, allocation-free, and contention-sharded,
-// with snapshot-on-demand merge for samplers and control planes.
+// hot-path recording is wait-free and allocation-free, with
+// snapshot-on-demand merge for samplers and control planes.
 //
 // The engine's control decisions (feedback throttling, `num_tyolo`
 // scheduling, Section 4.3.1 re-forwarding) all hinge on runtime signals —
@@ -8,11 +8,12 @@
 // observable *while the pipeline runs*, at a cost the pipeline cannot feel.
 // The design follows the usual production-telemetry split:
 //
-//  * Counter   — monotonic event count. add() is one relaxed fetch_add on a
-//    per-thread shard cell (cache-line padded, thread slot assigned once per
-//    thread), so concurrent writers never touch the same cache line;
-//    value() merges the shards with relaxed loads. Totals are exact once
-//    writers quiesce and monotonically non-decreasing while they run.
+//  * Counter   — monotonic event count. add() is one relaxed fetch_add on
+//    a single atomic cell; value() is one relaxed load. Per-frame counts
+//    live in the engine's per-stream atomics and reach the registry as
+//    read functions, so the counters that still take add() have one writer
+//    thread each. Totals are exact once writers quiesce and monotonically
+//    non-decreasing while they run.
 //  * Gauge     — an instantaneous value polled at snapshot time via a
 //    callback (a queue depth, a cumulative counter kept elsewhere as an
 //    atomic). Registering costs a lock; the hot path never sees a gauge.
@@ -27,13 +28,12 @@
 // the registry's lifetime. snapshot() walks everything under the same mutex
 // and returns plain merged values.
 //
-// relaxed-ok: counter shards, histogram buckets, and min/max cells are
+// relaxed-ok: counter cells, histogram buckets, and min/max cells are
 // independent monotonic accumulators; snapshot() is documented approximate
 // while writers run and exact once they quiesce (a join edge, not an
 // ordering edge, makes it exact).
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -49,18 +49,15 @@
 
 namespace ffsva::telemetry {
 
-/// Small dense id for the calling thread, assigned on first use. Shared by
-/// every sharded metric (and the trace recorder's tid), so one process has
-/// one stable thread numbering.
+/// Small dense id for the calling thread, assigned on first use; the trace
+/// recorder's tid.
 std::uint32_t thread_slot();
 
-/// Monotonic event counter, sharded to keep concurrent writers off each
-/// other's cache lines. A counter given a read function instead reports
-/// that function's value (a count kept elsewhere, e.g. in per-stream
-/// atomics) and ignores add().
+/// Monotonic event counter: one relaxed atomic. A counter given a read
+/// function instead reports that function's value (a count kept elsewhere,
+/// e.g. in per-stream atomics or a histogram's count) and ignores add().
 class Counter {
  public:
-  static constexpr std::size_t kShards = 16;
   using Fn = std::function<std::uint64_t()>;
 
   Counter() = default;
@@ -68,26 +65,18 @@ class Counter {
   Counter& operator=(const Counter&) = delete;
 
   /// Wait-free, alloc-free; safe from any thread.
-  void add(std::uint64_t n = 1) {
-    cells_[thread_slot() % kShards].v.fetch_add(n, std::memory_order_relaxed);
-  }
+  void add(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
 
   void set_fn(Fn fn) { fn_ = std::move(fn); }
 
-  /// Merged total. Exact once writers quiesce; while they run, a sum that
-  /// never decreases and never exceeds the true count at read completion.
+  /// Total so far. Exact once writers quiesce; while they run, a value
+  /// that never decreases and never exceeds the true count at read time.
   std::uint64_t value() const {
-    if (fn_) return fn_();
-    std::uint64_t total = 0;
-    for (const auto& c : cells_) total += c.v.load(std::memory_order_relaxed);
-    return total;
+    return fn_ ? fn_() : v_.load(std::memory_order_relaxed);
   }
 
  private:
-  struct alignas(64) Cell {
-    std::atomic<std::uint64_t> v{0};
-  };
-  std::array<Cell, kShards> cells_;
+  std::atomic<std::uint64_t> v_{0};
   Fn fn_;
 };
 

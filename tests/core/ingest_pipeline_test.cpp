@@ -16,7 +16,7 @@
 #include <memory>
 #include <set>
 
-#include "runtime/thread_pool.hpp"
+#include "runtime/affinity.hpp"
 #include "video/profiles.hpp"
 #include "video/source.hpp"
 

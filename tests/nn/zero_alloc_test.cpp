@@ -160,7 +160,7 @@ TEST(ZeroAlloc, WarmInferenceWithTelemetryArmedIsAllocationFree) {
   telemetry::AtomicHistogram& hist = reg.histogram("executor.batch_size");
   telemetry::TraceBuffer trace(64);
   trace.enable();
-  // Warm-up: registers this thread's span ring and counter shard slot.
+  // Warm-up: registers this thread's span ring (and its trace tid).
   in.add(0);
   hist.record(1.0);
   {

@@ -26,9 +26,13 @@ TEST(LockRank, InOrderAcquisitionPasses) {
   Mutex inner{rank::kBoundedQueue, "test::inner"};
   {
     MutexLock lo(outer);
-    if (lock_rank_checks_enabled()) EXPECT_EQ(lock_rank_held_depth(), 1);
+    if (lock_rank_checks_enabled()) {
+      EXPECT_EQ(lock_rank_held_depth(), 1);
+    }
     MutexLock li(inner);
-    if (lock_rank_checks_enabled()) EXPECT_EQ(lock_rank_held_depth(), 2);
+    if (lock_rank_checks_enabled()) {
+      EXPECT_EQ(lock_rank_held_depth(), 2);
+    }
   }
   EXPECT_EQ(lock_rank_held_depth(), 0);
 }
@@ -36,11 +40,15 @@ TEST(LockRank, InOrderAcquisitionPasses) {
 TEST(LockRank, UniqueLockTracksUnlockRelock) {
   Mutex mu{rank::kWatchdog, "test::uniq"};
   UniqueLock lk(mu);
-  if (lock_rank_checks_enabled()) EXPECT_EQ(lock_rank_held_depth(), 1);
+  if (lock_rank_checks_enabled()) {
+    EXPECT_EQ(lock_rank_held_depth(), 1);
+  }
   lk.unlock();
   EXPECT_EQ(lock_rank_held_depth(), 0);
   lk.lock();
-  if (lock_rank_checks_enabled()) EXPECT_EQ(lock_rank_held_depth(), 1);
+  if (lock_rank_checks_enabled()) {
+    EXPECT_EQ(lock_rank_held_depth(), 1);
+  }
   lk.unlock();
   EXPECT_EQ(lock_rank_held_depth(), 0);
 }
@@ -48,7 +56,9 @@ TEST(LockRank, UniqueLockTracksUnlockRelock) {
 TEST(LockRank, TryLockPushesOnSuccessOnly) {
   Mutex mu{rank::kTraceBuffer, "test::try"};
   ASSERT_TRUE(mu.try_lock());
-  if (lock_rank_checks_enabled()) EXPECT_EQ(lock_rank_held_depth(), 1);
+  if (lock_rank_checks_enabled()) {
+    EXPECT_EQ(lock_rank_held_depth(), 1);
+  }
   // Contended try_lock from another thread fails and must leave that
   // thread's stack untouched.
   std::thread([&] {
@@ -71,7 +81,9 @@ TEST(LockRank, UnrankedMutexesStayOffTheStack) {
   // An unranked lock under a ranked one is equally invisible.
   Mutex ranked{rank::kEngineOutputs, "test::ranked"};
   MutexLock lr(ranked);
-  if (lock_rank_checks_enabled()) EXPECT_EQ(lock_rank_held_depth(), 1);
+  if (lock_rank_checks_enabled()) {
+    EXPECT_EQ(lock_rank_held_depth(), 1);
+  }
 }
 
 TEST(LockRank, EqualRankCountsAsInversion) {
@@ -135,7 +147,9 @@ TEST(LockRank, CondVarWaitKeepsEntryAcrossWait) {
   {
     UniqueLock lk(mu);
     while (!ready) cv.wait(lk);
-    if (lock_rank_checks_enabled()) EXPECT_EQ(lock_rank_held_depth(), 1);
+    if (lock_rank_checks_enabled()) {
+      EXPECT_EQ(lock_rank_held_depth(), 1);
+    }
   }
   waker.join();
   EXPECT_EQ(lock_rank_held_depth(), 0);

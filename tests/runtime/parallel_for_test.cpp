@@ -5,6 +5,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace ffsva::runtime {
@@ -92,6 +93,38 @@ TEST(ParallelFor, NestedCallsComplete) {
     }
   });
   EXPECT_EQ(800, total.load());
+}
+
+TEST(ParallelFor, HelpersRunChunksConcurrently) {
+  // 4 chunks that wait until all 4 have arrived can only finish if three
+  // workers run them alongside the caller.
+  ParallelismGuard guard;
+  set_compute_parallelism(4);
+  std::atomic<int> arrived{0};
+  parallel_for(0, 4, 1, [&](std::int64_t, std::int64_t) {
+    arrived.fetch_add(1);
+    while (arrived.load() < 4) std::this_thread::yield();
+  });
+  EXPECT_EQ(4, arrived.load());
+}
+
+TEST(ParallelFor, ResizeBetweenLoops) {
+  // Every resize tears the workers down (dropping queued helpers, joining)
+  // and starts a new set; each size must still cover its range once.
+  ParallelismGuard guard;
+  for (int threads : {4, 2, 4}) {
+    set_compute_parallelism(threads);
+    EXPECT_EQ(threads, compute_parallelism());
+    std::vector<std::atomic<int>> hits(1000);
+    parallel_for(0, 1000, 7, [&](std::int64_t b, std::int64_t e) {
+      for (std::int64_t i = b; i < e; ++i) {
+        hits[static_cast<std::size_t>(i)].fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      ASSERT_EQ(1, hits[i].load()) << "threads=" << threads << " index " << i;
+    }
+  }
 }
 
 TEST(ParallelFor, SetParallelismClampsToOne) {

@@ -1,6 +1,6 @@
 // Metrics export: JSONL row serialization (values, rates, gauges, histogram
-// summaries, counter-regression handling) and the sampler thread (periodic
-// rows, final sample on stop, file append mode).
+// summaries, counter-regression handling) and the sampler (periodic rows,
+// final sample on stop, a null sink starting nothing).
 #include "telemetry/export.hpp"
 
 #include <gtest/gtest.h>
@@ -113,6 +113,15 @@ TEST(Exporter, StopAlwaysTakesAFinalSample) {
   exporter.stop();
   EXPECT_EQ(exporter.samples(), 1u);
   EXPECT_NE(sink.str().find("\"events\":7"), std::string::npos);
+}
+
+TEST(Exporter, NullSinkStartsNothing) {
+  Registry reg;
+  MetricsExporter exporter(reg);
+  exporter.start_stream(nullptr, /*interval_ms=*/1);
+  EXPECT_FALSE(exporter.running());
+  exporter.stop();  // nothing to sample or flush
+  EXPECT_EQ(exporter.samples(), 0u);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Metrics registry: sharded counters, callback gauges, atomic histograms,
+// Metrics registry: atomic counters, callback gauges, atomic histograms,
 // and the snapshot merge — including exactness under concurrent recording
 // (writers quiesce => totals exact) and snapshot-while-recording safety,
 // which is the registry's whole reason to exist.

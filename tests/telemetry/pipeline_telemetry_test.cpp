@@ -150,6 +150,20 @@ TEST(PipelineTelemetry, RealRunExportsTraceAndMetrics) {
           << key << " != " << value << " in " << counters;
     }
   }
+
+  // Each executor call counter equals the count of its size histogram.
+  const auto final_counters = row_section(final_row, "counters");
+  for (const auto& [counter, hist] :
+       {std::pair{"executor.snm_batches", "executor.batch_size"},
+        std::pair{"executor.tyolo_picks", "executor.tyolo_take"},
+        std::pair{"executor.ref_batches", "executor.ref_batch_size"}}) {
+    const std::string key = std::string("\"").append(hist).append("\":{\"count\":");
+    const std::size_t at = final_row.find(key);
+    ASSERT_NE(at, std::string::npos) << hist;
+    ASSERT_EQ(final_counters.count(counter), 1u) << counter;
+    EXPECT_EQ(final_counters.at(counter), std::stod(final_row.substr(at + key.size())))
+        << counter << " vs " << hist;
+  }
 }
 
 TEST(PipelineTelemetry, SnapshotIsSafeAndMonotonicMidRun) {
