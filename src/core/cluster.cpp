@@ -9,12 +9,13 @@ namespace ffsva::core {
 
 using runtime::MutexLock;
 
-ClusterManager::ClusterManager(int num_instances, const FfsVaConfig& config)
+ClusterManager::ClusterManager(int num_instances, const FfsVaConfig& config,
+                               AdmissionOptions admission)
     : num_instances_(num_instances), config_(config) {
   if (num_instances < 1) throw std::invalid_argument("cluster needs >= 1 instance");
   MutexLock lk(mu_);
   instances_.reserve(static_cast<std::size_t>(num_instances));
-  for (int i = 0; i < num_instances; ++i) instances_.emplace_back(config);
+  for (int i = 0; i < num_instances; ++i) instances_.emplace_back(admission);
 }
 
 void ClusterManager::report_tyolo_service(int id, double now_sec, int frames) {

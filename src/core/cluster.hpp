@@ -40,7 +40,10 @@ struct ReforwardDecision {
 
 class ClusterManager {
  public:
-  ClusterManager(int num_instances, const FfsVaConfig& config);
+  /// `config` supplies the queue thresholds behind the overload signal;
+  /// `admission` the spare-capacity test.
+  ClusterManager(int num_instances, const FfsVaConfig& config,
+                 AdmissionOptions admission = {});
 
   int num_instances() const { return num_instances_; }
 
@@ -97,8 +100,8 @@ class ClusterManager {
     /// Snapshot-delta baseline for report_snapshot's served counter.
     std::uint64_t last_tyolo_served = 0;
     bool have_baseline = false;
-    explicit Instance(const FfsVaConfig& cfg)
-        : admission(cfg.admit_tyolo_fps, cfg.admit_window_sec) {}
+    explicit Instance(const AdmissionOptions& opts)
+        : admission(opts.tyolo_fps, opts.window_sec) {}
   };
 
   void attach_stream_locked(int stream_id, int instance_id)

@@ -114,8 +114,7 @@ struct FfsVaConfig {
 
   // --- ingest: codec-aware decode (DESIGN.md §13) --------------------------
   /// Compressed-domain fast path through prefetch (see DecodePolicy). The
-  /// hint band is detect::kHintRelax; ingest pinning is the FFSVA_AFFINITY
-  /// environment variable (runtime::resolve_ingest_affinity).
+  /// hint band is detect::kHintRelax.
   DecodePolicy decode_policy = DecodePolicy::kFull;
 
   // --- online mode ----------------------------------------------------------
@@ -166,12 +165,6 @@ struct FfsVaConfig {
   /// depths, per-stage FPS, drop rates, supervision counters. Used when
   /// metrics export is enabled via FfsVaInstance::enable_metrics_export.
   int metrics_interval_ms = 100;
-
-  // --- admission / re-forwarding (Section 4.3.1) ---------------------------
-  /// Sustained T-YOLO service speed below this (FPS) for admit_window_sec
-  /// means the instance has spare capacity for another stream.
-  double admit_tyolo_fps = 140.0;
-  double admit_window_sec = 5.0;
 
   /// Serve mode (see max_streams).
   bool serving() const { return max_streams > 0; }

@@ -16,7 +16,6 @@
 
 #include "detect/crop_pack.hpp"
 #include "detect/sdd.hpp"
-#include "runtime/affinity.hpp"
 #include "runtime/bounded_queue.hpp"
 #include "runtime/parallel_for.hpp"
 #include "runtime/rate_limiter.hpp"
@@ -379,7 +378,7 @@ int FfsVaInstance::add_stream(std::unique_ptr<video::FrameSource> source,
   streams_.push_back(std::move(s));
   nstreams_.store(id + 1, std::memory_order_release);
   late_prefetch_.emplace_back(&FfsVaInstance::prefetch_loop, std::move(sp),
-                              run_online_, run_affinity_);
+                              run_online_);
   // Wake stage workers parked on "every stream done" in serve mode.
   sdd_work_.notify();
   gpu0_work_.notify();
@@ -582,15 +581,8 @@ void FfsVaInstance::stop() {
   gpu0_work_.notify();
 }
 
-void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online,
-                                  int affinity_base) {
+void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online) {
   const FfsVaConfig& cfg = s->cfg;
-  if (affinity_base >= 0) {
-    // Pin ingest to its own core so decode stops migrating across — and
-    // fighting with — the compute pool. Best effort: on failure the thread
-    // simply stays unpinned.
-    runtime::pin_current_thread(affinity_base + s->id);
-  }
   runtime::RateLimiter limiter(cfg.online_fps, /*burst=*/2.0);
   runtime::Stopwatch watch;
   const auto frame_interval =
@@ -1305,7 +1297,6 @@ InstanceStats FfsVaInstance::run(bool online) {
   // Resolve the run-wide ingest parameters once; add_stream() replays them
   // for dynamically attached streams (DESIGN.md §15).
   const bool hinted = config_.decode_policy == DecodePolicy::kHinted && !online;
-  const int affinity = runtime::resolve_ingest_affinity();
   int n0 = 0;
   int unfused = 0;
   {
@@ -1319,7 +1310,6 @@ InstanceStats FfsVaInstance::run(bool online) {
         static_cast<std::size_t>(std::max(0, config_.max_streams))));
     run_online_ = online;
     run_hinted_ = hinted;
-    run_affinity_ = affinity;
     // The SDD pool only needs to cover the streams not fused into ingest.
     for (int i = 0; i < n0; ++i) {
       if (attach(*streams_[static_cast<std::size_t>(i)])) ++unfused;
@@ -1340,8 +1330,7 @@ InstanceStats FfsVaInstance::run(bool online) {
   prefetch_threads.reserve(static_cast<std::size_t>(n0));
   for (int i = 0; i < n0; ++i) {
     prefetch_threads.emplace_back(&FfsVaInstance::prefetch_loop,
-                                  streams_[static_cast<std::size_t>(i)], online,
-                                  affinity);
+                                  streams_[static_cast<std::size_t>(i)], online);
   }
   // thread-ok: the fixed stage set (SDD pool, GPU0 executor, reference
   // thread) — O(workers), not O(streams); all joined below.

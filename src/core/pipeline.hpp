@@ -265,10 +265,7 @@ class FfsVaInstance {
   /// (prefetch state surfaces as gauges over Stream atomics). The thread is
   /// always joined before run() returns — a wedged decode is un-wedged by
   /// cancellation (quarantine cancels the stream's in-flight call).
-  /// `affinity_base` >= 0 pins the thread to CPU (base + stream id) mod
-  /// cpu_count before the first decode (runtime::pin_current_thread).
-  static void prefetch_loop(std::shared_ptr<Stream> s, bool online,
-                            int affinity_base);
+  static void prefetch_loop(std::shared_ptr<Stream> s, bool online);
 
   /// Stage loops, one per stage thread; each returns when its work is
   /// finished. A cancelled call is one more failed frame (Stream::failed),
@@ -328,7 +325,6 @@ class FfsVaInstance {
   bool engine_live_ FFSVA_GUARDED_BY(streams_mu_) = false;
   bool run_online_ FFSVA_GUARDED_BY(streams_mu_) = false;
   bool run_hinted_ FFSVA_GUARDED_BY(streams_mu_) = false;
-  int run_affinity_ FFSVA_GUARDED_BY(streams_mu_) = -1;
   /// Prefetch threads of streams added during run(); joined by run() after
   /// the stage threads exit (every one has wound down by then — stop()
   /// closed the ingest queues).

@@ -109,11 +109,19 @@ class TYoloScheduler {
   int num_tyolo_;
 };
 
+/// The cluster's admission thresholds (Section 4.3.1): a T-YOLO service
+/// speed below `tyolo_fps` sustained for `window_sec` means the instance has
+/// spare capacity for another stream. The defaults are the paper's.
+struct AdmissionOptions {
+  double tyolo_fps = 140.0;
+  double window_sec = 5.0;
+};
+
 /// Admission / re-forwarding controller (Section 4.3.1): track T-YOLO's
 /// service rate over a sliding window; a sustained rate under
-/// admit_tyolo_fps means spare capacity (admit another stream), while any
-/// queue crossing its threshold persistently means overload (re-forward a
-/// stream to another instance).
+/// AdmissionOptions::tyolo_fps means spare capacity (admit another stream),
+/// while any queue crossing its threshold persistently means overload
+/// (re-forward a stream to another instance).
 class AdmissionController {
  public:
   AdmissionController(double admit_fps, double window_sec)

@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "runtime/parallel_for.hpp"
-
 namespace ffsva::image {
 
 Image to_gray(const Image& src) {
@@ -72,37 +70,24 @@ void resize_bilinear_into(const Image& src, const ResizePlan& plan, Image& dst) 
   // (255 * 2048 * 2048 < 2^31).
   constexpr int kHalf = 1 << (2 * ResizePlan::kWeightBits - 1);
   const std::size_t row_stride = static_cast<std::size_t>(plan.src_w) * c;
-  auto rows = [&](std::int64_t y_begin, std::int64_t y_end) {
-    for (std::int64_t y = y_begin; y < y_end; ++y) {
-      const std::uint8_t* r0 = src.data() + plan.y0[static_cast<std::size_t>(y)] * row_stride;
-      const std::uint8_t* r1 = src.data() + plan.y1[static_cast<std::size_t>(y)] * row_stride;
-      const int vy = plan.wy[static_cast<std::size_t>(y)];
-      const int uy = kOne - vy;
-      std::uint8_t* out = dst.data() + static_cast<std::size_t>(y) * plan.out_w * c;
-      for (int x = 0; x < plan.out_w; ++x) {
-        const int xa = plan.x0[static_cast<std::size_t>(x)] * c;
-        const int xb = plan.x1[static_cast<std::size_t>(x)] * c;
-        const int vx = plan.wx[static_cast<std::size_t>(x)];
-        const int ux = kOne - vx;
-        for (int ch = 0; ch < c; ++ch) {
-          const int top = r0[xa + ch] * ux + r0[xb + ch] * vx;
-          const int bot = r1[xa + ch] * ux + r1[xb + ch] * vx;
-          out[x * c + ch] =
-              static_cast<std::uint8_t>((top * uy + bot * vy + kHalf) >> (2 * ResizePlan::kWeightBits));
-        }
+  for (int y = 0; y < plan.out_h; ++y) {
+    const std::uint8_t* r0 = src.data() + plan.y0[static_cast<std::size_t>(y)] * row_stride;
+    const std::uint8_t* r1 = src.data() + plan.y1[static_cast<std::size_t>(y)] * row_stride;
+    const int vy = plan.wy[static_cast<std::size_t>(y)];
+    const int uy = kOne - vy;
+    std::uint8_t* out = dst.data() + static_cast<std::size_t>(y) * plan.out_w * c;
+    for (int x = 0; x < plan.out_w; ++x) {
+      const int xa = plan.x0[static_cast<std::size_t>(x)] * c;
+      const int xb = plan.x1[static_cast<std::size_t>(x)] * c;
+      const int vx = plan.wx[static_cast<std::size_t>(x)];
+      const int ux = kOne - vx;
+      for (int ch = 0; ch < c; ++ch) {
+        const int top = r0[xa + ch] * ux + r0[xb + ch] * vx;
+        const int bot = r1[xa + ch] * ux + r1[xb + ch] * vx;
+        out[x * c + ch] =
+            static_cast<std::uint8_t>((top * uy + bot * vy + kHalf) >> (2 * ResizePlan::kWeightBits));
       }
     }
-  };
-  // Rows are independent and the math is integer, so fanning them out is
-  // bitwise-identical to the serial loop. Only worth it for real images.
-  const std::int64_t pixels =
-      static_cast<std::int64_t>(plan.out_w) * plan.out_h * c;
-  if (pixels >= 2048 && plan.out_h >= 8) {
-    const std::int64_t grain =
-        std::max<std::int64_t>(1, plan.out_h / (4 * runtime::compute_parallelism()));
-    runtime::parallel_for(0, plan.out_h, grain, rows);
-  } else {
-    rows(0, plan.out_h);
   }
 }
 

@@ -77,11 +77,6 @@ constexpr int kMR = 4;
 constexpr int kNR = 16;
 constexpr int kKC = 256;
 constexpr int kNC = 1024;
-// Below this many multiply-adds the pool dispatch costs more than it buys.
-constexpr std::int64_t kParallelMacs = 1 << 17;
-// Upper bound on row panels per parallel chunk (an L2-sized stripe); small
-// problems shrink the grain so every worker still gets a panel.
-constexpr std::int64_t kPanelGrainMax = 16;
 
 /// Pack row panel `ir` of A[.,pc:pc+kc] as consecutive MR-vectors,
 /// zero-padded past row m, compacting away k-steps whose whole MR slice is
@@ -218,9 +213,8 @@ void gemm(const float* a, const float* b, float* c, int m, int k, int n,
   const int kc_max = std::min(k, kKC);
   ws.a_pack.resize(static_cast<std::size_t>(row_panels) * kMR * kc_max);
   ws.a_idx.resize(static_cast<std::size_t>(row_panels) * kc_max);
-  const bool go_parallel =
-      static_cast<std::int64_t>(m) * k * n >= kParallelMacs;
 
+  alignas(64) float acc[kMR * kNR];
   for (int jc = 0; jc < n; jc += kNC) {
     const int nc = std::min(kNC, n - jc);
     const int col_panels = (nc + kNR - 1) / kNR;
@@ -229,55 +223,36 @@ void gemm(const float* a, const float* b, float* c, int m, int k, int n,
       ws.b_pack.resize(static_cast<std::size_t>(col_panels) * kc * kNR);
       pack_b(b, n, pc, kc, jc, nc, ws.b_pack.data());
 
-      // Each chunk packs and multiplies its own disjoint row panels, so
-      // every C row is accumulated in one fixed k-order by one worker —
-      // bitwise-deterministic for any thread count.
-      auto rows_body = [&](std::int64_t ir0, std::int64_t ir1) {
+      for (int ir = 0; ir < row_panels; ++ir) {
         // Cancellation boundary: one check per row panel (~kMR*kc*nc MACs)
         // keeps a cancelled forward's unwind latency at tile granularity
         // without measurable cost in the dense inner loops.
-        alignas(64) float acc[kMR * kNR];
-        for (std::int64_t ir = ir0; ir < ir1; ++ir) {
-          runtime::check_cancel();
-          float* apanel = ws.a_pack.data() + static_cast<std::size_t>(ir) * kMR * kc;
-          std::int32_t* aidx = ws.a_idx.data() + static_cast<std::size_t>(ir) * kc;
-          const int steps = pack_a_panel(a, k, m, pc, kc, static_cast<int>(ir),
-                                         apanel, aidx);
-          const int i0 = static_cast<int>(ir) * kMR;
-          const int rows = std::min(kMR, m - i0);
-          for (int jr = 0; jr < col_panels; ++jr) {
-            const float* bpanel =
-                ws.b_pack.data() + static_cast<std::size_t>(jr) * kc * kNR;
-            std::memset(acc, 0, sizeof(acc));
-            if (steps == kc) {
-              micro_dense(apanel, bpanel, kc, acc);
-            } else {
-              micro_indexed(apanel, bpanel, aidx, steps, acc);
-            }
-            const int j0 = jc + jr * kNR;
-            const int cols = std::min(kNR, jc + nc - j0);
-            for (int r = 0; r < rows; ++r) {
-              float* crow = c + static_cast<std::size_t>(i0 + r) * n + j0;
-              const float* accr = acc + r * kNR;
-              for (int j = 0; j < cols; ++j) crow[j] += accr[j];
-            }
+        runtime::check_cancel();
+        float* apanel = ws.a_pack.data() + static_cast<std::size_t>(ir) * kMR * kc;
+        std::int32_t* aidx = ws.a_idx.data() + static_cast<std::size_t>(ir) * kc;
+        const int steps = pack_a_panel(a, k, m, pc, kc, ir, apanel, aidx);
+        const int i0 = ir * kMR;
+        const int rows = std::min(kMR, m - i0);
+        for (int jr = 0; jr < col_panels; ++jr) {
+          const float* bpanel =
+              ws.b_pack.data() + static_cast<std::size_t>(jr) * kc * kNR;
+          std::memset(acc, 0, sizeof(acc));
+          if (steps == kc) {
+            micro_dense(apanel, bpanel, kc, acc);
+          } else {
+            micro_indexed(apanel, bpanel, aidx, steps, acc);
+          }
+          const int j0 = jc + jr * kNR;
+          const int cols = std::min(kNR, jc + nc - j0);
+          for (int r = 0; r < rows; ++r) {
+            float* crow = c + static_cast<std::size_t>(i0 + r) * n + j0;
+            const float* accr = acc + r * kNR;
+            for (int j = 0; j < cols; ++j) crow[j] += accr[j];
           }
         }
-      };
-      if (go_parallel) {
-        const std::int64_t grain = std::clamp<std::int64_t>(
-            row_panels / (2 * runtime::compute_parallelism()), 1, kPanelGrainMax);
-        runtime::parallel_for(0, row_panels, grain, rows_body);
-      } else {
-        rows_body(0, row_panels);
       }
     }
   }
-}
-
-void gemm(const float* a, const float* b, float* c, int m, int k, int n) {
-  static thread_local GemmScratch ws;
-  gemm(a, b, c, m, k, n, ws);
 }
 
 void conv2d_im2col_into(const Tensor& x, const Tensor& weight, const Tensor& bias,
@@ -305,7 +280,10 @@ void conv2d_im2col_into(const Tensor& x, const Tensor& weight, const Tensor& bia
   };
   // Batches fan out across the compute pool, one lane of scratch buffers
   // per sample (samples are independent, so results do not depend on the
-  // thread count). Single samples and tiny batches stay serial.
+  // thread count); this is the only fan-out in nn/. Single samples stay
+  // serial, and so do batches below kParallelMacs multiply-adds, where the
+  // pool dispatch costs more than it buys.
+  constexpr std::int64_t kParallelMacs = 1 << 17;
   const std::int64_t total_macs =
       static_cast<std::int64_t>(x.n()) * out_ch * k * cols;
   if (x.n() > 1 && total_macs >= kParallelMacs) {

@@ -10,16 +10,17 @@
 //
 // gemm() is a cache-blocked kernel in the BLIS mold: the operands are
 // copied into packed panels (A in MR-row slabs, B in NR-column slabs) so
-// the register micro-kernel streams contiguous memory, the K dimension is
-// blocked at KC so a B panel stays cache-resident, and row panels are
-// fanned out across runtime::parallel_for when the problem is large
-// enough to pay for the dispatch. Pruned models keep their fast path,
+// the register micro-kernel streams contiguous memory, and the K dimension is
+// blocked at KC so a B panel stays cache-resident. One call runs on the
+// calling thread: parallelism comes from the loops over independent items
+// above it (the SDD pool's streams, conv2d_im2col_into's batch samples,
+// the engine's batch preprocessing). Pruned models keep their fast path,
 // hoisted from the seed's per-multiply branch to pack time: k-steps whose
 // whole MR-row slice is zero (see nn/compress.hpp) are compacted out of
 // the packed A panel, and panels with any such step run a branch-free
 // indexed micro-kernel over the surviving steps — dense panels pay
-// nothing. Results are bitwise identical across thread counts (each
-// output row is accumulated in a fixed k-order by exactly one worker).
+// nothing. Each output row is accumulated in one fixed k-order, so results
+// are bitwise identical at any compute parallelism.
 #pragma once
 
 #include <cstdint>
@@ -49,12 +50,9 @@ void im2col(const Tensor& x, int n, int kernel, int stride, int pad,
             int out_h, int out_w, std::vector<float>& columns);
 
 /// Row-major C[MxN] = A[MxK] * B[KxN] (C overwritten). Blocked, packed,
-/// multi-threaded; ws supplies the packing buffers.
+/// single-threaded; ws supplies the packing buffers.
 void gemm(const float* a, const float* b, float* c, int m, int k, int n,
           GemmScratch& ws);
-
-/// Convenience overload using a thread-local scratch.
-void gemm(const float* a, const float* b, float* c, int m, int k, int n);
 
 /// The seed scalar kernel (ikj loops, per-element zero skip). Kept as the
 /// reference implementation for cross-checking and the before/after

@@ -80,8 +80,8 @@ struct ClusterReport {
 class ClusterScheduler {
  public:
   /// `nodes` are the ffsva_node control endpoints; `config` supplies the
-  /// admission policy (admit_tyolo_fps / admit_window_sec) exactly as a
-  /// single-process ClusterManager embedding would.
+  /// queue thresholds exactly as a single-process ClusterManager embedding
+  /// would, and admission uses the paper's core::AdmissionOptions defaults.
   ClusterScheduler(std::vector<net::Endpoint> nodes,
                    const core::FfsVaConfig& config, SchedOptions opts = {});
 

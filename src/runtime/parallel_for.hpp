@@ -1,9 +1,10 @@
 // Data-parallel loops over a shared, process-wide set of compute workers.
 //
-// The inference hot path (blocked GEMM rows, batch preprocessing) wants
-// fork-join parallelism, not long-lived stage threads, so the workers are
-// private to parallel_for: each one runs the chunks of one queued loop at
-// a time. Chunk loops never block on queues, which keeps fork-join free of
+// The inference hot path fans out only over independent items (conv batch
+// samples, frames in batch preprocessing and detection, crop-pack units).
+// That wants fork-join parallelism, not long-lived stage threads, so the
+// workers are private to parallel_for: each one runs the chunks of one
+// queued loop at a time. Chunk loops never block on queues, which keeps fork-join free of
 // starvation no matter what the pipeline threads are doing.
 //
 // Sizing: FFSVA_THREADS in the environment, else std::hardware_concurrency.

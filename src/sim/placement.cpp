@@ -28,7 +28,7 @@ double uniform(std::uint64_t& state, double lo, double hi) {
 }  // namespace
 
 PlacementResult simulate_placement(const PlacementSetup& setup) {
-  core::ClusterManager manager(setup.instances, setup.config);
+  core::ClusterManager manager(setup.instances, setup.config, setup.admission);
   PlacementResult r;
 
   std::uint64_t rng = setup.seed;

@@ -21,11 +21,13 @@
 #include <vector>
 
 #include "core/config.hpp"
+#include "core/policies.hpp"
 
 namespace ffsva::sim {
 
 struct PlacementSetup {
-  core::FfsVaConfig config;   ///< Supplies admit_tyolo_fps / admit_window_sec.
+  core::FfsVaConfig config;   ///< Supplies the queue thresholds.
+  core::AdmissionOptions admission;
   int instances = 8;
   int streams = 1000;
   double duration_sec = 300.0;

@@ -7,12 +7,9 @@
 namespace ffsva::core {
 namespace {
 
-FfsVaConfig cfg() {
-  FfsVaConfig c;
-  c.admit_tyolo_fps = 140.0;
-  c.admit_window_sec = 5.0;
-  return c;
-}
+/// Default queue thresholds; admission uses AdmissionOptions' defaults
+/// (140 FPS sustained over 5 s).
+FfsVaConfig cfg() { return FfsVaConfig{}; }
 
 /// Feed `fps` worth of service reports over [t0, t1] at 10 Hz.
 void feed(ClusterManager& cm, int id, double t0, double t1, double fps) {
@@ -61,7 +58,7 @@ TEST(ClusterManager, NoPlacementWithoutEvidence) {
 
 TEST(ClusterManager, BusyInstanceIsNotSpare) {
   ClusterManager cm(1, cfg());
-  feed(cm, 0, 0.0, 6.0, 200.0);  // above admit_tyolo_fps
+  feed(cm, 0, 0.0, 6.0, 200.0);  // above the 140 FPS admission threshold
   EXPECT_FALSE(cm.instance_has_spare(0, 6.0));
   EXPECT_FALSE(cm.place_new_stream(6.0).has_value());
 }

@@ -4,19 +4,16 @@
 // DecodePolicy contract: kFull leaves the hint machinery untouched and
 // decodes everything; kHinted conserves frames through the fused
 // prefetch+SDD stage, actually skips decode work on filtered frames, and
-// produces (near-)identical survivor sets. Also units for the ingest
-// affinity helpers.
+// produces (near-)identical survivor sets.
 #include "core/pipeline.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <iterator>
 #include <memory>
 #include <set>
 
-#include "runtime/affinity.hpp"
 #include "video/profiles.hpp"
 #include "video/source.hpp"
 
@@ -185,30 +182,6 @@ TEST(HintedIngest, MixedPolicyStreamsCoexist) {
   EXPECT_EQ(stats.streams[1].latency_ms.count, 1000u);
   const auto agg = stats.aggregate();
   EXPECT_EQ(agg.ingest.decode_full + agg.ingest.decode_skipped, 1300u);
-}
-
-TEST(IngestAffinity, ResolveReadsEnv) {
-  unsetenv("FFSVA_AFFINITY");
-  EXPECT_EQ(runtime::resolve_ingest_affinity(), -1);
-  setenv("FFSVA_AFFINITY", "3", 1);
-  EXPECT_EQ(runtime::resolve_ingest_affinity(), 3);
-  setenv("FFSVA_AFFINITY", "off", 1);
-  EXPECT_EQ(runtime::resolve_ingest_affinity(), -1);
-  setenv("FFSVA_AFFINITY", "not-a-number", 1);
-  EXPECT_EQ(runtime::resolve_ingest_affinity(), -1);
-  setenv("FFSVA_AFFINITY", "", 1);
-  EXPECT_EQ(runtime::resolve_ingest_affinity(), -1);
-  unsetenv("FFSVA_AFFINITY");
-}
-
-TEST(IngestAffinity, PinningIsBestEffort) {
-  EXPECT_GE(runtime::cpu_count(), 1);
-  EXPECT_FALSE(runtime::pin_current_thread(-1));
-#ifdef __linux__
-  // Any non-negative cpu resolves to a set bit of the process mask.
-  EXPECT_TRUE(runtime::pin_current_thread(0));
-  EXPECT_TRUE(runtime::pin_current_thread(runtime::cpu_count() + 7));
-#endif
 }
 
 TEST(Config, DecodePolicyNames) {

@@ -98,8 +98,8 @@ TEST(ResizePlan, EnsureRebuildsOnGeometryChange) {
 }
 
 TEST(ResizePlan, IntoDeterministicAcrossThreadCounts) {
-  // Rows are fanned out across the compute pool in integer math: results
-  // must be bitwise identical at any parallelism.
+  // The resize runs on the calling thread in integer math: results must be
+  // bitwise identical whatever the compute parallelism is set to.
   const Image img = random_image(320, 240, 1, 8);
   ResizePlan plan;
   plan.ensure(img.width(), img.height(), 50, 50);

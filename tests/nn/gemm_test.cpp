@@ -24,7 +24,8 @@ TEST(Gemm, MatchesManualMultiply) {
   const float a[] = {1, 2, 3, 4, 5, 6};
   const float b[] = {7, 8, 9, 10, 11, 12};
   float c[4];
-  gemm(a, b, c, 2, 3, 2);
+  GemmScratch ws;
+  gemm(a, b, c, 2, 3, 2, ws);
   EXPECT_FLOAT_EQ(c[0], 58.0f);   // 1*7+2*9+3*11
   EXPECT_FLOAT_EQ(c[1], 64.0f);   // 1*8+2*10+3*12
   EXPECT_FLOAT_EQ(c[2], 139.0f);  // 4*7+5*9+6*11
@@ -35,7 +36,8 @@ TEST(Gemm, IdentityLeavesMatrixUnchanged) {
   const float eye[] = {1, 0, 0, 1};
   const float b[] = {3, 4, 5, 6};
   float c[4];
-  gemm(eye, b, c, 2, 2, 2);
+  GemmScratch ws;
+  gemm(eye, b, c, 2, 2, 2, ws);
   for (int i = 0; i < 4; ++i) EXPECT_FLOAT_EQ(c[i], b[i]);
 }
 
@@ -185,9 +187,9 @@ TEST(GemmBlocked, CompactsPrunedKSteps) {
 }
 
 TEST(GemmBlocked, BitwiseDeterministicAcrossThreadCounts) {
-  // Each output row is accumulated in one fixed k-order by exactly one
-  // worker, so the result must be bitwise identical for any parallelism —
-  // large enough here to clear the parallel-dispatch threshold.
+  // One call runs on the calling thread and accumulates each output row in
+  // one fixed k-order, so the result must be bitwise identical whatever the
+  // compute parallelism is set to.
   const int m = 96, k = 128, n = 160;
   const auto a = random_matrix(m, k, 21);
   const auto b = random_matrix(k, n, 22);
@@ -248,7 +250,8 @@ TEST(Gemm, SkipsZeroWeights) {
   const float a[] = {0, 2, 0, 4};
   const float b[] = {1, 2, 3, 4};
   float c[4];
-  gemm(a, b, c, 2, 2, 2);
+  GemmScratch ws;
+  gemm(a, b, c, 2, 2, 2, ws);
   EXPECT_FLOAT_EQ(c[0], 6.0f);
   EXPECT_FLOAT_EQ(c[1], 8.0f);
   EXPECT_FLOAT_EQ(c[2], 12.0f);

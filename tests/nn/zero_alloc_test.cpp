@@ -78,8 +78,11 @@ image::Image noise_image(int w, int h, std::uint64_t seed) {
   return img;
 }
 
+// A single sample's forward runs on the calling thread: no resize or GEMM
+// fans out inside one item, so the compute parallelism must not matter.
+constexpr int kParallelisms[] = {1, 4};
+
 TEST(ZeroAlloc, SequentialForwardInferenceIsAllocationFree) {
-  runtime::set_compute_parallelism(1);
   runtime::Xoshiro256 rng(7);
   nn::Sequential net;
   net.add(std::make_unique<nn::Conv2d>(1, 8, 3, 2, 1, rng))
@@ -92,34 +95,43 @@ TEST(ZeroAlloc, SequentialForwardInferenceIsAllocationFree) {
   nn::Tensor x(1, 1, 50, 50);
   for (std::size_t i = 0; i < x.size(); ++i) x[i] = 0.01f * static_cast<float>(i % 97);
 
-  nn::InferenceScratch ws;
-  net.forward_inference(x, ws);  // Warm-up sizes every buffer.
-  net.forward_inference(x, ws);
+  for (const int parallelism : kParallelisms) {
+    SCOPED_TRACE(parallelism);
+    runtime::set_compute_parallelism(parallelism);
+    nn::InferenceScratch ws;
+    net.forward_inference(x, ws);  // Warm-up sizes every buffer.
+    net.forward_inference(x, ws);
 
-  AllocWindow window;
-  const nn::Tensor& y = net.forward_inference(x, ws);
-  EXPECT_EQ(0, window.count());
-  EXPECT_EQ(1u, y.size());
+    AllocWindow window;
+    const nn::Tensor& y = net.forward_inference(x, ws);
+    EXPECT_EQ(0, window.count());
+    EXPECT_EQ(1u, y.size());
+  }
+  runtime::set_compute_parallelism(1);
 }
 
 TEST(ZeroAlloc, WarmSnmPredictIsAllocationFree) {
-  runtime::set_compute_parallelism(1);
   const image::Image background = noise_image(160, 120, 1);
-  detect::SnmFilter snm(detect::SnmConfig{}, background, 99);
-
   const image::Image frame_a = noise_image(160, 120, 2);
   const image::Image frame_b = noise_image(160, 120, 3);
-  (void)snm.predict(frame_a);  // Warm-up sizes scratch + resize plan.
-  (void)snm.predict(frame_b);
 
-  AllocWindow window;
-  const double pa = snm.predict(frame_a);
-  const double pb = snm.predict(frame_b);
-  EXPECT_EQ(0, window.count());
-  EXPECT_GE(pa, 0.0);
-  EXPECT_LE(pa, 1.0);
-  EXPECT_GE(pb, 0.0);
-  EXPECT_LE(pb, 1.0);
+  for (const int parallelism : kParallelisms) {
+    SCOPED_TRACE(parallelism);
+    runtime::set_compute_parallelism(parallelism);
+    detect::SnmFilter snm(detect::SnmConfig{}, background, 99);
+    (void)snm.predict(frame_a);  // Warm-up sizes scratch + resize plan.
+    (void)snm.predict(frame_b);
+
+    AllocWindow window;
+    const double pa = snm.predict(frame_a);
+    const double pb = snm.predict(frame_b);
+    EXPECT_EQ(0, window.count());
+    EXPECT_GE(pa, 0.0);
+    EXPECT_LE(pa, 1.0);
+    EXPECT_GE(pb, 0.0);
+    EXPECT_LE(pb, 1.0);
+  }
+  runtime::set_compute_parallelism(1);
 }
 
 TEST(ZeroAlloc, WarmSnmPredictBatchIsAllocationFree) {

@@ -22,8 +22,8 @@ PlacementSetup thousand_streams() {
   s.capacity_fps = 160.0;
   s.demand_min_fps = 0.5;        // mean demand 1 FPS → ~1000 FPS total
   s.demand_max_fps = 1.5;        //   vs 8 × 160 = 1280 FPS capacity
-  s.config.admit_tyolo_fps = 140.0;
-  s.config.admit_window_sec = 2.0;
+  s.admission.tyolo_fps = 140.0;
+  s.admission.window_sec = 2.0;
   s.seed = 7;
   return s;
 }

@@ -282,9 +282,10 @@ TEST(PipelineTelemetry, LiveSnapshotsDriveClusterReforward) {
   auto& w = world();
 
   FfsVaConfig cfg;
-  cfg.admit_tyolo_fps = 1e6;     // spare == any observed full window
-  cfg.admit_window_sec = 0.25;
-  ClusterManager cm(2, cfg);
+  AdmissionOptions admission;
+  admission.tyolo_fps = 1e6;  // spare == any observed full window
+  admission.window_sec = 0.25;
+  ClusterManager cm(2, cfg, admission);
   const auto now_sec = [t0 = std::chrono::steady_clock::now()] {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
         .count();
@@ -299,7 +300,7 @@ TEST(PipelineTelemetry, LiveSnapshotsDriveClusterReforward) {
   cm.attach_stream(100, 1);
   {
     const double t_begin = now_sec();
-    while (now_sec() - t_begin < 1.2 * cfg.admit_window_sec) {
+    while (now_sec() - t_begin < 1.2 * admission.window_sec) {
       cm.report_snapshot(1, now_sec(), light.snapshot());
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
