@@ -1,9 +1,8 @@
 // Kernel microbenchmarks, timed with the repeated-run helper of common.hpp.
 //
-// GEMM: seed scalar gemm_naive vs the blocked/packed nn::gemm at the shapes
-// the inference hot path runs: a square 256^3 problem, the SNM conv2 GEMM,
-// and T-YOLO-style conv GEMMs (3x3 filters lowered by im2col). Pruned
-// variants zero 50% of A's k-columns the way magnitude pruning does
+// GEMM: seed scalar gemm_naive vs the blocked/packed nn::gemm at a square
+// 256^3 problem and the SNM conv2 GEMM, the one network the engine runs.
+// Pruned variants zero 50% of A's k-columns the way magnitude pruning does
 // (nn/compress.hpp), exercising the pack-time zero-step compaction. SNM's
 // conv1 GEMM (m=8, k=9) is absent: k < 16 routes nn::gemm to the reference
 // kernel by design, so there is nothing to compare. The binary exits
@@ -13,8 +12,13 @@
 // resize, SNM batch inference at 1/8/16 frames, delta-RLE decode, the three
 // convolution paths (direct, im2col, im2col over pruned weights), and two
 // pipeline primitives (bounded-queue push/pop, the T-YOLO scheduler).
-// Per-filter inference (SDD distance, SNM, T-YOLO and the reference model)
-// is measured inside the engine benchmark (enginebench/probes.cpp).
+//
+// The per-frame kernels of the segmentation detectors (T-YOLO and the
+// reference model segment frames against the background; they run no
+// network) at a 256x192 camera: the motion map, the Gaussian blur, the 3x3
+// opening, and whole SDD distance, T-YOLO detect and reference detect
+// calls. The engine benchmark measures the same filters inside the engine
+// (enginebench/probes.cpp).
 //
 // Every row's fps is calls per second (SNM rows add frames_per_sec). One
 // run is a batch of calls at least 10 ms long, so clock resolution vanishes.
@@ -32,7 +36,11 @@
 
 #include "common.hpp"
 #include "core/policies.hpp"
+#include "detect/reference.hpp"
+#include "detect/sdd.hpp"
+#include "detect/segmentation.hpp"
 #include "detect/snm.hpp"
+#include "detect/tyolo.hpp"
 #include "image/ops.hpp"
 #include "nn/gemm.hpp"
 #include "nn/layers.hpp"
@@ -85,9 +93,6 @@ constexpr Shape kShapes[] = {
     {"gemm_256x256x256_pruned50", 256, 256, 256, 0.5},
     {"snm_conv2_16x72x169", 16, 72, 169, 0.0},
     {"snm_conv2_16x72x169_pruned50", 16, 72, 169, 0.5},
-    {"tyolo_conv1_16x27x2704", 16, 27, 2704, 0.0},
-    {"tyolo_conv2_32x144x676", 32, 144, 676, 0.0},
-    {"tyolo_conv2_32x144x676_pruned50", 32, 144, 676, 0.5},
 };
 
 /// Times naive vs blocked GEMM at every shape; false on a kernel mismatch.
@@ -235,6 +240,41 @@ int main(int argc, char** argv) {
                  keep(queue.pop());
                },
                [&] { keep(sched.next(depths)); }});
+
+  // A busy 256x192 jackson camera, as in enginebench's offline_busy.
+  video::SceneConfig seg_cfg = video::jackson_profile();
+  seg_cfg.width = 256;
+  seg_cfg.height = 192;
+  seg_cfg.tor = 0.7;
+  const video::SceneSimulator seg_sim(seg_cfg, 43, 64);
+  std::vector<image::Image> seg_frames;
+  for (int i = 0; i < 64; i += 4) seg_frames.push_back(seg_sim.render(i).image);
+  const image::Image& bg = seg_sim.background();
+  const detect::ReferenceConfig ref_cfg;
+  const detect::SegmentationParams& seg = ref_cfg.segmentation;
+  const image::Image motion = detect::motion_map(seg_frames[0], bg);
+  const image::Image mask = image::threshold(
+      image::gaussian_blur(motion, seg.blur_sigma), seg.diff_threshold);
+  const detect::SddFilter sdd(detect::SddConfig{}, bg);
+  const detect::TYoloDetector tyolo(detect::TYoloConfig{}, bg);
+  const detect::ReferenceDetector reference(ref_cfg, bg);
+  std::size_t next_frame = 0;
+  const auto frame = [&]() -> const image::Image& {
+    next_frame = (next_frame + 1) % seg_frames.size();
+    return seg_frames[next_frame];
+  };
+  bench_group(report,
+              {"seg/motion_map_256x192", "seg/gaussian_blur_256x192",
+               "seg/open3x3_256x192"},
+              {[&] { keep(detect::motion_map(frame(), bg)); },
+               [&] { keep(image::gaussian_blur(motion, seg.blur_sigma)); },
+               [&] { keep(image::dilate3x3(image::erode3x3(mask))); }});
+  bench_group(report,
+              {"detect/sdd_distance", "detect/tyolo_detect",
+               "detect/reference_detect_256x192"},
+              {[&] { keep(sdd.distance(frame())); },
+               [&] { keep(tyolo.detect(frame())); },
+               [&] { keep(reference.detect(frame())); }});
 
   bench::print_rule();
   std::printf("GEMM correctness vs seed kernel: %s\n", gemm_ok ? "OK" : "FAILED");

@@ -20,12 +20,14 @@ ClusterManager::ClusterManager(int num_instances, const FfsVaConfig& config,
 
 void ClusterManager::report_tyolo_service(int id, double now_sec, int frames) {
   MutexLock lk(mu_);
-  instances_.at(static_cast<std::size_t>(id)).admission.on_tyolo_served(now_sec, frames);
+  instances_.at(static_cast<std::size_t>(id))
+      .admission.on_tyolo_served(now_sec, frames);
 }
 
 void ClusterManager::report_queue_over_threshold(int id, double now_sec) {
   MutexLock lk(mu_);
-  instances_.at(static_cast<std::size_t>(id)).admission.on_queue_over_threshold(now_sec);
+  instances_.at(static_cast<std::size_t>(id))
+      .admission.on_queue_over_threshold(now_sec);
 }
 
 void ClusterManager::report_snapshot(int id, double now_sec,

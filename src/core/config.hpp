@@ -120,17 +120,18 @@ struct FfsVaConfig {
   // --- online mode ----------------------------------------------------------
   double online_fps = 30.0;
   /// Capacity of the live-capture ring buffer in front of SDD. A camera
-  /// cannot block, so bursts ride out here (~4 s at 30 FPS, enough to ride out one scene-length burst); a frame is
-  /// lost only once this buffer overflows. Offline mode ignores it (the
+  /// cannot block, so bursts ride out here (~4 s at 30 FPS, enough to ride
+  /// out one scene-length burst); a frame is lost only once this buffer
+  /// overflows. Offline mode ignores it (the
   /// decoder simply stalls on the SDD feedback threshold instead).
   int ingest_buffer = 128;
 
   // --- supervision (fault tolerance; DESIGN.md Section 9) ------------------
   /// A stream's prefetch call (a source decode, a fused stream's pixel SDD)
-  /// in flight for longer than this quarantines the stream: the stream's queues are closed and drained, its counters
-  /// freeze, and the other streams keep running. 0 disables stall
-  /// detection (a hung source then blocks its stream forever — the
-  /// pre-supervision behavior).
+  /// in flight for longer than this quarantines the stream: the stream's
+  /// queues are closed and drained, its counters freeze, and the other
+  /// streams keep running. 0 disables stall detection (a hung source then
+  /// blocks its stream forever — the pre-supervision behavior).
   int stall_timeout_ms = 0;
   /// Wall-clock budget for run(); past it the watchdog invokes stop() and
   /// the run winds down gracefully. 0 = no deadline.

@@ -125,7 +125,8 @@ PackPlan plan_pack(const std::vector<CropRequest>& requests,
     }
     if (y + h + gutter > plan.canvas_h) open_canvas();
     plan.placements.push_back(CropPlacement{c.slot, c.src, canvas, x, y});
-    plan.fill_ratio[static_cast<std::size_t>(canvas)] += static_cast<double>(c.src.area());
+    plan.fill_ratio[static_cast<std::size_t>(canvas)] +=
+        static_cast<double>(c.src.area());
     plan.crops_per_canvas[static_cast<std::size_t>(canvas)]++;
     x += w + gutter;
     shelf_h = std::max(shelf_h, h);
@@ -153,7 +154,8 @@ MosaicCanvases render_pack(const std::vector<CropRequest>& requests,
     const int row_bytes = p.src.width() * ch;
     for (int yy = 0; yy < p.src.height(); ++yy) {
       const std::size_t src_off =
-          (static_cast<std::size_t>(p.src.y0 + yy) * req.frame->width() + p.src.x0) * ch;
+          (static_cast<std::size_t>(p.src.y0 + yy) * req.frame->width() + p.src.x0) *
+          ch;
       const std::size_t dst_off =
           (static_cast<std::size_t>(p.dy + yy) * plan.canvas_w + p.dx) * ch;
       std::memcpy(dst_f.data() + dst_off, req.frame->data() + src_off,
@@ -217,10 +219,9 @@ ConsolidatedBatch consolidate_detect(const std::vector<CropRequest>& requests,
         auto& co = per_canvas[static_cast<std::size_t>(i)];
         const int canvas = static_cast<int>(i);
         try {
-          const auto comps =
-              foreground_components(canvases.frame[static_cast<std::size_t>(canvas)],
-                                    canvases.background[static_cast<std::size_t>(canvas)],
-                                    cfg.segmentation);
+          const auto comps = foreground_components(
+              canvases.frame[static_cast<std::size_t>(canvas)],
+              canvases.background[static_cast<std::size_t>(canvas)], cfg.segmentation);
           for (const auto& comp : comps) {
             const MapResult m = map_back(plan, canvas, comp.box);
             if (m.slot < 0) {
@@ -230,9 +231,9 @@ ConsolidatedBatch consolidate_detect(const std::vector<CropRequest>& requests,
             const auto& req = requests[static_cast<std::size_t>(m.slot)];
             const image::Component mapped{m.frame_box, comp.pixel_count, comp.label};
             co.dets.emplace_back(
-                m.slot, classify_component(mapped, req.frame->width(),
-                                           req.frame->height(),
-                                           cfg.segmentation.min_pixels, cfg.classifier));
+                m.slot,
+                classify_component(mapped, req.frame->width(), req.frame->height(),
+                                   cfg.segmentation.min_pixels, cfg.classifier));
           }
         } catch (...) {
           co.ok = false;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "detect/fault_hook.hpp"
@@ -24,24 +25,76 @@ SddFilter::SddFilter(SddConfig config, const image::Image& reference_background)
       // Keep color: a chromatic object (a red car on gray asphalt) can be
       // luma-neutral and invisible to a grayscale difference.
       reference_(
-          image::resize_bilinear(reference_background, config.width, config.height)) {
+          image::resize_bilinear(reference_background, config.width, config.height)),
+      reference_gray_(image::to_gray(reference_)) {
   if (reference_.empty()) {
     throw std::invalid_argument("SddFilter: empty reference background");
   }
 }
 
+namespace {
+
+/// Gain-compensated distance over `pixels` pixels of C interleaved channels:
+/// remove the per-channel mean frame-vs-reference offset (global
+/// illumination / white balance) and measure what is left (local content
+/// change) as the mean of |d| (kAbs) or of d^2.
+template <int C, bool kAbs>
+double gain_compensated(const std::uint8_t* a, const std::uint8_t* b,
+                        std::size_t pixels) {
+  // The offsets are integers and every partial sum is far below 2^53, so an
+  // integer sum gives the same double as summing the differences in double.
+  std::int64_t offset[C] = {};
+  for (std::size_t p = 0; p < pixels; ++p) {
+    for (int ch = 0; ch < C; ++ch) {
+      offset[ch] += static_cast<int>(a[p * C + ch]) - static_cast<int>(b[p * C + ch]);
+    }
+  }
+  const std::size_t n = pixels * C;
+  const double per_channel = static_cast<double>(n) / C;
+  double mean[C];
+  for (int ch = 0; ch < C; ++ch) {
+    mean[ch] = static_cast<double>(offset[ch]) / per_channel;
+  }
+  double acc = 0.0;
+  for (std::size_t p = 0; p < pixels; ++p) {
+    for (int ch = 0; ch < C; ++ch) {
+      const double d = static_cast<double>(a[p * C + ch]) -
+                       static_cast<double>(b[p * C + ch]) - mean[ch];
+      if constexpr (kAbs) {
+        acc += std::abs(d);
+      } else {
+        acc += d * d;
+      }
+    }
+  }
+  return acc / static_cast<double>(n);
+}
+
+template <bool kAbs>
+double gain_compensated(const image::Image& a, const image::Image& b) {
+  const std::size_t pixels = static_cast<std::size_t>(a.width()) * a.height();
+  return a.channels() == 3 ? gain_compensated<3, kAbs>(a.data(), b.data(), pixels)
+                           : gain_compensated<1, kAbs>(a.data(), b.data(), pixels);
+}
+
+}  // namespace
+
 double SddFilter::distance(const image::Image& frame) const {
   FaultHook::on_call(FaultStage::kSdd);
   runtime::check_cancel();
-  image::Image small = image::resize_bilinear(frame, config_.width, config_.height);
+  // Plan-based resize into thread-local staging, as in TYoloDetector::detect:
+  // steady state (fixed frame geometry) resizes allocation-free.
+  static thread_local image::ResizePlan plan;
+  static thread_local image::Image small;
+  plan.ensure(frame.width(), frame.height(), config_.width, config_.height);
+  image::resize_bilinear_into(frame, plan, small);
   if (small.channels() != reference_.channels()) {
     // Mixed gray/color inputs: fall back to luma on both sides.
-    small = image::to_gray(small);
-    const image::Image ref_gray = image::to_gray(reference_);
+    const image::Image gray = image::to_gray(small);
     switch (config_.metric) {
-      case SddMetric::kMse: return image::mse(small, ref_gray);
-      case SddMetric::kNrmse: return image::nrmse(small, ref_gray);
-      case SddMetric::kSad: return image::sad(small, ref_gray);
+      case SddMetric::kMse: return image::mse(gray, reference_gray_);
+      case SddMetric::kNrmse: return image::nrmse(gray, reference_gray_);
+      case SddMetric::kSad: return image::sad(gray, reference_gray_);
     }
   }
   if (!config_.gain_compensate) {
@@ -52,31 +105,11 @@ double SddFilter::distance(const image::Image& frame) const {
     }
     return 0.0;
   }
-  // Gain-compensated distance: remove the per-channel mean frame-vs-
-  // reference offset (global illumination / white balance) and measure
-  // what is left (local content change).
-  const std::uint8_t* a = small.data();
-  const std::uint8_t* b = reference_.data();
-  const std::size_t n = small.size_bytes();
-  const int channels = small.channels();
-  double mean[3] = {0.0, 0.0, 0.0};
-  for (std::size_t i = 0; i < n; ++i) {
-    mean[i % static_cast<std::size_t>(channels)] +=
-        static_cast<double>(a[i]) - static_cast<double>(b[i]);
-  }
-  const double per_channel = static_cast<double>(n) / channels;
-  for (int c = 0; c < channels; ++c) mean[c] /= per_channel;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double d = static_cast<double>(a[i]) - static_cast<double>(b[i]) -
-                     mean[i % static_cast<std::size_t>(channels)];
-    acc += config_.metric == SddMetric::kSad ? std::abs(d) : d * d;
-  }
-  acc /= static_cast<double>(n);
   switch (config_.metric) {
-    case SddMetric::kMse: return acc;
-    case SddMetric::kNrmse: return std::sqrt(acc) / 255.0;
-    case SddMetric::kSad: return acc;
+    case SddMetric::kMse: return gain_compensated<false>(small, reference_);
+    case SddMetric::kNrmse:
+      return std::sqrt(gain_compensated<false>(small, reference_)) / 255.0;
+    case SddMetric::kSad: return gain_compensated<true>(small, reference_);
   }
   return 0.0;
 }

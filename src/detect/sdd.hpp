@@ -81,7 +81,8 @@ class SddFilter {
 
  private:
   SddConfig config_;
-  image::Image reference_;  ///< Gray, at SDD feature size.
+  image::Image reference_;       ///< At SDD feature size, channels kept.
+  image::Image reference_gray_;  ///< Luma of reference_, for gray frames.
 };
 
 /// What the compressed-domain SDD concluded about a not-yet-decoded frame.

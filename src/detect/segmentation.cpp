@@ -18,14 +18,20 @@ image::Image motion_map(const image::Image& frame, const image::Image& backgroun
   const std::uint8_t* b = background.data();
   std::uint8_t* o = out.data();
   const std::size_t n = static_cast<std::size_t>(frame.width()) * frame.height();
-  const int c = frame.channels();
-  for (std::size_t i = 0; i < n; ++i) {
-    int best = 0;
-    for (int ch = 0; ch < c; ++ch) {
-      best = std::max(best, std::abs(static_cast<int>(a[i * c + ch]) -
-                                     static_cast<int>(b[i * c + ch])));
+  if (frame.channels() == 3) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint8_t* p = a + i * 3;
+      const std::uint8_t* q = b + i * 3;
+      const int d0 = std::abs(static_cast<int>(p[0]) - static_cast<int>(q[0]));
+      const int d1 = std::abs(static_cast<int>(p[1]) - static_cast<int>(q[1]));
+      const int d2 = std::abs(static_cast<int>(p[2]) - static_cast<int>(q[2]));
+      o[i] = static_cast<std::uint8_t>(std::max(d0, std::max(d1, d2)));
     }
-    o[i] = static_cast<std::uint8_t>(best);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      o[i] = static_cast<std::uint8_t>(
+          std::abs(static_cast<int>(a[i]) - static_cast<int>(b[i])));
+    }
   }
   return out;
 }

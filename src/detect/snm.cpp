@@ -22,7 +22,8 @@ int conv_out(int in, int kernel, int stride, int pad) {
 }
 }  // namespace
 
-SnmFilter::SnmFilter(SnmConfig config, const image::Image& background, std::uint64_t seed)
+SnmFilter::SnmFilter(SnmConfig config, const image::Image& background,
+                     std::uint64_t seed)
     : config_(config),
       // Color is kept: the network input is the max-channel difference map,
       // matching the detectors' motion map, so chromatic-only objects (a
@@ -36,8 +37,8 @@ SnmFilter::SnmFilter(SnmConfig config, const image::Image& background, std::uint
   net_ = std::make_unique<nn::Sequential>();
   net_->add(std::make_unique<nn::Conv2d>(1, config_.conv1_filters, 3, 2, 1, rng))
       .add(std::make_unique<nn::ReLU>())
-      .add(std::make_unique<nn::Conv2d>(config_.conv1_filters, config_.conv2_filters, 3, 2,
-                                        1, rng))
+      .add(std::make_unique<nn::Conv2d>(config_.conv1_filters, config_.conv2_filters,
+                                        3, 2, 1, rng))
       .add(std::make_unique<nn::ReLU>())
       .add(std::make_unique<nn::Linear>(fc_features_, 1, rng));
 }
@@ -116,7 +117,8 @@ std::vector<double> SnmFilter::predict_batch(
                         scratch_.pre_batch, scratch_.input);
   const nn::Tensor& logits = net_->forward_inference(scratch_.input, scratch_.net);
   out.reserve(frames.size());
-  for (int i = 0; i < logits.n(); ++i) out.push_back(nn::sigmoid(logits.at(i, 0, 0, 0)));
+  for (int i = 0; i < logits.n(); ++i)
+    out.push_back(nn::sigmoid(logits.at(i, 0, 0, 0)));
   return out;
 }
 

@@ -79,7 +79,8 @@ class SnmFilter {
   double predict(const image::Image& frame) const;
 
   /// Batched prediction — the unit the dynamic batcher feeds to the GPU.
-  std::vector<double> predict_batch(const std::vector<const image::Image*>& frames) const;
+  std::vector<double> predict_batch(
+      const std::vector<const image::Image*>& frames) const;
 
   /// The cascade predicate (Section 4.2.1).
   bool pass(const image::Image& frame) const { return predict(frame) >= t_pre(); }

@@ -121,7 +121,8 @@ StreamModels specialize_stream(const std::vector<video::Frame>& calibration_fram
   {
     std::vector<double> distances;
     distances.reserve(calibration_frames.size());
-    for (const auto& f : calibration_frames) distances.push_back(m.sdd->distance(f.image));
+    for (const auto& f : calibration_frames)
+      distances.push_back(m.sdd->distance(f.image));
     m.sdd_delta = m.sdd->calibrate(distances, labels);
   }
 

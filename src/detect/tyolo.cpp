@@ -26,7 +26,8 @@ DetectionResult TYoloDetector::detect(const image::Image& frame) const {
   static thread_local image::Image small;
   plan.ensure(frame.width(), frame.height(), config_.input_size, config_.input_size);
   image::resize_bilinear_into(frame, plan, small);
-  const auto comps = foreground_components(small, background_small_, config_.segmentation);
+  const auto comps =
+      foreground_components(small, background_small_, config_.segmentation);
 
   // Grid occupancy: at most boxes_per_cell detections per cell.
   const int cell_px = std::max(1, config_.input_size / config_.grid);

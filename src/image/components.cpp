@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
+#include <utility>
 
 namespace ffsva::image {
 
@@ -14,8 +14,9 @@ double iou(const Box& a, const Box& b) {
 }
 
 std::vector<ScoredBox> nms(std::vector<ScoredBox> boxes, double iou_threshold) {
-  std::stable_sort(boxes.begin(), boxes.end(),
-                   [](const ScoredBox& a, const ScoredBox& b) { return a.score > b.score; });
+  std::stable_sort(
+      boxes.begin(), boxes.end(),
+      [](const ScoredBox& a, const ScoredBox& b) { return a.score > b.score; });
   std::vector<ScoredBox> kept;
   kept.reserve(boxes.size());
   for (const auto& cand : boxes) {
@@ -38,8 +39,10 @@ std::vector<Component> connected_components_labeled(const Image& binary,
   labels.assign(static_cast<std::size_t>(w) * h, 0);
   std::vector<Component> comps;
   int next_label = 0;
-  // bounded-ok: function-local BFS frontier, at most one entry per pixel.
-  std::deque<std::pair<int, int>> frontier;
+  // Flood-fill stack, reused across the components of one call. The
+  // visiting order does not matter: labels, boxes and pixel counts depend
+  // only on which pixels a component holds.
+  std::vector<std::pair<int, int>> frontier;
 
   for (int sy = 0; sy < h; ++sy) {
     for (int sx = 0; sx < w; ++sx) {
@@ -53,8 +56,8 @@ std::vector<Component> connected_components_labeled(const Image& binary,
       frontier.emplace_back(sx, sy);
       labels[sidx] = next_label;
       while (!frontier.empty()) {
-        const auto [x, y] = frontier.front();
-        frontier.pop_front();
+        const auto [x, y] = frontier.back();
+        frontier.pop_back();
         ++comp.pixel_count;
         comp.box.x0 = std::min(comp.box.x0, x);
         comp.box.y0 = std::min(comp.box.y0, y);
@@ -75,9 +78,10 @@ std::vector<Component> connected_components_labeled(const Image& binary,
       if (comp.pixel_count >= min_pixels) comps.push_back(comp);
     }
   }
-  std::stable_sort(comps.begin(), comps.end(), [](const Component& a, const Component& b) {
-    return a.pixel_count > b.pixel_count;
-  });
+  std::stable_sort(comps.begin(), comps.end(),
+                   [](const Component& a, const Component& b) {
+                     return a.pixel_count > b.pixel_count;
+                   });
   return comps;
 }
 

@@ -9,7 +9,8 @@ namespace {
 void put(Image& img, int x, int y, Rgb color) {
   if (!img.in_bounds(x, y)) return;
   if (img.channels() == 1) {
-    img.at(x, y) = static_cast<std::uint8_t>((77 * color.r + 150 * color.g + 29 * color.b) >> 8);
+    img.at(x, y) =
+        static_cast<std::uint8_t>((77 * color.r + 150 * color.g + 29 * color.b) >> 8);
   } else {
     img.at(x, y, 0) = color.r;
     img.at(x, y, 1) = color.g;
@@ -69,11 +70,15 @@ void blend_rect(Image& img, const Box& rect, Rgb color, double alpha) {
     for (int x = r.x0; x < r.x1; ++x) {
       if (img.channels() == 1) {
         const double gray = (77 * color.r + 150 * color.g + 29 * color.b) / 256.0;
-        img.at(x, y) = static_cast<std::uint8_t>(img.at(x, y) * (1 - alpha) + gray * alpha);
+        img.at(x, y) =
+            static_cast<std::uint8_t>(img.at(x, y) * (1 - alpha) + gray * alpha);
       } else {
-        img.at(x, y, 0) = static_cast<std::uint8_t>(img.at(x, y, 0) * (1 - alpha) + color.r * alpha);
-        img.at(x, y, 1) = static_cast<std::uint8_t>(img.at(x, y, 1) * (1 - alpha) + color.g * alpha);
-        img.at(x, y, 2) = static_cast<std::uint8_t>(img.at(x, y, 2) * (1 - alpha) + color.b * alpha);
+        img.at(x, y, 0) = static_cast<std::uint8_t>(img.at(x, y, 0) * (1 - alpha) +
+                                                     color.r * alpha);
+        img.at(x, y, 1) = static_cast<std::uint8_t>(img.at(x, y, 1) * (1 - alpha) +
+                                                     color.g * alpha);
+        img.at(x, y, 2) = static_cast<std::uint8_t>(img.at(x, y, 2) * (1 - alpha) +
+                                                     color.b * alpha);
       }
     }
   }

@@ -62,31 +62,45 @@ void ResizePlan::ensure(int src_width, int src_height, int out_width,
   build_axis(src_h, out_h, y0, y1, wy);
 }
 
-void resize_bilinear_into(const Image& src, const ResizePlan& plan, Image& dst) {
-  dst.reset(plan.out_w, plan.out_h, src.channels());
-  const int c = src.channels();
+namespace {
+/// One output row of the Q11 bilinear resize, with the channel count fixed
+/// at compile time so the inner channel loop unrolls.
+template <int C>
+void resize_row(const std::uint8_t* r0, const std::uint8_t* r1, int vy,
+                const ResizePlan& plan, std::uint8_t* out) {
   constexpr int kOne = 1 << ResizePlan::kWeightBits;
   // Rounding applied once after both lerps: Q22 intermediate fits int32
   // (255 * 2048 * 2048 < 2^31).
   constexpr int kHalf = 1 << (2 * ResizePlan::kWeightBits - 1);
+  const int uy = kOne - vy;
+  for (int x = 0; x < plan.out_w; ++x) {
+    const int xa = plan.x0[static_cast<std::size_t>(x)] * C;
+    const int xb = plan.x1[static_cast<std::size_t>(x)] * C;
+    const int vx = plan.wx[static_cast<std::size_t>(x)];
+    const int ux = kOne - vx;
+    for (int ch = 0; ch < C; ++ch) {
+      const int top = r0[xa + ch] * ux + r0[xb + ch] * vx;
+      const int bot = r1[xa + ch] * ux + r1[xb + ch] * vx;
+      out[x * C + ch] = static_cast<std::uint8_t>(
+          (top * uy + bot * vy + kHalf) >> (2 * ResizePlan::kWeightBits));
+    }
+  }
+}
+}  // namespace
+
+void resize_bilinear_into(const Image& src, const ResizePlan& plan, Image& dst) {
+  dst.reset(plan.out_w, plan.out_h, src.channels());
+  const int c = src.channels();
   const std::size_t row_stride = static_cast<std::size_t>(plan.src_w) * c;
   for (int y = 0; y < plan.out_h; ++y) {
-    const std::uint8_t* r0 = src.data() + plan.y0[static_cast<std::size_t>(y)] * row_stride;
-    const std::uint8_t* r1 = src.data() + plan.y1[static_cast<std::size_t>(y)] * row_stride;
-    const int vy = plan.wy[static_cast<std::size_t>(y)];
-    const int uy = kOne - vy;
-    std::uint8_t* out = dst.data() + static_cast<std::size_t>(y) * plan.out_w * c;
-    for (int x = 0; x < plan.out_w; ++x) {
-      const int xa = plan.x0[static_cast<std::size_t>(x)] * c;
-      const int xb = plan.x1[static_cast<std::size_t>(x)] * c;
-      const int vx = plan.wx[static_cast<std::size_t>(x)];
-      const int ux = kOne - vx;
-      for (int ch = 0; ch < c; ++ch) {
-        const int top = r0[xa + ch] * ux + r0[xb + ch] * vx;
-        const int bot = r1[xa + ch] * ux + r1[xb + ch] * vx;
-        out[x * c + ch] =
-            static_cast<std::uint8_t>((top * uy + bot * vy + kHalf) >> (2 * ResizePlan::kWeightBits));
-      }
+    const auto yi = static_cast<std::size_t>(y);
+    const std::uint8_t* r0 = src.data() + plan.y0[yi] * row_stride;
+    const std::uint8_t* r1 = src.data() + plan.y1[yi] * row_stride;
+    std::uint8_t* out = dst.data() + yi * plan.out_w * c;
+    if (c == 3) {
+      resize_row<3>(r0, r1, plan.wy[yi], plan, out);
+    } else {
+      resize_row<1>(r0, r1, plan.wy[yi], plan, out);
     }
   }
 }
@@ -133,7 +147,8 @@ double sad(const Image& a, const Image& b) {
   const std::size_t n = a.size_bytes();
   std::uint64_t acc = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    acc += static_cast<std::uint64_t>(std::abs(static_cast<int>(pa[i]) - static_cast<int>(pb[i])));
+    acc += static_cast<std::uint64_t>(
+        std::abs(static_cast<int>(pa[i]) - static_cast<int>(pb[i])));
   }
   return static_cast<double>(acc) / static_cast<double>(n);
 }
@@ -146,15 +161,37 @@ Image abs_diff(const Image& a, const Image& b) {
   std::uint8_t* po = out.data();
   const std::size_t n = a.size_bytes();
   for (std::size_t i = 0; i < n; ++i) {
-    po[i] = static_cast<std::uint8_t>(std::abs(static_cast<int>(pa[i]) - static_cast<int>(pb[i])));
+    po[i] = static_cast<std::uint8_t>(
+        std::abs(static_cast<int>(pa[i]) - static_cast<int>(pb[i])));
   }
   return out;
 }
 
+namespace {
+/// acc[i] = 0.0 + kv[0] * rows[0][i] + ... + kv[taps-1] * rows[taps-1][i],
+/// added in that order. The sweeps take two taps at a time, which halves
+/// the passes over acc without changing any output's order of additions.
+void weighted_sum(const double* const* rows, const double* kv, int taps,
+                  std::size_t n, double* acc) {
+  for (std::size_t i = 0; i < n; ++i) acc[i] = 0.0 + kv[0] * rows[0][i];
+  int k = 1;
+  for (; k + 1 < taps; k += 2) {
+    const double* r0 = rows[k];
+    const double* r1 = rows[k + 1];
+    const double k0 = kv[k], k1 = kv[k + 1];
+    for (std::size_t i = 0; i < n; ++i) acc[i] = acc[i] + k0 * r0[i] + k1 * r1[i];
+  }
+  if (k < taps) {
+    for (std::size_t i = 0; i < n; ++i) acc[i] += kv[k] * rows[k][i];
+  }
+}
+}  // namespace
+
 Image gaussian_blur(const Image& src, double sigma) {
   if (sigma <= 0.0 || src.empty()) return src;
   const int radius = std::max(1, static_cast<int>(std::ceil(3.0 * sigma)));
-  std::vector<double> kernel(2 * radius + 1);
+  const int taps = 2 * radius + 1;
+  std::vector<double> kernel(static_cast<std::size_t>(taps));
   double sum = 0.0;
   for (int i = -radius; i <= radius; ++i) {
     kernel[i + radius] = std::exp(-(i * i) / (2.0 * sigma * sigma));
@@ -162,32 +199,62 @@ Image gaussian_blur(const Image& src, double sigma) {
   }
   for (auto& k : kernel) k /= sum;
 
+  // Each output adds its taps in ascending order from 0.0, in double, over
+  // edge-replicated (clamped) indices, exactly as a per-pixel loop would.
+  // Only the `radius` border columns clamp; the interior and the vertical
+  // pass are contiguous sweeps. The vertical pass reads horizontally
+  // filtered rows from a ring of `taps` rows (source row yy in slot
+  // yy % taps) instead of a frame-sized buffer.
   const int w = src.width(), h = src.height(), c = src.channels();
-  // Horizontal pass into a float buffer, then vertical pass.
-  std::vector<double> tmp(static_cast<std::size_t>(w) * h * c, 0.0);
-  for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
+  const std::size_t row_len = static_cast<std::size_t>(w) * c;
+  static thread_local std::vector<double> ring;
+  static thread_local std::vector<double> line;  // a source row, then a sum
+  ring.resize(static_cast<std::size_t>(taps) * row_len);
+  line.resize(row_len);
+  std::vector<const double*> rows(static_cast<std::size_t>(taps));
+  // Columns whose whole tap window lies inside the row.
+  const int x_lo = std::min(radius, w);
+  const int x_hi = std::max(x_lo, w - radius);
+
+  const auto filter_row = [&](int yy) {
+    const std::uint8_t* s = src.data() + static_cast<std::size_t>(yy) * row_len;
+    for (std::size_t i = 0; i < row_len; ++i) line[i] = s[i];
+    double* d = ring.data() + static_cast<std::size_t>(yy % taps) * row_len;
+    const auto clamped = [&](int x) {
       for (int ch = 0; ch < c; ++ch) {
-        double acc = 0.0;
+        double a = 0.0;
         for (int k = -radius; k <= radius; ++k) {
           const int xx = std::clamp(x + k, 0, w - 1);
-          acc += kernel[k + radius] * src.at(xx, y, ch);
+          a += kernel[k + radius] * line[static_cast<std::size_t>(xx) * c + ch];
         }
-        tmp[(static_cast<std::size_t>(y) * w + x) * c + ch] = acc;
+        d[static_cast<std::size_t>(x) * c + ch] = a;
       }
+    };
+    for (int x = 0; x < x_lo; ++x) clamped(x);
+    for (int x = x_hi; x < w; ++x) clamped(x);
+    if (x_hi == x_lo) return;
+    const std::size_t lo = static_cast<std::size_t>(x_lo) * c;
+    for (int k = 0; k < taps; ++k) {
+      rows[k] = line.data() + lo + static_cast<std::ptrdiff_t>(k - radius) * c;
     }
-  }
+    weighted_sum(rows.data(), kernel.data(), taps,
+                 static_cast<std::size_t>(x_hi) * c - lo, d + lo);
+  };
+
   Image out(w, h, c);
+  int filtered = 0;  // rows [0, filtered) have passed the horizontal filter
   for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      for (int ch = 0; ch < c; ++ch) {
-        double acc = 0.0;
-        for (int k = -radius; k <= radius; ++k) {
-          const int yy = std::clamp(y + k, 0, h - 1);
-          acc += kernel[k + radius] * tmp[(static_cast<std::size_t>(yy) * w + x) * c + ch];
-        }
-        out.at(x, y, ch) = static_cast<std::uint8_t>(std::clamp(acc + 0.5, 0.0, 255.0));
-      }
+    for (const int last = std::min(h - 1, y + radius); filtered <= last; ++filtered) {
+      filter_row(filtered);
+    }
+    for (int k = 0; k < taps; ++k) {
+      const int yy = std::clamp(y + k - radius, 0, h - 1);
+      rows[k] = ring.data() + static_cast<std::size_t>(yy % taps) * row_len;
+    }
+    weighted_sum(rows.data(), kernel.data(), taps, row_len, line.data());
+    std::uint8_t* o = out.data() + static_cast<std::size_t>(y) * row_len;
+    for (std::size_t i = 0; i < row_len; ++i) {
+      o[i] = static_cast<std::uint8_t>(std::clamp(line[i] + 0.5, 0.0, 255.0));
     }
   }
   return out;
@@ -233,30 +300,52 @@ std::uint8_t otsu_threshold(const Image& gray) {
 }
 
 namespace {
-Image morph3x3(const Image& binary, bool erode) {
-  Image out(binary.width(), binary.height(), binary.channels());
+/// 3x3 erosion (kErode: AND) or dilation (OR) of channel 0 of a C-channel
+/// mask, edge-replicated at the borders, as a 3-tap pass down each column
+/// and then one along the row. For a binary mask the separable form is
+/// exact: the AND (OR) over the 3x3 window is the AND (OR) of three column
+/// results. `col` holds one row of column results.
+template <int C, bool kErode>
+void morph3x3(const Image& binary, Image& out, std::uint8_t* col) {
+  const auto op = [](int a, int b, int c) { return kErode ? a & b & c : a | b | c; };
   const int w = binary.width(), h = binary.height();
+  const std::size_t stride = static_cast<std::size_t>(w) * C;
   for (int y = 0; y < h; ++y) {
+    const std::uint8_t* r0 = binary.data() + std::max(y - 1, 0) * stride;
+    const std::uint8_t* r1 = binary.data() + y * stride;
+    const std::uint8_t* r2 = binary.data() + std::min(y + 1, h - 1) * stride;
     for (int x = 0; x < w; ++x) {
-      bool all = true, any = false;
-      for (int dy = -1; dy <= 1; ++dy) {
-        for (int dx = -1; dx <= 1; ++dx) {
-          const int xx = std::clamp(x + dx, 0, w - 1);
-          const int yy = std::clamp(y + dy, 0, h - 1);
-          const bool v = binary.at(xx, yy) != 0;
-          all = all && v;
-          any = any || v;
-        }
-      }
-      out.at(x, y) = (erode ? all : any) ? 255 : 0;
+      col[x] = static_cast<std::uint8_t>(
+          op(r0[x * C] != 0, r1[x * C] != 0, r2[x * C] != 0));
     }
+    std::uint8_t* o = out.data() + y * stride;
+    o[0] = static_cast<std::uint8_t>(op(col[0], col[0], col[std::min(1, w - 1)]) * 255);
+    for (int x = 1; x < w - 1; ++x) {
+      o[x * C] = static_cast<std::uint8_t>(op(col[x - 1], col[x], col[x + 1]) * 255);
+    }
+    if (w > 1) {
+      o[(w - 1) * C] =
+          static_cast<std::uint8_t>(op(col[w - 2], col[w - 1], col[w - 1]) * 255);
+    }
+  }
+}
+
+template <bool kErode>
+Image morph3x3(const Image& binary) {
+  Image out(binary.width(), binary.height(), binary.channels());
+  if (binary.empty()) return out;
+  std::vector<std::uint8_t> col(static_cast<std::size_t>(binary.width()));
+  if (binary.channels() == 3) {
+    morph3x3<3, kErode>(binary, out, col.data());
+  } else {
+    morph3x3<1, kErode>(binary, out, col.data());
   }
   return out;
 }
 }  // namespace
 
-Image erode3x3(const Image& binary) { return morph3x3(binary, /*erode=*/true); }
-Image dilate3x3(const Image& binary) { return morph3x3(binary, /*erode=*/false); }
+Image erode3x3(const Image& binary) { return morph3x3</*kErode=*/true>(binary); }
+Image dilate3x3(const Image& binary) { return morph3x3</*kErode=*/false>(binary); }
 
 std::vector<std::uint64_t> integral_image(const Image& gray) {
   const int w = gray.width(), h = gray.height();
@@ -279,7 +368,8 @@ std::uint64_t box_sum(const std::vector<std::uint64_t>& integral, int img_w,
     if (x < 0 || y < 0) return 0;
     return integral[static_cast<std::size_t>(y) * img_w + x];
   };
-  return at(x1 - 1, y1 - 1) - at(x0 - 1, y1 - 1) - at(x1 - 1, y0 - 1) + at(x0 - 1, y0 - 1);
+  return at(x1 - 1, y1 - 1) - at(x0 - 1, y1 - 1) - at(x1 - 1, y0 - 1) +
+         at(x0 - 1, y0 - 1);
 }
 
 }  // namespace ffsva::image

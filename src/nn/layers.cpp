@@ -135,7 +135,8 @@ Tensor MaxPool2d::forward(const Tensor& x, bool train) {
               if (v > best) {
                 best = v;
                 best_idx = static_cast<std::uint32_t>(
-                    ((static_cast<std::size_t>(n) * x.c() + c) * x.h() + iy) * x.w() + ix);
+                    ((static_cast<std::size_t>(n) * x.c() + c) * x.h() + iy) * x.w() +
+                    ix);
               }
             }
           }

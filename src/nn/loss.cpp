@@ -19,7 +19,8 @@ double bce_with_logits(const Tensor& logits, const std::vector<float>& targets,
     const double z = logits.at(i, 0, 0, 0);
     const double y = targets[static_cast<std::size_t>(i)];
     // log(1 + e^z) computed stably.
-    const double log1pez = z > 0 ? z + std::log1p(std::exp(-z)) : std::log1p(std::exp(z));
+    const double log1pez =
+        z > 0 ? z + std::log1p(std::exp(-z)) : std::log1p(std::exp(z));
     loss += log1pez - y * z;
     grad.at(i, 0, 0, 0) = static_cast<float>((sigmoid(z) - y) / n);
   }
@@ -36,7 +37,8 @@ double softmax_cross_entropy(const Tensor& logits, const std::vector<int>& label
   double loss = 0.0;
   for (int i = 0; i < n; ++i) {
     double mx = -1e30;
-    for (int k = 0; k < c; ++k) mx = std::max(mx, static_cast<double>(logits.at(i, k, 0, 0)));
+    for (int k = 0; k < c; ++k)
+      mx = std::max(mx, static_cast<double>(logits.at(i, k, 0, 0)));
     double denom = 0.0;
     for (int k = 0; k < c; ++k) denom += std::exp(logits.at(i, k, 0, 0) - mx);
     const int label = labels[static_cast<std::size_t>(i)];

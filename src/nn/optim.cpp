@@ -15,7 +15,8 @@ void Sgd::step() {
     Tensor& g = *params_[i].grad;
     for (std::size_t j = 0; j < val.size(); ++j) {
       const float grad = g[j] + static_cast<float>(opts_.weight_decay) * val[j];
-      v[j] = static_cast<float>(opts_.momentum) * v[j] - static_cast<float>(opts_.lr) * grad;
+      v[j] = static_cast<float>(opts_.momentum) * v[j] -
+             static_cast<float>(opts_.lr) * grad;
       val[j] += v[j];
     }
     g.fill(0.0f);

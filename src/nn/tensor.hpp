@@ -77,7 +77,8 @@ class Tensor {
   std::size_t index(int n, int c, int h, int w) const {
     assert(n >= 0 && n < shape_[0] && c >= 0 && c < shape_[1] && h >= 0 &&
            h < shape_[2] && w >= 0 && w < shape_[3]);
-    return ((static_cast<std::size_t>(n) * shape_[1] + c) * shape_[2] + h) * shape_[3] + w;
+    return ((static_cast<std::size_t>(n) * shape_[1] + c) * shape_[2] + h) * shape_[3] +
+           w;
   }
 
   std::array<int, 4> shape_{0, 0, 0, 0};

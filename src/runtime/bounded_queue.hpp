@@ -89,7 +89,8 @@ class QueueWaiter {
 template <typename T>
 class BoundedQueue {
  public:
-  explicit BoundedQueue(std::size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
+  explicit BoundedQueue(std::size_t capacity)
+      : capacity_(capacity == 0 ? 1 : capacity) {}
 
   BoundedQueue(const BoundedQueue&) = delete;
   BoundedQueue& operator=(const BoundedQueue&) = delete;

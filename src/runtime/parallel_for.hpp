@@ -4,8 +4,8 @@
 // samples, frames in batch preprocessing and detection, crop-pack units).
 // That wants fork-join parallelism, not long-lived stage threads, so the
 // workers are private to parallel_for: each one runs the chunks of one
-// queued loop at a time. Chunk loops never block on queues, which keeps fork-join free of
-// starvation no matter what the pipeline threads are doing.
+// queued loop at a time. Chunk loops never block on queues, which keeps
+// fork-join free of starvation no matter what the pipeline threads are doing.
 //
 // Sizing: FFSVA_THREADS in the environment, else std::hardware_concurrency.
 // With parallelism 1 every parallel_for degrades to a plain serial loop

@@ -65,17 +65,19 @@ class FfsVaSimulation {
         cpu_(engine_, setup.costs.cpu_cores, "cpu"),
         gpu0_(engine_, "gpu0"),
         gpu1_(engine_, "gpu1"),
-        ref_q_(static_cast<std::size_t>(setup.config.capacity(setup.config.ref_queue_depth))),
+        ref_q_(static_cast<std::size_t>(
+            setup.config.capacity(setup.config.ref_queue_depth))),
         scheduler_(setup.config.num_tyolo),
         batcher_(setup.config.batch_policy, setup.config.batch_size,
                  setup.config.snm_queue_depth) {
     for (int i = 0; i < setup.num_streams; ++i) {
-      auto outcomes = setup.make_outcomes
-                          ? setup.make_outcomes(i)
-                          : std::make_unique<MarkovOutcomes>(
-                                MarkovParams::for_tor(0.1), 17u + static_cast<unsigned>(i));
-      streams_.push_back(std::make_unique<SimStream>(i, std::move(outcomes), setup.config,
-                                                     setup.online));
+      auto outcomes =
+          setup.make_outcomes
+              ? setup.make_outcomes(i)
+              : std::make_unique<MarkovOutcomes>(MarkovParams::for_tor(0.1),
+                                                 17u + static_cast<unsigned>(i));
+      streams_.push_back(std::make_unique<SimStream>(i, std::move(outcomes),
+                                                     setup.config, setup.online));
       streams_.back()->tyolo_q.set_push_hook([this] { wake_tyolo(); });
     }
   }

@@ -36,7 +36,8 @@ class TraceOutcomes final : public OutcomeSource {
  public:
   TraceOutcomes(std::shared_ptr<const std::vector<core::FilteredAt>> outcomes,
                 std::size_t offset)
-      : outcomes_(std::move(outcomes)), pos_(outcomes_->empty() ? 0 : offset % outcomes_->size()) {}
+      : outcomes_(std::move(outcomes)),
+        pos_(outcomes_->empty() ? 0 : offset % outcomes_->size()) {}
 
   core::FilteredAt next() override {
     if (outcomes_->empty()) return core::FilteredAt::kSdd;

@@ -190,7 +190,8 @@ StoredVideo StoredVideo::encode(const std::vector<Frame>& frames, int keyframe_i
 
 CodecStats StoredVideo::stats() const {
   CodecStats s;
-  s.raw_bytes = static_cast<std::size_t>(width_) * height_ * channels_ * offsets_.size();
+  s.raw_bytes =
+      static_cast<std::size_t>(width_) * height_ * channels_ * offsets_.size();
   s.encoded_bytes = bitstream_.size();
   return s;
 }
@@ -202,9 +203,10 @@ VideoReader::VideoReader(const StoredVideo& video, int stream_id)
 void VideoReader::decode_into(std::int64_t index) {
   const bool key = (index % video_.keyframe_interval_) == 0;
   if (key) previous_.fill(0);
-  rle_decode_apply(video_.bitstream_.data() + video_.offsets_[static_cast<std::size_t>(index)],
-                   video_.sizes_[static_cast<std::size_t>(index)], previous_.data(),
-                   previous_.size_bytes());
+  rle_decode_apply(
+      video_.bitstream_.data() + video_.offsets_[static_cast<std::size_t>(index)],
+      video_.sizes_[static_cast<std::size_t>(index)], previous_.data(),
+      previous_.size_bytes());
 }
 
 void VideoReader::materialize(std::int64_t index) {

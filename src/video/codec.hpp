@@ -83,7 +83,9 @@ class StoredVideo {
   static StoredVideo encode(const std::vector<Frame>& frames,
                             int keyframe_interval = 32, int deadzone = 0);
 
-  std::int64_t frame_count() const { return static_cast<std::int64_t>(offsets_.size()); }
+  std::int64_t frame_count() const {
+    return static_cast<std::int64_t>(offsets_.size());
+  }
   int width() const { return width_; }
   int height() const { return height_; }
   int channels() const { return channels_; }

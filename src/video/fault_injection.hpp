@@ -77,7 +77,8 @@ class FaultInjectingSource final : public FrameSource {
   runtime::Xoshiro256 rng_;
   FaultLog log_;
   std::int64_t calls_ = 0;       ///< next() invocations (fault-index timebase).
-  bool fatal_latched_ = false;   ///< Fatal fired; next() keeps throwing until restart().
+  bool fatal_latched_ = false;   ///< Fatal fired; next() keeps throwing
+                                 ///< until restart().
   bool eos_latched_ = false;     ///< Premature EOS fired; stream stays ended.
 };
 

@@ -51,7 +51,9 @@ void ObjectTrack::position(std::int64_t t, double& cx, double& cy) const {
 
 SceneSimulator::SceneSimulator(const SceneConfig& config, std::uint64_t seed,
                                std::int64_t total_frames)
-    : config_(config), total_frames_(std::max<std::int64_t>(total_frames, 1)), seed_(seed) {
+    : config_(config),
+      total_frames_(std::max<std::int64_t>(total_frames, 1)),
+      seed_(seed) {
   build_background(seed);
   plan_timeline(seed);
   plan_tracks(seed);
@@ -70,9 +72,10 @@ void SceneSimulator::build_background(std::uint64_t seed) {
       const int cx = static_cast<int>(rng.below(static_cast<std::uint64_t>(w)));
       const int cy = h - 12 - static_cast<int>(rng.below(18));
       const auto shade = static_cast<std::uint8_t>(40 + rng.below(40));
-      image::fill_ellipse(background_, cx, cy, 10 + static_cast<int>(rng.below(14)),
-                          5 + static_cast<int>(rng.below(6)),
-                          image::Rgb{shade, shade, static_cast<std::uint8_t>(shade + 10)});
+      image::fill_ellipse(
+          background_, cx, cy, 10 + static_cast<int>(rng.below(14)),
+          5 + static_cast<int>(rng.below(6)),
+          image::Rgb{shade, shade, static_cast<std::uint8_t>(shade + 10)});
     }
   } else {
     // Street scene: sky, buildings strip, road band, sidewalk.
@@ -109,7 +112,8 @@ void SceneSimulator::plan_timeline(std::uint64_t seed) {
   runtime::Xoshiro256 rng(seed ^ 0xfeedfaceULL);
   intervals_.clear();
   const std::int64_t presence =
-      std::llround(std::clamp(config_.tor, 0.0, 1.0) * static_cast<double>(total_frames_));
+      std::llround(std::clamp(config_.tor, 0.0, 1.0) *
+                   static_cast<double>(total_frames_));
   if (presence <= 0) return;
 
   // Choose scene lengths summing to `presence`.
@@ -154,7 +158,8 @@ void SceneSimulator::plan_timeline(std::uint64_t seed) {
     iv.end = std::min<std::int64_t>(cursor + lens[i], total_frames_);
     // Object count: 1 + geometric(multi_object_bias), capped.
     iv.num_objects = 1;
-    while (iv.num_objects < config_.max_objects && rng.chance(config_.multi_object_bias)) {
+    while (iv.num_objects < config_.max_objects &&
+           rng.chance(config_.multi_object_bias)) {
       ++iv.num_objects;
     }
     if (iv.end > iv.begin) intervals_.push_back(iv);
@@ -183,8 +188,10 @@ void SceneSimulator::plan_tracks(std::uint64_t seed) {
     t.enter = b;
     t.exit = e;
     const double scale = 0.8 + 0.5 * rng.uniform();
-    t.w = static_cast<int>((t.cls == ObjectClass::kBus ? 1.8 : 1.0) * config_.car_w * scale);
-    t.h = static_cast<int>((t.cls == ObjectClass::kBus ? 1.5 : 1.0) * config_.car_h * scale);
+    t.w = static_cast<int>((t.cls == ObjectClass::kBus ? 1.8 : 1.0) * config_.car_w *
+                           scale);
+    t.h = static_cast<int>((t.cls == ObjectClass::kBus ? 1.5 : 1.0) * config_.car_h *
+                           scale);
     const bool ltr = rng.chance(0.5);
     t.x_start = ltr ? -t.w * 0.5 : w + t.w * 0.5;
     t.x_end = ltr ? w + t.w * 0.5 : -t.w * 0.5;
@@ -300,8 +307,9 @@ void SceneSimulator::plan_tracks(std::uint64_t seed) {
     fill_gap(prev_end, total_frames_);
   }
 
-  std::stable_sort(tracks_.begin(), tracks_.end(),
-                   [](const ObjectTrack& a, const ObjectTrack& b) { return a.y < b.y; });
+  std::stable_sort(
+      tracks_.begin(), tracks_.end(),
+      [](const ObjectTrack& a, const ObjectTrack& b) { return a.y < b.y; });
 }
 
 void SceneSimulator::render_object(image::Image& img, const ObjectTrack& track,
@@ -313,8 +321,9 @@ void SceneSimulator::render_object(image::Image& img, const ObjectTrack& track,
   const image::Box full{x0, y0, x0 + track.w, y0 + track.h};
   const image::Box vis = full.clip(img.width(), img.height());
   const double frac =
-      full.area() > 0 ? static_cast<double>(vis.area()) / static_cast<double>(full.area())
-                      : 0.0;
+      full.area() > 0
+          ? static_cast<double>(vis.area()) / static_cast<double>(full.area())
+          : 0.0;
   if (frac <= 0.0) return;
 
   switch (track.cls) {
@@ -378,8 +387,8 @@ Frame SceneSimulator::render(std::int64_t index, int stream_id) const {
         const int d = static_cast<int>((hsh >> 32) % (2 * amp + 1)) - amp;
         const std::size_t i = (static_cast<std::size_t>(y) * config_.width + x) * 3;
         for (int ch = 0; ch < 3; ++ch) {
-          p[i + ch] =
-              static_cast<std::uint8_t>(std::clamp(static_cast<int>(p[i + ch]) + d, 0, 255));
+          p[i + ch] = static_cast<std::uint8_t>(
+              std::clamp(static_cast<int>(p[i + ch]) + d, 0, 255));
         }
       }
     }

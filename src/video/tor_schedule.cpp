@@ -38,7 +38,8 @@ double TorSchedule::tor_at(double t_sec) const {
       break;
     }
     case TorPattern::kBursty: {
-      const auto it = std::upper_bound(surge_starts_.begin(), surge_starts_.end(), t_sec);
+      const auto it =
+          std::upper_bound(surge_starts_.begin(), surge_starts_.end(), t_sec);
       if (it != surge_starts_.begin()) {
         const double onset = *(it - 1);
         if (t_sec - onset < config_.surge_len_sec) tor = config_.surge_tor;

@@ -82,7 +82,8 @@ TEST(Backpressure, InFlightPopulationIsBoundedByQueueBudget) {
     while (!done.load(std::memory_order_acquire)) {
       const auto in_flight = emitted.load() - terminated.load();
       std::int64_t prev = max_in_flight.load();
-      while (in_flight > prev && !max_in_flight.compare_exchange_weak(prev, in_flight)) {
+      while (in_flight > prev &&
+             !max_in_flight.compare_exchange_weak(prev, in_flight)) {
       }
       std::this_thread::sleep_for(std::chrono::microseconds(300));
     }

@@ -44,7 +44,8 @@ TEST(BackgroundEstimator, MeanWouldFailWhereMedianSucceeds) {
   BackgroundEstimator median(10);
   for (int i = 0; i < 10; ++i) {
     image::Image frame(8, 8, 1, 50);
-    if (i < 4) image::fill_rect(frame, image::Box{0, 0, 8, 8}, image::Rgb{250, 250, 250});
+    if (i < 4)
+      image::fill_rect(frame, image::Box{0, 0, 8, 8}, image::Rgb{250, 250, 250});
     mean_acc.add(frame);
     median.add(frame);
   }
@@ -56,7 +57,8 @@ TEST(BackgroundEstimator, MeanWouldFailWhereMedianSucceeds) {
 
 TEST(BackgroundEstimator, BoundedMemoryUnderManyOffers) {
   BackgroundEstimator bg(8);
-  for (int i = 0; i < 1000; ++i) bg.add(image::Image(4, 4, 1, static_cast<std::uint8_t>(i % 200)));
+  for (int i = 0; i < 1000; ++i)
+    bg.add(image::Image(4, 4, 1, static_cast<std::uint8_t>(i % 200)));
   EXPECT_EQ(bg.sample_count(), 8);
   EXPECT_FALSE(bg.estimate().empty());
 }

@@ -83,7 +83,8 @@ TEST(Reference, CountsMatchGroundTruthOnRealScenes) {
     if (!all_full) continue;
     ++checked;
     const int truth = f.gt.count_target(cfg.target, 0.95);
-    const int found = ref.detect(f.image).count_target(cfg.target, rc.confidence_threshold);
+    const int found =
+        ref.detect(f.image).count_target(cfg.target, rc.confidence_threshold);
     if (found == truth) ++agree;
   }
   ASSERT_GT(checked, 10);

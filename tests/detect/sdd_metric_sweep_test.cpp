@@ -83,8 +83,10 @@ TEST(SddMetricSweep, MseSeparatesBestOnQuadraticContrast) {
     const auto target = s.sim->render((iv.begin + iv.end) / 2);
     const auto bg_frame = s.sim->render(std::max<std::int64_t>(0, iv.begin - 20));
     if (bg_frame.gt.objects.empty()) {
-      mse_ratio += mse.distance(target.image) / std::max(1e-9, mse.distance(bg_frame.image));
-      sad_ratio += sad.distance(target.image) / std::max(1e-9, sad.distance(bg_frame.image));
+      mse_ratio +=
+          mse.distance(target.image) / std::max(1e-9, mse.distance(bg_frame.image));
+      sad_ratio +=
+          sad.distance(target.image) / std::max(1e-9, sad.distance(bg_frame.image));
       ++n;
     }
   }

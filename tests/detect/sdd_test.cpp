@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+
 #include "image/draw.hpp"
+#include "image/ops.hpp"
+#include "runtime/rng.hpp"
 #include "video/profiles.hpp"
 
 namespace ffsva::detect {
@@ -187,6 +193,101 @@ TEST(SddFilter, ToStringCoversMetrics) {
   EXPECT_STREQ(to_string(SddMetric::kMse), "MSE");
   EXPECT_STREQ(to_string(SddMetric::kNrmse), "NRMSE");
   EXPECT_STREQ(to_string(SddMetric::kSad), "SAD");
+}
+
+/// Exactness oracle: SddFilter::distance as first written, with a fresh
+/// resize and luma conversion per call and a flat `i % channels` loop for
+/// the gain-compensated metrics.
+double oracle_distance(const SddConfig& config,
+                       const image::Image& reference_background,
+                       const image::Image& frame) {
+  const image::Image reference =
+      image::resize_bilinear(reference_background, config.width, config.height);
+  image::Image small = image::resize_bilinear(frame, config.width, config.height);
+  if (small.channels() != reference.channels()) {
+    small = image::to_gray(small);
+    const image::Image ref_gray = image::to_gray(reference);
+    switch (config.metric) {
+      case SddMetric::kMse: return image::mse(small, ref_gray);
+      case SddMetric::kNrmse: return image::nrmse(small, ref_gray);
+      case SddMetric::kSad: return image::sad(small, ref_gray);
+    }
+  }
+  if (!config.gain_compensate) {
+    switch (config.metric) {
+      case SddMetric::kMse: return image::mse(small, reference);
+      case SddMetric::kNrmse: return image::nrmse(small, reference);
+      case SddMetric::kSad: return image::sad(small, reference);
+    }
+    return 0.0;
+  }
+  const std::uint8_t* a = small.data();
+  const std::uint8_t* b = reference.data();
+  const std::size_t n = small.size_bytes();
+  const int channels = small.channels();
+  double mean[3] = {0.0, 0.0, 0.0};
+  for (std::size_t i = 0; i < n; ++i) {
+    mean[i % static_cast<std::size_t>(channels)] +=
+        static_cast<double>(a[i]) - static_cast<double>(b[i]);
+  }
+  const double per_channel = static_cast<double>(n) / channels;
+  for (int c = 0; c < channels; ++c) mean[c] /= per_channel;
+  double acc = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double d = static_cast<double>(a[i]) - static_cast<double>(b[i]) -
+                     mean[i % static_cast<std::size_t>(channels)];
+    acc += config.metric == SddMetric::kSad ? std::abs(d) : d * d;
+  }
+  acc /= static_cast<double>(n);
+  switch (config.metric) {
+    case SddMetric::kMse: return acc;
+    case SddMetric::kNrmse: return std::sqrt(acc) / 255.0;
+    case SddMetric::kSad: return acc;
+  }
+  return 0.0;
+}
+
+image::Image random_image(int w, int h, int c, std::uint64_t seed) {
+  image::Image img(w, h, c);
+  runtime::Xoshiro256 rng(seed);
+  for (std::size_t i = 0; i < img.size_bytes(); ++i) {
+    img.data()[i] = static_cast<std::uint8_t>(rng.below(256));
+  }
+  return img;
+}
+
+TEST(SddFilter, DistanceMatchesOracleBitwise) {
+  // Rendered frames (small, realistic distances) and random ones (large),
+  // colour and gray on either side, at the feature size and off it.
+  const video::SceneSimulator sim(video::jackson_profile(), 11, 40);
+  const image::Image& bg = sim.background();
+  const image::Image bg_gray = image::to_gray(bg);
+  std::vector<image::Image> frames;
+  for (int i = 0; i < 40; i += 4) frames.push_back(sim.render(i).image);
+  frames.push_back(image::to_gray(frames.back()));
+  frames.push_back(random_image(bg.width(), bg.height(), 3, 500));
+  frames.push_back(random_image(100, 100, 3, 501));
+  frames.push_back(random_image(97, 61, 1, 502));
+  for (const image::Image* ref : {&bg, &bg_gray}) {
+    for (const SddMetric metric :
+         {SddMetric::kMse, SddMetric::kNrmse, SddMetric::kSad}) {
+      for (const bool gain : {false, true}) {
+        SddConfig cfg;
+        cfg.metric = metric;
+        cfg.gain_compensate = gain;
+        const SddFilter sdd(cfg, *ref);
+        for (const auto& f : frames) {
+          const double got = sdd.distance(f);
+          const double want = oracle_distance(cfg, *ref, f);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                    std::bit_cast<std::uint64_t>(want))
+              << to_string(metric) << " gain " << gain << " ref channels "
+              << ref->channels() << " frame " << f.width() << "x" << f.height() << "x"
+              << f.channels() << ": " << got << " vs " << want;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

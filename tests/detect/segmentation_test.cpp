@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+
 #include "image/draw.hpp"
+#include "runtime/rng.hpp"
 
 namespace ffsva::detect {
 namespace {
@@ -28,6 +32,47 @@ TEST(MotionMap, MaxChannelDifference) {
 
 TEST(MotionMap, ShapeMismatchThrows) {
   EXPECT_THROW(motion_map(flat(4, 4, 0), flat(4, 5, 0)), std::invalid_argument);
+}
+
+/// Exactness oracle: the plain any-channel-count loop motion_map replaced.
+image::Image oracle_motion_map(const image::Image& frame,
+                               const image::Image& background) {
+  image::Image out(frame.width(), frame.height(), 1);
+  const std::uint8_t* a = frame.data();
+  const std::uint8_t* b = background.data();
+  std::uint8_t* o = out.data();
+  const std::size_t n = static_cast<std::size_t>(frame.width()) * frame.height();
+  const int c = frame.channels();
+  for (std::size_t i = 0; i < n; ++i) {
+    int best = 0;
+    for (int ch = 0; ch < c; ++ch) {
+      best = std::max(best, std::abs(static_cast<int>(a[i * c + ch]) -
+                                     static_cast<int>(b[i * c + ch])));
+    }
+    o[i] = static_cast<std::uint8_t>(best);
+  }
+  return out;
+}
+
+image::Image random_image(int w, int h, int c, std::uint64_t seed) {
+  image::Image img(w, h, c);
+  runtime::Xoshiro256 rng(seed);
+  for (std::size_t i = 0; i < img.size_bytes(); ++i) {
+    img.data()[i] = static_cast<std::uint8_t>(rng.below(256));
+  }
+  return img;
+}
+
+TEST(MotionMap, MatchesOracleBytewise) {
+  std::uint64_t seed = 400;
+  for (const int c : {1, 3}) {
+    for (const auto& [w, h] : {std::pair{1, 1}, std::pair{2, 3}, std::pair{37, 23},
+                               std::pair{256, 192}}) {
+      const auto a = random_image(w, h, c, ++seed);
+      const auto b = random_image(w, h, c, ++seed);
+      EXPECT_EQ(motion_map(a, b), oracle_motion_map(a, b)) << w << "x" << h << "x" << c;
+    }
+  }
 }
 
 TEST(ForegroundComponents, FindsInsertedObject) {

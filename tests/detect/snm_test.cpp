@@ -64,7 +64,8 @@ TEST(SnmFilter, PredictionIsAProbability) {
 TEST(SnmFilter, BatchMatchesSingle) {
   auto& t = trained();
   std::vector<const image::Image*> batch;
-  for (int i = 0; i < 5; ++i) batch.push_back(&t.frames[static_cast<std::size_t>(i * 7)].image);
+  for (int i = 0; i < 5; ++i)
+    batch.push_back(&t.frames[static_cast<std::size_t>(i * 7)].image);
   const auto scores = t.snm->predict_batch(batch);
   ASSERT_EQ(scores.size(), 5u);
   for (int i = 0; i < 5; ++i) {

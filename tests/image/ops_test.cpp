@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "runtime/parallel_for.hpp"
 #include "runtime/rng.hpp"
 
@@ -237,8 +241,10 @@ TEST(IntegralImage, BoxSumsMatchBruteForce) {
   for (int trial = 0; trial < 50; ++trial) {
     const int x0 = static_cast<int>(rng.below(17));
     const int y0 = static_cast<int>(rng.below(13));
-    const int x1 = x0 + static_cast<int>(rng.below(static_cast<std::uint64_t>(17 - x0 + 1)));
-    const int y1 = y0 + static_cast<int>(rng.below(static_cast<std::uint64_t>(13 - y0 + 1)));
+    const int x1 =
+        x0 + static_cast<int>(rng.below(static_cast<std::uint64_t>(17 - x0 + 1)));
+    const int y1 =
+        y0 + static_cast<int>(rng.below(static_cast<std::uint64_t>(13 - y0 + 1)));
     std::uint64_t brute = 0;
     for (int y = y0; y < y1; ++y) {
       for (int x = x0; x < x1; ++x) brute += img.at(x, y);
@@ -252,6 +258,190 @@ TEST(IntegralImage, EmptyRectIsZero) {
   const auto integral = integral_image(img);
   EXPECT_EQ(box_sum(integral, 5, 2, 2, 2, 4), 0u);
   EXPECT_EQ(box_sum(integral, 5, 3, 3, 2, 2), 0u);
+}
+
+// --- Exactness oracles -------------------------------------------------------
+//
+// The kernels in image/ops.cpp are rewritten for speed but must give the
+// same bytes as the plain per-pixel loops below, which clamp every index and
+// stage a full frame of doubles. These oracles exist only here.
+namespace oracle {
+
+Image gaussian_blur(const Image& src, double sigma) {
+  if (sigma <= 0.0 || src.empty()) return src;
+  const int radius = std::max(1, static_cast<int>(std::ceil(3.0 * sigma)));
+  std::vector<double> kernel(2 * radius + 1);
+  double sum = 0.0;
+  for (int i = -radius; i <= radius; ++i) {
+    kernel[i + radius] = std::exp(-(i * i) / (2.0 * sigma * sigma));
+    sum += kernel[i + radius];
+  }
+  for (auto& k : kernel) k /= sum;
+
+  const int w = src.width(), h = src.height(), c = src.channels();
+  std::vector<double> tmp(static_cast<std::size_t>(w) * h * c, 0.0);
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) {
+      for (int ch = 0; ch < c; ++ch) {
+        double acc = 0.0;
+        for (int k = -radius; k <= radius; ++k) {
+          const int xx = std::clamp(x + k, 0, w - 1);
+          acc += kernel[k + radius] * src.at(xx, y, ch);
+        }
+        tmp[(static_cast<std::size_t>(y) * w + x) * c + ch] = acc;
+      }
+    }
+  }
+  Image out(w, h, c);
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) {
+      for (int ch = 0; ch < c; ++ch) {
+        double acc = 0.0;
+        for (int k = -radius; k <= radius; ++k) {
+          const int yy = std::clamp(y + k, 0, h - 1);
+          acc += kernel[k + radius] *
+                 tmp[(static_cast<std::size_t>(yy) * w + x) * c + ch];
+        }
+        out.at(x, y, ch) = static_cast<std::uint8_t>(std::clamp(acc + 0.5, 0.0, 255.0));
+      }
+    }
+  }
+  return out;
+}
+
+Image morph3x3(const Image& binary, bool erode) {
+  Image out(binary.width(), binary.height(), binary.channels());
+  const int w = binary.width(), h = binary.height();
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) {
+      bool all = true, any = false;
+      for (int dy = -1; dy <= 1; ++dy) {
+        for (int dx = -1; dx <= 1; ++dx) {
+          const int xx = std::clamp(x + dx, 0, w - 1);
+          const int yy = std::clamp(y + dy, 0, h - 1);
+          const bool v = binary.at(xx, yy) != 0;
+          all = all && v;
+          any = any || v;
+        }
+      }
+      out.at(x, y) = (erode ? all : any) ? 255 : 0;
+    }
+  }
+  return out;
+}
+
+void resize_bilinear_into(const Image& src, const ResizePlan& plan, Image& dst) {
+  dst.reset(plan.out_w, plan.out_h, src.channels());
+  const int c = src.channels();
+  constexpr int kOne = 1 << ResizePlan::kWeightBits;
+  constexpr int kHalf = 1 << (2 * ResizePlan::kWeightBits - 1);
+  const std::size_t row_stride = static_cast<std::size_t>(plan.src_w) * c;
+  for (int y = 0; y < plan.out_h; ++y) {
+    const auto yi = static_cast<std::size_t>(y);
+    const std::uint8_t* r0 = src.data() + plan.y0[yi] * row_stride;
+    const std::uint8_t* r1 = src.data() + plan.y1[yi] * row_stride;
+    const int vy = plan.wy[yi];
+    const int uy = kOne - vy;
+    std::uint8_t* out = dst.data() + yi * plan.out_w * c;
+    for (int x = 0; x < plan.out_w; ++x) {
+      const int xa = plan.x0[static_cast<std::size_t>(x)] * c;
+      const int xb = plan.x1[static_cast<std::size_t>(x)] * c;
+      const int vx = plan.wx[static_cast<std::size_t>(x)];
+      const int ux = kOne - vx;
+      for (int ch = 0; ch < c; ++ch) {
+        const int top = r0[xa + ch] * ux + r0[xb + ch] * vx;
+        const int bot = r1[xa + ch] * ux + r1[xb + ch] * vx;
+        out[x * c + ch] = static_cast<std::uint8_t>(
+            (top * uy + bot * vy + kHalf) >> (2 * ResizePlan::kWeightBits));
+      }
+    }
+  }
+}
+
+}  // namespace oracle
+
+/// A mask of zero and assorted nonzero bytes, `density` of them set.
+Image random_mask(int w, int h, int c, double density, std::uint64_t seed) {
+  Image img(w, h, c);
+  runtime::Xoshiro256 rng(seed);
+  for (std::size_t i = 0; i < img.size_bytes(); ++i) {
+    const bool set = static_cast<double>(rng.below(1000)) < density * 1000.0;
+    img.data()[i] = set ? static_cast<std::uint8_t>(1 + rng.below(255)) : 0;
+  }
+  return img;
+}
+
+TEST(ExactnessOracle, GaussianBlurMatchesClampedLoops) {
+  std::uint64_t seed = 100;
+  for (const double sigma : {0.5, 0.7, 1.0, 1.6, 2.5}) {
+    const int r = std::max(1, static_cast<int>(std::ceil(3.0 * sigma)));
+    const std::vector<int> sizes = {1, 2, r, 2 * r + 1, 37};
+    for (const int c : {1, 3}) {
+      for (const int w : sizes) {
+        for (const int h : sizes) {
+          const Image img = random_image(w, h, c, ++seed);
+          EXPECT_EQ(gaussian_blur(img, sigma), oracle::gaussian_blur(img, sigma))
+              << "sigma " << sigma << ", " << w << "x" << h << "x" << c;
+        }
+      }
+      const Image frame = random_image(256, 192, c, ++seed);
+      EXPECT_EQ(gaussian_blur(frame, sigma), oracle::gaussian_blur(frame, sigma))
+          << "sigma " << sigma << ", 256x192x" << c;
+    }
+  }
+}
+
+TEST(ExactnessOracle, GaussianBlurOfSaturatedBlocks) {
+  // Hard 0/255 edges drive sums to the ends of the output range, where the
+  // final clamp and rounding decide the byte.
+  Image img(64, 48, 1, 0);
+  for (int y = 8; y < 40; ++y) {
+    for (int x = 10; x < 50; ++x) img.at(x, y) = 255;
+  }
+  for (const double sigma : {0.5, 0.7, 1.0, 1.6, 2.5}) {
+    EXPECT_EQ(gaussian_blur(img, sigma), oracle::gaussian_blur(img, sigma)) << sigma;
+  }
+}
+
+TEST(ExactnessOracle, MorphologyMatchesClampedLoops) {
+  std::uint64_t seed = 200;
+  const std::vector<int> sizes = {1, 2, 3, 4, 37};
+  for (const double density : {0.1, 0.5, 0.9}) {
+    for (const int c : {1, 3}) {
+      for (const int w : sizes) {
+        for (const int h : sizes) {
+          const Image mask = random_mask(w, h, c, density, ++seed);
+          EXPECT_EQ(erode3x3(mask), oracle::morph3x3(mask, /*erode=*/true))
+              << w << "x" << h << "x" << c << " density " << density;
+          EXPECT_EQ(dilate3x3(mask), oracle::morph3x3(mask, /*erode=*/false))
+              << w << "x" << h << "x" << c << " density " << density;
+        }
+      }
+      const Image frame = random_mask(256, 192, c, density, ++seed);
+      EXPECT_EQ(erode3x3(frame), oracle::morph3x3(frame, true)) << density;
+      EXPECT_EQ(dilate3x3(frame), oracle::morph3x3(frame, false)) << density;
+    }
+  }
+}
+
+TEST(ExactnessOracle, ResizeMatchesGenericChannelLoop) {
+  std::uint64_t seed = 300;
+  const std::vector<std::pair<int, int>> shapes = {
+      {1, 1}, {2, 1}, {1, 2}, {7, 5}, {37, 23}, {100, 100}, {256, 192}, {320, 240}};
+  for (const int c : {1, 3}) {
+    for (const auto& [sw, sh] : shapes) {
+      const Image img = random_image(sw, sh, c, ++seed);
+      for (const auto& [ow, oh] : shapes) {
+        ResizePlan plan;
+        plan.ensure(sw, sh, ow, oh);
+        Image got, want;
+        resize_bilinear_into(img, plan, got);
+        oracle::resize_bilinear_into(img, plan, want);
+        EXPECT_EQ(got, want)
+            << sw << "x" << sh << " -> " << ow << "x" << oh << "x" << c;
+      }
+    }
+  }
 }
 
 }  // namespace

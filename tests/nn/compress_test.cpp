@@ -149,7 +149,8 @@ TEST(Compression, TrainedClassifierSurvivesModeratePruning) {
     }
     const bool pos = i % 2 == 0;
     if (pos) {
-      const int bx = static_cast<int>(rng.below(8)), by = static_cast<int>(rng.below(8));
+      const int bx = static_cast<int>(rng.below(8)),
+                by = static_cast<int>(rng.below(8));
       for (int dy = 0; dy < 4; ++dy) {
         for (int dx = 0; dx < 4; ++dx) x.at(0, 0, by + dy, bx + dx) = 0.9f;
       }

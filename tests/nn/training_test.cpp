@@ -159,7 +159,8 @@ TEST(Training, SnmShapedCnnLearnsBlobPresence) {
 
   int correct = 0;
   for (int i = 0; i < n; ++i) {
-    const bool pred = net.forward(xs[static_cast<std::size_t>(i)]).at(0, 0, 0, 0) > 0.0f;
+    const bool pred =
+        net.forward(xs[static_cast<std::size_t>(i)]).at(0, 0, 0, 0) > 0.0f;
     if (pred == (ys[static_cast<std::size_t>(i)] > 0.5f)) ++correct;
   }
   EXPECT_GT(static_cast<double>(correct) / n, 0.9);

@@ -105,10 +105,18 @@ TEST(FfsVaSim, DynamicBatchSupportsFewerStreams) {
   // streams" (Section 5.2).
   const auto base = setup_for(0.103, 1, true);
   const int fb = max_realtime_streams(
-      [&] { auto s = base; s.config.batch_policy = core::BatchPolicy::kFeedback; return s; }(),
+      [&] {
+        auto s = base;
+        s.config.batch_policy = core::BatchPolicy::kFeedback;
+        return s;
+      }(),
       1, 48);
   const int dyn = max_realtime_streams(
-      [&] { auto s = base; s.config.batch_policy = core::BatchPolicy::kDynamic; return s; }(),
+      [&] {
+        auto s = base;
+        s.config.batch_policy = core::BatchPolicy::kDynamic;
+        return s;
+      }(),
       1, 48);
   EXPECT_LT(dyn, fb);
   EXPECT_GT(dyn, fb / 2);
@@ -116,14 +124,17 @@ TEST(FfsVaSim, DynamicBatchSupportsFewerStreams) {
 
 TEST(FfsVaSim, StaticBatchHasHighestOfflineThroughputAndLatency) {
   const auto st = simulate_ffsva(setup_for(0.2, 1, false, core::BatchPolicy::kStatic));
-  const auto fb = simulate_ffsva(setup_for(0.2, 1, false, core::BatchPolicy::kFeedback));
+  const auto fb =
+      simulate_ffsva(setup_for(0.2, 1, false, core::BatchPolicy::kFeedback));
   EXPECT_GE(st.throughput_fps, 0.95 * fb.throughput_fps);
   EXPECT_GT(st.output_latency_ms.mean(), fb.output_latency_ms.mean());
 }
 
 TEST(FfsVaSim, MeanSnmBatchFollowsPolicy) {
-  const auto fb = simulate_ffsva(setup_for(0.2, 1, false, core::BatchPolicy::kFeedback));
-  const auto dyn = simulate_ffsva(setup_for(0.2, 1, false, core::BatchPolicy::kDynamic));
+  const auto fb =
+      simulate_ffsva(setup_for(0.2, 1, false, core::BatchPolicy::kFeedback));
+  const auto dyn =
+      simulate_ffsva(setup_for(0.2, 1, false, core::BatchPolicy::kDynamic));
   // Feedback waits for min(batch, queue threshold) = 10; dynamic takes
   // whatever is there.
   EXPECT_NEAR(fb.mean_snm_batch, 10.0, 0.5);

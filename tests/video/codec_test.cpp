@@ -89,7 +89,8 @@ TEST(Codec, DeadzoneImprovesCompressionMonotonically) {
   const auto frames = make_frames(20, 0.3);
   double prev_ratio = 0.0;
   for (int dz : {0, 3, 8}) {
-    const double ratio = StoredVideo::encode(frames, 16, dz).stats().compression_ratio();
+    const double ratio =
+        StoredVideo::encode(frames, 16, dz).stats().compression_ratio();
     EXPECT_GE(ratio, prev_ratio);
     prev_ratio = ratio;
   }
