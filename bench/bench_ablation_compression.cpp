@@ -56,7 +56,8 @@ int main() {
     }
     if (pt.bits > 0) {
       const auto q = nn::quantize_weights(net, pt.bits);
-      bytes = bytes * pt.bits / 32.0 + (q.model_bytes_quant - q.total_weights * pt.bits / 8.0);
+      bytes = bytes * pt.bits / 32.0 +
+              (q.model_bytes_quant - q.total_weights * pt.bits / 8.0);
     }
 
     // Re-score the eval frames with the compressed model.
@@ -69,7 +70,8 @@ int main() {
       if (!pass && base_decision[i] && s.trace[i].ref_positive) ++new_fn;
     }
     std::printf("%-22s %9.1f%% %12lld %14.1f\n", pt.name,
-                100.0 * static_cast<double>(agree) / static_cast<double>(s.trace.size()),
+                100.0 * static_cast<double>(agree) /
+                    static_cast<double>(s.trace.size()),
                 static_cast<long long>(new_fn), bytes / 1024.0);
   }
 

@@ -9,7 +9,8 @@
 using namespace ffsva;
 
 int main() {
-  bench::print_header("FIGURE 10 -- batch mechanisms at TOR ~= 0.980 (10 streams, offline)");
+  bench::print_header(
+      "FIGURE 10 -- batch mechanisms at TOR ~= 0.980 (10 streams, offline)");
   auto params = sim::MarkovParams::for_tor(0.98);
 
   std::printf("%-10s | %-21s | %-21s | %-21s\n", "", "static batch",

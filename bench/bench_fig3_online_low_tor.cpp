@@ -13,7 +13,8 @@
 using namespace ffsva;
 
 int main() {
-  bench::print_header("FIGURE 3 -- online throughput & latency vs #streams (TOR ~= 0.103)");
+  bench::print_header(
+      "FIGURE 3 -- online throughput & latency vs #streams (TOR ~= 0.103)");
 
   std::printf("Specializing stream and recording real-filter trace...\n");
   auto stream = bench::build_stream(video::jackson_profile(), 0.103, 42, 1000, 2000, 6);

@@ -14,7 +14,8 @@
 using namespace ffsva;
 
 int main() {
-  bench::print_header("FIGURE 4 -- online throughput & latency vs #streams (TOR = 1.000)");
+  bench::print_header(
+      "FIGURE 4 -- online throughput & latency vs #streams (TOR = 1.000)");
 
   std::printf("Specializing coral stream and recording real-filter trace...\n");
   auto cfg = video::coral_profile();
@@ -24,8 +25,9 @@ int main() {
   auto stream = bench::build_stream(cfg, 1.0, 77, 1000, 1500, 6);
   const auto thresholds = core::thresholds_of(stream.models, number_of_objects);
   const auto params = sim::MarkovParams::from_trace(stream.trace, thresholds);
-  std::printf("Trace-calibrated model: tor=%.3f  pass(in): sdd %.2f snm %.2f tyolo %.2f\n\n",
-              params.tor, params.sdd_in, params.snm_in, params.ty_in);
+  std::printf(
+      "Trace-calibrated model: tor=%.3f  pass(in): sdd %.2f snm %.2f tyolo %.2f\n\n",
+      params.tor, params.sdd_in, params.snm_in, params.ty_in);
 
   core::FfsVaConfig fb_cfg;
   fb_cfg.batch_policy = core::BatchPolicy::kFeedback;

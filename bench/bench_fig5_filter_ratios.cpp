@@ -23,7 +23,8 @@ static void report(const char* name, bench::CalibratedStream& s, int n_objects) 
 
 int main() {
   bench::print_header("FIGURE 5 -- ratio of frames executed in each filter");
-  std::printf("(fraction of all frames reaching each stage; real filters on real traces)\n\n");
+  std::printf(
+      "(fraction of all frames reaching each stage; real filters on real traces)\n\n");
   std::printf("%-22s %8s %8s %8s %8s %8s\n", "workload", "SDD", "SNM", "T-YOLO",
               "RefNN", "err");
   bench::print_rule();

@@ -27,7 +27,8 @@ int main() {
   }
   std::printf("(paper: ~30 at TOR~0.1 falling to 5-6 at TOR 1.0)\n");
 
-  bench::print_header("FIGURE 6b -- load balance (normalized execution time per stream)");
+  bench::print_header(
+      "FIGURE 6b -- load balance (normalized execution time per stream)");
   // Ten offline streams with TORs evenly spread over [0, 0.4].
   {
     const int n = 10;
@@ -43,7 +44,8 @@ int main() {
     };
     const auto r = sim::simulate_ffsva(setup);
     double max_finish = 0;
-    for (const auto& s : r.streams) max_finish = std::max(max_finish, s.finish_time_sec);
+    for (const auto& s : r.streams)
+      max_finish = std::max(max_finish, s.finish_time_sec);
     std::printf("%-8s %-8s %16s\n", "stream", "TOR", "normalized time");
     bench::print_rule();
     for (int i = 0; i < n; ++i) {
@@ -53,7 +55,8 @@ int main() {
     std::printf("(paper: near-equal except the very low-TOR streams)\n");
   }
 
-  bench::print_header("ABLATION -- num_tyolo (per-stream extraction cap per T-YOLO cycle)");
+  bench::print_header(
+      "ABLATION -- num_tyolo (per-stream extraction cap per T-YOLO cycle)");
   std::printf("%-10s %12s %14s\n", "num_tyolo", "max streams", "p50 lat @20 (ms)");
   bench::print_rule();
   const auto params = sim::MarkovParams::for_tor(0.103);

@@ -64,7 +64,8 @@ int main() {
   {
     auto s = bench::build_stream(video::jackson_profile(), 0.197, 63, 1200, 5000, 8);
     sweep("(a) car detection, TOR ~= 0.197", s, 5);
-    std::printf("(paper: ~80%% fewer output frames by N=3 -- the scene holds <=3 cars)\n");
+    std::printf(
+        "(paper: ~80%% fewer output frames by N=3 -- the scene holds <=3 cars)\n");
   }
   {
     auto cfg = video::coral_profile();

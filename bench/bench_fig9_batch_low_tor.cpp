@@ -12,7 +12,8 @@
 using namespace ffsva;
 
 int main() {
-  bench::print_header("FIGURE 9 -- batch mechanisms at TOR ~= 0.203 (10 streams, offline)");
+  bench::print_header(
+      "FIGURE 9 -- batch mechanisms at TOR ~= 0.203 (10 streams, offline)");
   const auto params = sim::MarkovParams::for_tor(0.203);
 
   std::printf("%-10s | %-21s | %-21s | %-21s\n", "", "static batch",

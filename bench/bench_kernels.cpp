@@ -16,9 +16,10 @@
 // The per-frame kernels of the segmentation detectors (T-YOLO and the
 // reference model segment frames against the background; they run no
 // network) at a 256x192 camera: the motion map, the Gaussian blur, the 3x3
-// opening, and whole SDD distance, T-YOLO detect and reference detect
-// calls. The engine benchmark measures the same filters inside the engine
-// (enginebench/probes.cpp).
+// opening, connected components of the opened mask, the plan-based resize
+// to T-YOLO's 104x104 input, and whole SDD distance, T-YOLO detect and
+// reference detect calls. The engine benchmark measures the same filters
+// inside the engine (enginebench/probes.cpp).
 //
 // Every row's fps is calls per second (SNM rows add frames_per_sec). One
 // run is a batch of calls at least 10 ms long, so clock resolution vanishes.
@@ -41,6 +42,7 @@
 #include "detect/segmentation.hpp"
 #include "detect/snm.hpp"
 #include "detect/tyolo.hpp"
+#include "image/components.hpp"
 #include "image/ops.hpp"
 #include "nn/gemm.hpp"
 #include "nn/layers.hpp"
@@ -269,6 +271,23 @@ int main(int argc, char** argv) {
               {[&] { keep(detect::motion_map(frame(), bg)); },
                [&] { keep(image::gaussian_blur(motion, seg.blur_sigma)); },
                [&] { keep(image::dilate3x3(image::erode3x3(mask))); }});
+  std::vector<image::Image> masks;
+  for (const auto& f : seg_frames) masks.push_back(detect::foreground_mask(f, bg, seg));
+  std::size_t next_mask = 0;
+  image::ResizePlan tyolo_plan;
+  tyolo_plan.ensure(seg_cfg.width, seg_cfg.height, 104, 104);
+  image::Image tyolo_input;
+  bench_group(report,
+              {"seg/connected_components_256x192",
+               "seg/resize_into_256x192_to_104x104"},
+              {[&] {
+                 next_mask = (next_mask + 1) % masks.size();
+                 keep(image::connected_components(masks[next_mask], seg.min_pixels));
+               },
+               [&] {
+                 image::resize_bilinear_into(frame(), tyolo_plan, tyolo_input);
+                 keep(tyolo_input);
+               }});
   bench_group(report,
               {"detect/sdd_distance", "detect/tyolo_detect",
                "detect/reference_detect_256x192"},

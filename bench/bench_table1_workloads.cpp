@@ -15,14 +15,16 @@
 using namespace ffsva;
 
 int main() {
-  bench::print_header("TABLE 1 -- Information of evaluation videos (synthetic equivalents)");
+  bench::print_header(
+      "TABLE 1 -- Information of evaluation videos (synthetic equivalents)");
   std::printf("%-16s %-11s %-8s %-7s %-10s %-10s\n", "Video", "Resolution",
               "Object", "FPS", "TOR(meas)", "TOR(paper)");
   bench::print_rule();
 
   const std::int64_t frames = 3000;
   {
-    const auto row = video::describe("Jackson-synth", video::jackson_profile(), 42, frames);
+    const auto row =
+        video::describe("Jackson-synth", video::jackson_profile(), 42, frames);
     std::printf("%-16s %dx%-7d %-8s %-7.0f %-10.3f %-10s\n", row.name.c_str(),
                 row.width, row.height, row.object.c_str(), row.fps, row.tor, "0.08");
   }

@@ -15,7 +15,8 @@
 using namespace ffsva;
 
 int main() {
-  bench::print_header("TABLE 2 -- statistics of error frames in 5000 consecutive frames");
+  bench::print_header(
+      "TABLE 2 -- statistics of error frames in 5000 consecutive frames");
   std::printf("Specializing car stream (TOR ~= 0.25) and tracing 5000 frames...\n\n");
 
   auto s = bench::build_stream(video::jackson_profile(), 0.25, 65, 1500, 5000, 8);

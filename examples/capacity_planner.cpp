@@ -42,7 +42,8 @@ int main(int argc, char** argv) {
               "p99 lat (ms)");
   printf("---------------------------------------------------------------\n");
   int best_streams = 0;
-  for (const auto policy : {core::BatchPolicy::kFeedback, core::BatchPolicy::kDynamic}) {
+  for (const auto policy :
+       {core::BatchPolicy::kFeedback, core::BatchPolicy::kDynamic}) {
     const int mx = sim::max_realtime_streams(make_setup(tor, policy, 1), 1, 64, 0.01);
     const auto at_max = sim::simulate_ffsva(make_setup(tor, policy, std::max(1, mx)));
     std::printf("%-18s %12d %14.0f %14.0f\n", to_string(policy), mx,
@@ -50,8 +51,9 @@ int main(int argc, char** argv) {
     best_streams = std::max(best_streams, mx);
   }
   {
-    const int mx = sim::max_realtime_streams(make_setup(tor, core::BatchPolicy::kFeedback, 1),
-                                             1, 12, 0.01, /*baseline=*/true);
+    const int mx =
+        sim::max_realtime_streams(make_setup(tor, core::BatchPolicy::kFeedback, 1), 1,
+                                  12, 0.01, /*baseline=*/true);
     std::printf("%-18s %12d %14s %14s\n", "YOLOv2 only", mx, "-", "-");
   }
 

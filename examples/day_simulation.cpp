@@ -57,7 +57,8 @@ int main() {
     probe.duration_sec = 45.0;
     probe.frames_per_stream = 1000000;
     probe.make_outcomes = [&params](int i) {
-      return std::make_unique<sim::MarkovOutcomes>(params, 500u + static_cast<unsigned>(i));
+      return std::make_unique<sim::MarkovOutcomes>(params,
+                                                   500u + static_cast<unsigned>(i));
     };
     const int capacity = sim::max_realtime_streams(probe, 1, 48, 0.01);
 

@@ -36,9 +36,8 @@ image::Image motion_map(const image::Image& frame, const image::Image& backgroun
   return out;
 }
 
-std::vector<image::Component> foreground_components(const image::Image& frame,
-                                                    const image::Image& background,
-                                                    const SegmentationParams& params) {
+image::Image foreground_mask(const image::Image& frame, const image::Image& background,
+                             const SegmentationParams& params) {
   // Cancellation boundaries between the full-resolution passes: each pass
   // is O(pixels), so a cancelled segmentation unwinds within one pass.
   image::Image diff = motion_map(frame, background);
@@ -48,7 +47,14 @@ std::vector<image::Component> foreground_components(const image::Image& frame,
   image::Image mask = image::threshold(diff, params.diff_threshold);
   if (params.morph_open) mask = image::dilate3x3(image::erode3x3(mask));
   runtime::check_cancel();
-  return image::connected_components(mask, params.min_pixels);
+  return mask;
+}
+
+std::vector<image::Component> foreground_components(const image::Image& frame,
+                                                    const image::Image& background,
+                                                    const SegmentationParams& params) {
+  return image::connected_components(foreground_mask(frame, background, params),
+                                     params.min_pixels);
 }
 
 Detection classify_component(const image::Component& comp, int frame_w, int frame_h,

@@ -30,6 +30,10 @@ struct SegmentationParams {
 /// Per-pixel max-channel absolute difference: a 1-channel motion map.
 image::Image motion_map(const image::Image& frame, const image::Image& background);
 
+/// The opened binary foreground mask that foreground_components() labels.
+image::Image foreground_mask(const image::Image& frame, const image::Image& background,
+                             const SegmentationParams& params);
+
 /// Segment the foreground of `frame` against `background`.
 std::vector<image::Component> foreground_components(const image::Image& frame,
                                                     const image::Image& background,

@@ -1,6 +1,7 @@
 #include "detect/tyolo.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "detect/fault_hook.hpp"
 #include "image/ops.hpp"
@@ -31,7 +32,8 @@ DetectionResult TYoloDetector::detect(const image::Image& frame) const {
 
   // Grid occupancy: at most boxes_per_cell detections per cell.
   const int cell_px = std::max(1, config_.input_size / config_.grid);
-  std::vector<int> cell_load(static_cast<std::size_t>(config_.grid) * config_.grid, 0);
+  static thread_local std::vector<int> cell_load;
+  cell_load.assign(static_cast<std::size_t>(config_.grid) * config_.grid, 0);
 
   for (const auto& c : comps) {
     const int gx = std::clamp(c.box.cx() / cell_px, 0, config_.grid - 1);

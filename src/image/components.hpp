@@ -20,9 +20,10 @@ struct Component {
   int label = 0;
 };
 
-/// 4-connected component labelling of a binary (0 / nonzero) gray image.
-/// Components smaller than `min_pixels` are discarded.
-/// Returned components are ordered by descending pixel count.
+/// 4-connected component labelling of a binary (0 / nonzero) image, by
+/// channel 0. Labels number components in raster order of their first
+/// pixel, before components smaller than `min_pixels` are discarded.
+/// Returned components are ordered by descending pixel count, ties by label.
 std::vector<Component> connected_components(const Image& binary, int min_pixels = 1);
 
 /// Label map variant: fills `labels` (same size as the image, 0 = background,

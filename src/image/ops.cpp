@@ -63,26 +63,24 @@ void ResizePlan::ensure(int src_width, int src_height, int out_width,
 }
 
 namespace {
-/// One output row of the Q11 bilinear resize, with the channel count fixed
-/// at compile time so the inner channel loop unrolls.
+/// One output row of the Q11 bilinear resize from `blend`, the two source
+/// rows already lerped vertically (Q11), with the channel count fixed at
+/// compile time so the inner channel loop unrolls.
 template <int C>
-void resize_row(const std::uint8_t* r0, const std::uint8_t* r1, int vy,
-                const ResizePlan& plan, std::uint8_t* out) {
+void resize_row(const std::int32_t* blend, const ResizePlan& plan, std::uint8_t* out) {
   constexpr int kOne = 1 << ResizePlan::kWeightBits;
-  // Rounding applied once after both lerps: Q22 intermediate fits int32
-  // (255 * 2048 * 2048 < 2^31).
+  // Rounding applied once after both lerps: the Q22 sum fits int32
+  // (255 * 2048 * 2048 + 2^21 < 2^31).
   constexpr int kHalf = 1 << (2 * ResizePlan::kWeightBits - 1);
-  const int uy = kOne - vy;
   for (int x = 0; x < plan.out_w; ++x) {
     const int xa = plan.x0[static_cast<std::size_t>(x)] * C;
     const int xb = plan.x1[static_cast<std::size_t>(x)] * C;
     const int vx = plan.wx[static_cast<std::size_t>(x)];
     const int ux = kOne - vx;
     for (int ch = 0; ch < C; ++ch) {
-      const int top = r0[xa + ch] * ux + r0[xb + ch] * vx;
-      const int bot = r1[xa + ch] * ux + r1[xb + ch] * vx;
       out[x * C + ch] = static_cast<std::uint8_t>(
-          (top * uy + bot * vy + kHalf) >> (2 * ResizePlan::kWeightBits));
+          (blend[xa + ch] * ux + blend[xb + ch] * vx + kHalf) >>
+          (2 * ResizePlan::kWeightBits));
     }
   }
 }
@@ -92,15 +90,26 @@ void resize_bilinear_into(const Image& src, const ResizePlan& plan, Image& dst) 
   dst.reset(plan.out_w, plan.out_h, src.channels());
   const int c = src.channels();
   const std::size_t row_stride = static_cast<std::size_t>(plan.src_w) * c;
+  // Vertical lerp first, into one row: in integers,
+  // (r0a*ux + r0b*vx)*uy + (r1a*ux + r1b*vx)*vy
+  //   == (r0a*uy + r1a*vy)*ux + (r0b*uy + r1b*vy)*vx
+  // exactly, so the horizontal-first result is unchanged.
+  static thread_local std::vector<std::int32_t> blend;
+  blend.resize(row_stride);
+  std::int32_t* b = blend.data();
+  constexpr int kOne = 1 << ResizePlan::kWeightBits;
   for (int y = 0; y < plan.out_h; ++y) {
     const auto yi = static_cast<std::size_t>(y);
     const std::uint8_t* r0 = src.data() + plan.y0[yi] * row_stride;
     const std::uint8_t* r1 = src.data() + plan.y1[yi] * row_stride;
+    const int vy = plan.wy[yi];
+    const int uy = kOne - vy;
+    for (std::size_t i = 0; i < row_stride; ++i) b[i] = r0[i] * uy + r1[i] * vy;
     std::uint8_t* out = dst.data() + yi * plan.out_w * c;
     if (c == 3) {
-      resize_row<3>(r0, r1, plan.wy[yi], plan, out);
+      resize_row<3>(b, plan, out);
     } else {
-      resize_row<1>(r0, r1, plan.wy[yi], plan, out);
+      resize_row<1>(b, plan, out);
     }
   }
 }

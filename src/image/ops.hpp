@@ -38,7 +38,8 @@ Image resize_bilinear(const Image& src, int out_w, int out_h);
 
 /// Bilinear resize into a caller-owned destination using prepared tables;
 /// dst is reshaped to the plan's output geometry and src must match the
-/// plan's source geometry. Allocation-free once dst is warm.
+/// plan's source geometry. Allocation-free once dst and the calling
+/// thread's one-row scratch are warm.
 void resize_bilinear_into(const Image& src, const ResizePlan& plan, Image& dst);
 
 /// Mean squared error over all channels. Shapes must match.

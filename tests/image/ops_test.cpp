@@ -426,8 +426,11 @@ TEST(ExactnessOracle, MorphologyMatchesClampedLoops) {
 
 TEST(ExactnessOracle, ResizeMatchesGenericChannelLoop) {
   std::uint64_t seed = 300;
+  // Every pair of shapes, both ways, including the engine's frame sizes
+  // (256x192, 192x144) and filter inputs (SDD 100, T-YOLO 104, SNM 50).
   const std::vector<std::pair<int, int>> shapes = {
-      {1, 1}, {2, 1}, {1, 2}, {7, 5}, {37, 23}, {100, 100}, {256, 192}, {320, 240}};
+      {1, 1},     {2, 1},     {1, 2},     {7, 5},     {37, 23},  {50, 50},
+      {100, 100}, {104, 104}, {192, 144}, {256, 192}, {320, 240}};
   for (const int c : {1, 3}) {
     for (const auto& [sw, sh] : shapes) {
       const Image img = random_image(sw, sh, c, ++seed);

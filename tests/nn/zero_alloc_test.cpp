@@ -60,6 +60,8 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 #pragma GCC diagnostic pop
 
 #include "detect/snm.hpp"
+#include "image/components.hpp"
+#include "image/ops.hpp"
 #include "nn/layers.hpp"
 #include "runtime/parallel_for.hpp"
 #include "runtime/rng.hpp"
@@ -153,6 +155,43 @@ TEST(ZeroAlloc, WarmSnmPredictBatchIsAllocationFree) {
   const auto probs = snm.predict_batch(ptrs);
   EXPECT_LE(window.count(), 1);
   EXPECT_EQ(4u, probs.size());
+}
+
+// The segmentation kernels every detector runs per frame keep their scratch
+// per thread: once warm, labelling allocates only the returned list and the
+// plan-based resize allocates nothing.
+TEST(ZeroAlloc, WarmConnectedComponentsAllocatesOnlyItsResult) {
+  image::Image mask(256, 192, 1, 0);
+  for (int b = 0; b < 12; ++b) {
+    for (int y = 10 + b * 13; y < 18 + b * 13; ++y) {
+      for (int x = 7 * b; x < 7 * b + 5 + b; ++x) mask.at(x, y) = 255;
+    }
+  }
+  (void)image::connected_components(mask, 1);
+  (void)image::connected_components(mask, 1);
+
+  AllocWindow window;
+  const auto comps = image::connected_components(mask, 1);
+  EXPECT_LE(window.count(), 1);
+  EXPECT_EQ(12u, comps.size());
+}
+
+TEST(ZeroAlloc, WarmResizeIntoIsAllocationFree) {
+  runtime::Xoshiro256 rng(41);
+  image::Image frame(256, 192, 3);
+  for (std::size_t i = 0; i < frame.size_bytes(); ++i) {
+    frame.data()[i] = static_cast<std::uint8_t>(rng.next() & 0xff);
+  }
+  image::ResizePlan plan;
+  plan.ensure(256, 192, 104, 104);
+  image::Image small;
+  image::resize_bilinear_into(frame, plan, small);
+  image::resize_bilinear_into(frame, plan, small);
+
+  AllocWindow window;
+  image::resize_bilinear_into(frame, plan, small);
+  EXPECT_EQ(0, window.count());
+  EXPECT_EQ(104, small.width());
 }
 
 // The telemetry hot path shares the zero-allocation contract: with metrics
