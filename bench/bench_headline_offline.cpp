@@ -49,11 +49,11 @@ int main() {
   // Memory: the pipeline holds only bounded queues of frames.
   {
     core::FfsVaConfig cfg;
+    const core::QueuePlan plan = core::queue_plan(cfg, /*online=*/false);
     const std::size_t frame_bytes =
         static_cast<std::size_t>(stream.cfg.width) * stream.cfg.height * 3;
-    const std::size_t in_flight = static_cast<std::size_t>(
-        cfg.ingest_buffer + cfg.snm_queue_depth + cfg.tyolo_queue_depth +
-        cfg.ref_queue_depth + 2 * cfg.batch_size);
+    const std::size_t in_flight = plan.sdd + plan.snm + plan.tyolo + plan.ref +
+                                  2 * static_cast<std::size_t>(cfg.batch_size);
     std::printf("\nBounded frame memory: ~%zu frames in flight x %zu KB/frame "
                 "= %.1f MB per stream\n",
                 in_flight, frame_bytes / 1024,

@@ -174,7 +174,7 @@ bench::Extras budget_verdict(const char* what, double value, const char* unit,
 /// TCP. FPS counts frames ingested on all nodes over the scheduler's wall
 /// clock, so protocol, snapshot polling and hand-off costs are included.
 bench::Run run_cluster(int nodes, std::uint64_t frames, int snapshot_ms,
-                       double migrate_at) {
+                       double migrate_at_fraction) {
   std::vector<std::unique_ptr<node::NodeServer>> servers;
   std::vector<std::thread> loops;
   std::vector<net::Endpoint> eps;
@@ -193,12 +193,12 @@ bench::Run run_cluster(int nodes, std::uint64_t frames, int snapshot_ms,
                                       /*w=*/96, /*h=*/72);
   node::SchedOptions sopts;
   sopts.snapshot_interval_ms = snapshot_ms;
-  sopts.force_migration_at_sec = migrate_at;
+  sopts.force_migration_at_fraction = migrate_at_fraction;
   sopts.deadline_sec = 600.0;
   node::ClusterScheduler sched(eps, core::FfsVaConfig{}, sopts);
   const node::ClusterReport rep = sched.run(specs);
   for (auto& t : loops) t.join();
-  if (!rep.ok || (migrate_at >= 0.0 && rep.handoffs < 1)) {
+  if (!rep.ok || (migrate_at_fraction >= 0.0 && rep.handoffs < 1)) {
     throw std::runtime_error("cluster run incomplete (ok=" + std::to_string(rep.ok) +
                              " handoffs=" + std::to_string(rep.handoffs) + ")");
   }
@@ -208,7 +208,7 @@ bench::Run run_cluster(int nodes, std::uint64_t frames, int snapshot_ms,
   bench::Run row{fps, 0.0, 0.0,
                  {{"handoffs", rep.handoffs},
                   {"snapshot_polls", num(rep.snapshot_frames)}}};
-  if (migrate_at >= 0.0) {
+  if (migrate_at_fraction >= 0.0) {
     row.extras.emplace_back("handoff_p99_ms", rep.handoff_p99_ms());
   }
   return row;
@@ -529,7 +529,7 @@ int run_all(int argc, char** argv) {
   if (cluster) {
     print_title("cluster scale-out (8 streams, offline, loopback TCP)");
     const auto nodes = bench::measure(
-        2, [](int v) { return run_cluster(v + 1, 1200, 100, v == 1 ? 1.0 : -1.0); });
+        2, [](int v) { return run_cluster(v + 1, 1200, 100, v == 1 ? 0.25 : -1.0); });
     const double speedup = nodes[1].fps.median / nodes[0].fps.median;
     bench::print_series("cluster/nodes=1", nodes[0]);
     bench::print_series("cluster/nodes=2", nodes[1]);

@@ -52,12 +52,9 @@ void ClusterManager::report_snapshot(int id, double now_sec,
   // Section 4.3.1: "when any queue of T-YOLO or SNM is longer than its
   // predefined threshold ... the instance overloads". The engine's queues
   // are bounded at exactly these thresholds, so full == over-threshold.
-  const auto snm_cap =
-      static_cast<std::size_t>(config_.capacity(config_.snm_queue_depth));
-  const auto tyolo_cap =
-      static_cast<std::size_t>(config_.capacity(config_.tyolo_queue_depth));
+  const QueuePlan plan = queue_plan(config_, false);
   for (const auto& s : snap.streams) {
-    if (s.snm_queue_depth >= snm_cap || s.tyolo_queue_depth >= tyolo_cap) {
+    if (s.snm_queue_depth >= plan.snm || s.tyolo_queue_depth >= plan.tyolo) {
       inst.admission.on_queue_over_threshold(now_sec);
       break;
     }

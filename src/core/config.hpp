@@ -1,6 +1,7 @@
 // FFS-VA system configuration (paper Sections 3-4).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 namespace ffsva::core {
@@ -119,12 +120,6 @@ struct FfsVaConfig {
 
   // --- online mode ----------------------------------------------------------
   double online_fps = 30.0;
-  /// Capacity of the live-capture ring buffer in front of SDD. A camera
-  /// cannot block, so bursts ride out here (~4 s at 30 FPS, enough to ride
-  /// out one scene-length burst); a frame is lost only once this buffer
-  /// overflows. Offline mode ignores it (the
-  /// decoder simply stalls on the SDD feedback threshold instead).
-  int ingest_buffer = 128;
 
   // --- supervision (fault tolerance; DESIGN.md Section 9) ------------------
   /// A stream's prefetch call (a source decode, a fused stream's pixel SDD)
@@ -169,12 +164,34 @@ struct FfsVaConfig {
 
   /// Serve mode (see max_streams).
   bool serving() const { return max_streams > 0; }
-
-  /// Effective queue capacity for a stage given the policy: static batching
-  /// runs without feedback, so its queues are effectively unbounded.
-  int capacity(int threshold) const {
-    return batch_policy == BatchPolicy::kStatic ? 4096 : threshold;
-  }
 };
+
+/// Every stage queue's capacity in frames: per stream SDD, SNM and T-YOLO,
+/// and the shared reference queue.
+struct QueuePlan {
+  std::size_t sdd = 0;
+  std::size_t snm = 0;
+  std::size_t tyolo = 0;
+  std::size_t ref = 0;
+};
+
+/// The one rule for stage queue capacities, read by the engine, the
+/// simulator and the cluster manager. Static batching runs without
+/// feedback, so its queues are effectively unbounded; otherwise each queue
+/// is bounded at its threshold. Online, the SDD queue is the live-capture
+/// ring instead: a camera cannot block, so bursts ride out there (~4 s at
+/// 30 FPS) and a frame is lost only once it overflows. Only `sdd` depends
+/// on `online`.
+inline QueuePlan queue_plan(const FfsVaConfig& cfg, bool online) {
+  constexpr std::size_t kUnbounded = 4096;
+  constexpr std::size_t kLiveRing = 128;
+  const auto cap = [&cfg](int threshold) {
+    return cfg.batch_policy == BatchPolicy::kStatic
+               ? kUnbounded
+               : static_cast<std::size_t>(threshold);
+  };
+  return {online ? kLiveRing : cap(cfg.sdd_queue_depth), cap(cfg.snm_queue_depth),
+          cap(cfg.tyolo_queue_depth), cap(cfg.ref_queue_depth)};
+}
 
 }  // namespace ffsva::core

@@ -162,7 +162,8 @@ struct FfsVaInstance::Stream {
   detect::StreamModels models;
   FfsVaConfig cfg;  ///< Copy: the prefetch loop reads config without touching `this`.
 
-  runtime::BoundedQueue<Item> sdd_q;
+  /// Sized by attach(): its capacity depends on the run's mode.
+  runtime::BoundedQueue<Item> sdd_q{1};
   runtime::BoundedQueue<Item> snm_q;
   runtime::BoundedQueue<Item> tyolo_q;
 
@@ -262,13 +263,8 @@ struct FfsVaInstance::Stream {
   Stream(int id_, std::unique_ptr<video::FrameSource> src, detect::StreamModels m,
          const FfsVaConfig& cfg_)
       : id(id_), source(std::move(src)), models(std::move(m)), cfg(cfg_),
-        // The live-capture ring buffer must absorb bursts without blocking
-        // the camera; offline the decoder throttles on the SDD threshold.
-        // Sized for the larger of the two so one queue serves both modes.
-        sdd_q(static_cast<std::size_t>(std::max(cfg_.ingest_buffer,
-                                                cfg_.capacity(cfg_.sdd_queue_depth)))),
-        snm_q(static_cast<std::size_t>(cfg_.capacity(cfg_.snm_queue_depth))),
-        tyolo_q(static_cast<std::size_t>(cfg_.capacity(cfg_.tyolo_queue_depth))) {}
+        snm_q(queue_plan(cfg_, false).snm),
+        tyolo_q(queue_plan(cfg_, false).tyolo) {}
 
   /// The failure verdict for a frame whose model call produced none
   /// (DESIGN.md Section 14): a second wedge poisons the frame; otherwise it
@@ -338,7 +334,7 @@ struct FfsVaInstance::Stream {
 FfsVaInstance::FfsVaInstance(FfsVaConfig config)
     : config_(config),
       ref_q_(std::make_unique<runtime::BoundedQueue<RefEntry>>(
-          static_cast<std::size_t>(config_.capacity(config_.ref_queue_depth)))) {}
+          queue_plan(config_, false).ref)) {}
 
 FfsVaInstance::~FfsVaInstance() = default;
 
@@ -419,11 +415,12 @@ int FfsVaInstance::sdd_pool_size(int eligible_streams) const {
 }
 
 bool FfsVaInstance::attach(Stream& s) {
-  // Both writes precede any reader: set_waiter is unsynchronized by
-  // contract, and the SDD pool, the prefetch loop and stop() read the fused
-  // flag unsynchronized. A fused stream's prefetch thread owns its SDD
-  // stage, so pre-retiring it from the pool (sdd_done) keeps that thread
-  // the single closer of snm_q.
+  // Every write precedes any reader: set_waiter and set_capacity are
+  // unsynchronized by contract, and the SDD pool, the prefetch loop and
+  // stop() read the fused flag unsynchronized. A fused stream's prefetch
+  // thread owns its SDD stage, so pre-retiring it from the pool (sdd_done)
+  // keeps that thread the single closer of snm_q.
+  s.sdd_q.set_capacity(queue_plan(config_, run_online_).sdd);
   s.sdd_q.set_waiter(&sdd_work_);
   s.snm_q.set_waiter(&gpu0_work_);
   s.fused_ingest = run_hinted_ && s.source->has_hints();

@@ -106,18 +106,21 @@ void ClusterScheduler::start_migration(std::uint32_t stream_id, int target) {
 void ClusterScheduler::force_migration() {
   // Only a stream with frames left can be handed off: one whose segment is
   // already ingested ends on its own before the drain lands.
+  bool due = false;
   std::uint32_t pick = 0;
   std::uint64_t most_left = 0;
   for (const auto& [id, st] : streams_) {
-    if (st.done || st.draining || st.node < 0) continue;
+    if (st.done || st.node < 0) continue;
     const std::uint64_t window = st.spec.end - st.spec.begin;
+    due = due || static_cast<double>(st.ingested) >=
+                     opts_.force_migration_at_fraction * static_cast<double>(window);
     const std::uint64_t left = window - std::min(window, st.ingested);
-    if (left > most_left) {
+    if (!st.draining && left > most_left) {
       most_left = left;
       pick = id;
     }
   }
-  if (most_left == 0) return;
+  if (!due || most_left == 0) return;
   StreamState& st = streams_[pick];
   start_migration(pick, (st.node + 1) % static_cast<int>(clients_.size()));
   if (st.draining) {
@@ -333,8 +336,7 @@ ClusterReport ClusterScheduler::run(const std::vector<StreamSpec>& specs) {
       poll_snapshots(now_sec());
     }
 
-    if (opts_.force_migration_at_sec >= 0.0 && !forced_done_ &&
-        now_sec() >= opts_.force_migration_at_sec) {
+    if (opts_.force_migration_at_fraction >= 0.0 && !forced_done_) {
       force_migration();
     }
 

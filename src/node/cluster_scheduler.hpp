@@ -45,12 +45,14 @@ struct SchedOptions {
   /// signal would ping-pong streams between saturated nodes every loop;
   /// the gap bounds the churn without touching the policy itself.
   double reforward_min_gap_sec = 2.0;
-  /// Seconds after start at which one forced hand-off is injected (the
+  /// Share of its window (0..1) a served stream must have ingested, per its
+  /// node's latest snapshot, before one forced hand-off is injected (the
   /// cluster-smoke / CI migration exercise): the stream with the most
-  /// frames left to ingest moves to the next node. A drain that races the
-  /// stream's own end is no hand-off, so the next stream is tried.
-  /// Negative disables.
-  double force_migration_at_sec = -1.0;
+  /// frames left to ingest moves to the next node. Progress, not wall
+  /// time, so the hand-off lands mid-window however fast the host is. A
+  /// drain that races the stream's own end is no hand-off, so the next
+  /// stream is tried. Negative disables.
+  double force_migration_at_fraction = -1.0;
   /// Give-up deadline for the whole run (0 = none). A wedged node trips
   /// this instead of hanging the scheduler forever.
   double deadline_sec = 0.0;
@@ -109,7 +111,8 @@ class ClusterScheduler {
   bool connect_all();
   bool assign(int node, const StreamSpec& spec, bool resume);
   void start_migration(std::uint32_t stream_id, int target);
-  /// Inject the forced hand-off (SchedOptions::force_migration_at_sec).
+  /// Inject the forced hand-off once some served stream has ingested
+  /// SchedOptions::force_migration_at_fraction of its window.
   void force_migration();
   void dispatch(int node, const net::WireFrame& frame);
   void on_stream_ended(int node, const StreamEnded& ended);

@@ -8,7 +8,7 @@
 //       printed as one JSON line on stdout (the smoke harness reads it).
 //
 //   ffsva_node sched --node 127.0.0.1:7001 --node 127.0.0.1:7002
-//              --streams 16 --frames 400 [--force-migration-at 2]
+//              --streams 16 --frames 400 [--force-migration-at-fraction 0.25]
 //              [--verify-local]
 //       The cluster scheduler: places streams across the nodes, polls
 //       snapshots, re-forwards under load, and reports merged results.
@@ -39,7 +39,7 @@ using namespace ffsva;
       "       %s sched --node H:P [--node H:P ...] | --uds PATH [--uds ...]\n"
       "                [--streams N] [--frames F] [--calib C]\n"
       "                [--width W] [--height H] [--snapshot-interval-ms MS]\n"
-      "                [--force-migration-at SEC] [--deadline SEC]\n"
+      "                [--force-migration-at-fraction F] [--deadline SEC]\n"
       "                [--verify-local] [--verbose]\n"
       "       %s local [--streams N] [--frames F] [--calib C]\n"
       "                [--width W] [--height H]\n",
@@ -149,8 +149,8 @@ int cmd_sched(int argc, char** argv) {
       height = std::atoi(need_value(argc, argv, i++));
     } else if (!std::strcmp(a, "--snapshot-interval-ms")) {
       opts.snapshot_interval_ms = std::atoi(need_value(argc, argv, i++));
-    } else if (!std::strcmp(a, "--force-migration-at")) {
-      opts.force_migration_at_sec = std::atof(need_value(argc, argv, i++));
+    } else if (!std::strcmp(a, "--force-migration-at-fraction")) {
+      opts.force_migration_at_fraction = std::atof(need_value(argc, argv, i++));
     } else if (!std::strcmp(a, "--deadline")) {
       opts.deadline_sec = std::atof(need_value(argc, argv, i++));
     } else if (!std::strcmp(a, "--verify-local")) {

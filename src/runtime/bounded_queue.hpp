@@ -101,6 +101,11 @@ class BoundedQueue {
   /// is shared between threads (the pointer itself is unsynchronized).
   void set_waiter(QueueWaiter* waiter) { waiter_ = waiter; }
 
+  /// Re-bound the queue, for an owner that learns the size only after
+  /// construction. Like set_waiter, must be called before the queue is
+  /// shared between threads (the field itself is unsynchronized).
+  void set_capacity(std::size_t capacity) { capacity_ = capacity == 0 ? 1 : capacity; }
+
   /// Blocks until space is available or the queue is closed.
   /// Returns false (and drops the value) if the queue was closed.
   bool push(T value) {
@@ -182,7 +187,7 @@ class BoundedQueue {
   std::size_t capacity() const { return capacity_; }
 
  private:
-  const std::size_t capacity_;
+  std::size_t capacity_;
   QueueWaiter* waiter_ = nullptr;  ///< Optional multi-queue wakeup target.
   // Queue-leaf rank: taken under the engine's streams_mu_ (stop/close
   // sweep) and before only the QueueWaiter handshake.

@@ -49,13 +49,9 @@ struct SimStream {
   bool snm_done = false;
   SimStreamStats stats;
 
-  SimStream(int id_, std::unique_ptr<OutcomeSource> out, const core::FfsVaConfig& cfg,
-            bool online)
-      : id(id_), outcomes(std::move(out)),
-        sdd_q(online ? static_cast<std::size_t>(std::max(1, cfg.ingest_buffer))
-                     : static_cast<std::size_t>(cfg.capacity(cfg.sdd_queue_depth))),
-        snm_q(static_cast<std::size_t>(cfg.capacity(cfg.snm_queue_depth))),
-        tyolo_q(static_cast<std::size_t>(cfg.capacity(cfg.tyolo_queue_depth))) {}
+  SimStream(int id_, std::unique_ptr<OutcomeSource> out, const core::QueuePlan& plan)
+      : id(id_), outcomes(std::move(out)), sdd_q(plan.sdd), snm_q(plan.snm),
+        tyolo_q(plan.tyolo) {}
 };
 
 class FfsVaSimulation {
@@ -65,19 +61,18 @@ class FfsVaSimulation {
         cpu_(engine_, setup.costs.cpu_cores, "cpu"),
         gpu0_(engine_, "gpu0"),
         gpu1_(engine_, "gpu1"),
-        ref_q_(static_cast<std::size_t>(
-            setup.config.capacity(setup.config.ref_queue_depth))),
+        ref_q_(core::queue_plan(setup.config, setup.online).ref),
         scheduler_(setup.config.num_tyolo),
         batcher_(setup.config.batch_policy, setup.config.batch_size,
                  setup.config.snm_queue_depth) {
+    const core::QueuePlan plan = core::queue_plan(setup.config, setup.online);
     for (int i = 0; i < setup.num_streams; ++i) {
       auto outcomes =
           setup.make_outcomes
               ? setup.make_outcomes(i)
               : std::make_unique<MarkovOutcomes>(MarkovParams::for_tor(0.1),
                                                  17u + static_cast<unsigned>(i));
-      streams_.push_back(std::make_unique<SimStream>(i, std::move(outcomes),
-                                                     setup.config, setup.online));
+      streams_.push_back(std::make_unique<SimStream>(i, std::move(outcomes), plan));
       streams_.back()->tyolo_q.set_push_hook([this] { wake_tyolo(); });
     }
   }

@@ -40,8 +40,7 @@ PlacementResult simulate_placement(const PlacementSetup& setup) {
   std::map<int, double> demand;
   std::vector<double> load(static_cast<std::size_t>(setup.instances), 0.0);
 
-  const auto tyolo_cap = static_cast<std::size_t>(
-      setup.config.capacity(setup.config.tyolo_queue_depth));
+  const std::size_t tyolo_cap = core::queue_plan(setup.config, false).tyolo;
 
   int next_stream = 0;
   int rr = 0;  // round-robin cursor for the no-spare fallback

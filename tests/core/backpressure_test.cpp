@@ -4,6 +4,7 @@
 // slow (backpressure engages instead of frames piling up or vanishing).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 
@@ -39,51 +40,31 @@ SlowStream& slow_stream() {
   return *s;
 }
 
-/// Counts how many frames it has handed out and how many came back via the
-/// sink — the difference is the in-flight population.
-class CountingSource final : public video::FrameSource {
- public:
-  CountingSource(std::shared_ptr<const video::SceneSimulator> sim, std::int64_t begin,
-                 std::int64_t end, std::atomic<std::int64_t>& out_counter)
-      : sim_(std::move(sim)), next_(begin), end_(end), emitted_(out_counter) {}
-
-  std::optional<video::Frame> next() override {
-    if (next_ >= end_) return std::nullopt;
-    emitted_.fetch_add(1, std::memory_order_relaxed);
-    return sim_->render(next_++);
-  }
-  std::int64_t total_frames() const override { return end_; }
-
- private:
-  std::shared_ptr<const video::SceneSimulator> sim_;
-  std::int64_t next_, end_;
-  std::atomic<std::int64_t>& emitted_;
-};
-
 TEST(Backpressure, InFlightPopulationIsBoundedByQueueBudget) {
   auto& s = slow_stream();
   FfsVaConfig cfg;
   cfg.batch_policy = BatchPolicy::kDynamic;
 
-  std::atomic<std::int64_t> emitted{0};
-  std::atomic<std::int64_t> terminated{0};
-  std::atomic<std::int64_t> max_in_flight{0};
-
+  // Replayed frames cost nothing to ingest, so prefetch outruns SDD and
+  // every queue fills to its bound.
+  auto window = std::make_shared<std::vector<video::Frame>>();
+  for (std::int64_t i = 500; i < 900; ++i) window->push_back(s.sim->render(i));
   FfsVaInstance instance(cfg);
-  instance.add_stream(
-      std::make_unique<CountingSource>(s.sim, 500, 900, emitted), s.models);
-  instance.set_output_sink([&](const OutputEvent&) {
-    terminated.fetch_add(1, std::memory_order_relaxed);
-  });
+  instance.add_stream(std::make_unique<video::ReplaySource>(window, 0), s.models);
 
-  // Watch the in-flight population from a sampler thread while running.
+  // Sample the in-flight population (ingested, not yet terminated) from a
+  // second thread while running. prefetch.in is read before terminated, so
+  // a sample never over-counts.
   std::atomic<bool> done{false};
+  std::int64_t max_in_flight = 0;
   std::thread sampler([&] {
     while (!done.load(std::memory_order_acquire)) {
-      const auto in_flight = emitted.load() - terminated.load();
-      std::int64_t prev = max_in_flight.load();
-      while (in_flight > prev &&
-             !max_in_flight.compare_exchange_weak(prev, in_flight)) {
+      const auto ss = instance.snapshot();
+      if (!ss.streams.empty()) {
+        const auto& st = ss.streams[0];
+        max_in_flight = std::max(max_in_flight,
+                                 static_cast<std::int64_t>(st.prefetch.in) -
+                                     static_cast<std::int64_t>(st.terminated));
       }
       std::this_thread::sleep_for(std::chrono::microseconds(300));
     }
@@ -92,15 +73,15 @@ TEST(Backpressure, InFlightPopulationIsBoundedByQueueBudget) {
   done.store(true, std::memory_order_release);
   sampler.join();
 
-  // The budget: every queue's capacity plus one frame per stage thread plus
-  // one SNM batch. The sink only counts outputs, so add the filtered count.
+  // The budget: every queue's capacity, one frame held by each of the
+  // prefetch thread, the SDD worker and GPU0's T-YOLO service, one SNM
+  // batch and one reference batch.
+  const QueuePlan plan = queue_plan(cfg, /*online=*/false);
+  const auto budget =
+      static_cast<std::int64_t>(plan.sdd + plan.snm + plan.tyolo + plan.ref) + 3 +
+      cfg.batch_size + cfg.ref_batch_size;
+  EXPECT_LE(max_in_flight, budget);
   const auto& st = stats.streams[0];
-  const std::int64_t filtered = static_cast<std::int64_t>(
-      st.prefetch.passed - st.ref.passed);
-  const std::int64_t budget = cfg.ingest_buffer + cfg.snm_queue_depth +
-                              cfg.tyolo_queue_depth + cfg.ref_queue_depth +
-                              cfg.batch_size + 8 + filtered;
-  EXPECT_LE(max_in_flight.load(), budget);
   EXPECT_EQ(st.prefetch.passed, 400u);
   EXPECT_EQ(st.latency_ms.count, 400u);
 }
@@ -109,15 +90,13 @@ TEST(Backpressure, TinyQueuesStillProcessEverything) {
   auto& s = slow_stream();
   FfsVaConfig cfg;
   cfg.batch_policy = BatchPolicy::kFeedback;
-  cfg.ingest_buffer = 1;
   cfg.sdd_queue_depth = 1;
   cfg.snm_queue_depth = 2;
   cfg.tyolo_queue_depth = 1;
   cfg.ref_queue_depth = 1;
   cfg.batch_size = 4;  // larger than the SNM queue: the feedback cap binds
   FfsVaInstance instance(cfg);
-  instance.add_stream(std::make_unique<CountingSource>(
-                          s.sim, 500, 700, *new std::atomic<std::int64_t>{0}),
+  instance.add_stream(std::make_unique<video::LiveSource>(s.sim, 0, 500, 700),
                       s.models);
   const auto stats = instance.run(false);
   const auto& st = stats.streams[0];
@@ -131,8 +110,7 @@ TEST(Backpressure, StaticPolicyDrainsPartialFinalBatch) {
   cfg.batch_policy = BatchPolicy::kStatic;
   cfg.batch_size = 64;  // stream length is not a multiple of this
   FfsVaInstance instance(cfg);
-  instance.add_stream(std::make_unique<CountingSource>(
-                          s.sim, 500, 650, *new std::atomic<std::int64_t>{0}),
+  instance.add_stream(std::make_unique<video::LiveSource>(s.sim, 0, 500, 650),
                       s.models);
   const auto stats = instance.run(false);
   EXPECT_EQ(stats.streams[0].latency_ms.count, 150u)

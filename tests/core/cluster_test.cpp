@@ -194,7 +194,7 @@ TEST(ClusterManager, SnapshotQueueAtThresholdRaisesOverload) {
   feed_idle_snapshots(cm, 1, 0.0, 6.0);
   EXPECT_FALSE(cm.instance_overloaded(0, 6.0));
 
-  const auto full = static_cast<std::size_t>(c.capacity(c.tyolo_queue_depth));
+  const std::size_t full = queue_plan(c, /*online=*/false).tyolo;
   InstanceSnapshot snap = snap_of(1, 60);
   snap.streams[0].tyolo_queue_depth = full;
   cm.report_snapshot(0, 6.0, snap);

@@ -319,8 +319,8 @@ TEST(ModelFaultRecovery, SecondWedgePoisonsTheFrameUnderBypass) {
 // shutdown never waits out the wedge's 60 s cap.
 TEST(ModelFaultRecovery, StopMidModelCallReturnsPromptly) {
   auto& w = world();
-  // Recurring stalls: one is in flight at essentially any instant, so
-  // stop() always lands mid-wedge.
+  // Recurring stalls, and stop() waits for the first to fire, so it lands
+  // mid-wedge.
   FaultHook hook({ModelFaultSpec{FaultStage::kSnm,
                                  ModelFaultSpec::Kind::kStall,
                                  /*offset=*/10, /*period=*/30,
@@ -339,13 +339,20 @@ TEST(ModelFaultRecovery, StopMidModelCallReturnsPromptly) {
 
   InstanceStats stats;
   std::thread runner([&] { stats = instance.run(/*online=*/false); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  // How soon the tenth SNM call comes depends on the host (a TSan build
+  // with two-frame SDD queues has made only 7 SNM calls by 400 ms), so
+  // poll for it rather than sleep a fixed time.
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (hook.triggered(0) == 0 && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   const auto t0 = std::chrono::steady_clock::now();
   instance.stop();
   runner.join();  // bounded by cancellation, not by the 60 s stall cap
   const double shutdown = seconds_since(t0);
   FaultHook::uninstall();
 
+  EXPECT_GE(hook.triggered(0), 1) << "no wedge fired within 60 s";
   EXPECT_LT(shutdown, 20.0) << "stop() waited out a wedged model call";
   EXPECT_TRUE(stats.health.stopped);
   EXPECT_GE(stats.health.fault.cancelled_calls, 1u);

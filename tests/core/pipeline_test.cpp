@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "core/trace.hpp"
 #include "video/profiles.hpp"
@@ -175,12 +176,47 @@ TEST(Pipeline, PerStreamFifoOrderingOfOutputs) {
   }
 }
 
-TEST(Config, CapacityDependsOnPolicy) {
+TEST(QueuePlan, EveryPolicyInBothModes) {
+  // Paper Section 4.3.1 thresholds {2, 10, 2}, the reference queue's 64,
+  // 4096 ("effectively unbounded") under static batching, and online the
+  // 128-frame live-capture ring in front of SDD under every policy.
+  struct Row {
+    BatchPolicy policy;
+    bool online;
+    QueuePlan want;
+  };
+  const Row rows[] = {
+      {BatchPolicy::kStatic, false, {4096, 4096, 4096, 4096}},
+      {BatchPolicy::kStatic, true, {128, 4096, 4096, 4096}},
+      {BatchPolicy::kFeedback, false, {2, 10, 2, 64}},
+      {BatchPolicy::kFeedback, true, {128, 10, 2, 64}},
+      {BatchPolicy::kDynamic, false, {2, 10, 2, 64}},
+      {BatchPolicy::kDynamic, true, {128, 10, 2, 64}},
+  };
+  for (const Row& r : rows) {
+    SCOPED_TRACE(std::string(to_string(r.policy)) + (r.online ? " online" : ""));
+    FfsVaConfig cfg;
+    cfg.batch_policy = r.policy;
+    const QueuePlan p = queue_plan(cfg, r.online);
+    EXPECT_EQ(p.sdd, r.want.sdd);
+    EXPECT_EQ(p.snm, r.want.snm);
+    EXPECT_EQ(p.tyolo, r.want.tyolo);
+    EXPECT_EQ(p.ref, r.want.ref);
+  }
+}
+
+TEST(QueuePlan, ThresholdsComeFromTheConfig) {
   FfsVaConfig cfg;
-  cfg.batch_policy = BatchPolicy::kDynamic;
-  EXPECT_EQ(cfg.capacity(10), 10);
-  cfg.batch_policy = BatchPolicy::kStatic;
-  EXPECT_EQ(cfg.capacity(10), 4096);
+  cfg.sdd_queue_depth = 1;
+  cfg.snm_queue_depth = 3;
+  cfg.tyolo_queue_depth = 5;
+  cfg.ref_queue_depth = 7;
+  const QueuePlan p = queue_plan(cfg, /*online=*/false);
+  EXPECT_EQ(p.sdd, 1u);
+  EXPECT_EQ(p.snm, 3u);
+  EXPECT_EQ(p.tyolo, 5u);
+  EXPECT_EQ(p.ref, 7u);
+  EXPECT_EQ(queue_plan(cfg, /*online=*/true).sdd, 128u);
 }
 
 TEST(Config, BatchPolicyNames) {

@@ -72,14 +72,13 @@ TEST(Handoff, TwoNodeForcedMigrationConservesEveryFrame) {
   n0.start();
   n1.start();
 
-  // Enough frames that the forced migration at 0.1s lands mid-serve: each
-  // stream ingests its window in under 0.5s on an idle host, so a later
-  // trigger can find every window already ingested and nothing to move.
+  // The forced migration fires once a stream has ingested a quarter of its
+  // window, so it lands mid-serve however fast the host runs the streams.
   const auto specs = make_specs(/*count=*/4, /*frames=*/1500, /*calib=*/10,
                                 /*w=*/64, /*h=*/48);
   SchedOptions opts;
   opts.snapshot_interval_ms = 50;
-  opts.force_migration_at_sec = 0.1;
+  opts.force_migration_at_fraction = 0.25;
   opts.deadline_sec = 180.0 * kDeadlineGrace;
   ClusterScheduler sched(
       {net::Endpoint::tcp("127.0.0.1", n0.server->port()),

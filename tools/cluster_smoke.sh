@@ -61,16 +61,15 @@ boot_node 0; PORT0=$REPLY_PORT; NODE0_PID=$REPLY_PID
 boot_node 1; PORT1=$REPLY_PORT; NODE1_PID=$REPLY_PID
 echo "cluster_smoke: node0 pid=$NODE0_PID port=$PORT0, node1 pid=$NODE1_PID port=$PORT1"
 
-# Scheduler: 4 streams x 1200 frames, force one migration 0.1 s in, and
-# verify the merged verdicts against the single-process reference. Each
-# stream ingests its window in about 0.5 s on an idle 1-core x86 host (about
-# 125 frames are in at 0.1 s), so a trigger at 0.5 s can land after every
-# stream has ingested its window, when no hand-off is left to make.
+# Scheduler: 4 streams x 1200 frames, force one migration once a stream has
+# ingested a quarter of its window, and verify the merged verdicts against
+# the single-process reference. The trigger follows ingest progress, not
+# wall time, so the hand-off lands mid-window on any host.
 SCHED_OUT="$WORK/sched.json"
 "$NODE_BIN" sched \
   --node "127.0.0.1:$PORT0" --node "127.0.0.1:$PORT1" \
   --streams 4 --frames 1200 --calib 12 --width 96 --height 72 \
-  --snapshot-interval-ms 50 --force-migration-at 0.1 --deadline 300 \
+  --snapshot-interval-ms 50 --force-migration-at-fraction 0.25 --deadline 300 \
   --verify-local | tee "$SCHED_OUT"
 SCHED_RC=${PIPESTATUS[0]}
 [[ "$SCHED_RC" -eq 0 ]] || fail "sched exited $SCHED_RC"
