@@ -206,6 +206,25 @@ int main(int argc, char** argv) {
     bench::print_series(name, series[0]);
     report.add(name, series[0], {{"frames_per_sec", batch * series[0].fps.median}});
   }
+  {
+    // The GPU0 SNM call: scoring inputs an SDD worker already prepared.
+    constexpr int kBatch = 16;
+    std::vector<std::vector<float>> prepared(kBatch);
+    std::vector<const float*> inputs;
+    for (int k = 0; k < kBatch; ++k) {
+      snm.prepare(frames[static_cast<std::size_t>(k)].image,
+                  prepared[static_cast<std::size_t>(k)]);
+      inputs.push_back(prepared[static_cast<std::size_t>(k)].data());
+    }
+    std::vector<double> scores;
+    const auto series = time_calls({[&] {
+      snm.score(inputs, scores);
+      keep(scores);
+    }});
+    const std::string name = "snm_score_prepared/" + std::to_string(kBatch);
+    bench::print_series(name, series[0]);
+    report.add(name, series[0], {{"frames_per_sec", kBatch * series[0].fps.median}});
+  }
 
   video::VideoReader reader(stored);
   bench_group(report, {"decode_frame"}, {[&] {
@@ -254,23 +273,35 @@ int main(int argc, char** argv) {
   const image::Image& bg = seg_sim.background();
   const detect::ReferenceConfig ref_cfg;
   const detect::SegmentationParams& seg = ref_cfg.segmentation;
-  const image::Image motion = detect::motion_map(seg_frames[0], bg);
-  const image::Image mask = image::threshold(
-      image::gaussian_blur(motion, seg.blur_sigma), seg.diff_threshold);
+  image::Image motion, mask;
+  detect::motion_map(seg_frames[0], bg, motion);
+  image::blur_threshold(motion, seg.blur_sigma, seg.diff_threshold, mask);
   const detect::SddFilter sdd(detect::SddConfig{}, bg);
   const detect::TYoloDetector tyolo(detect::TYoloConfig{}, bg);
   const detect::ReferenceDetector reference(ref_cfg, bg);
+  image::Image scratch, eroded;  // outputs of the seg/* rows
   std::size_t next_frame = 0;
   const auto frame = [&]() -> const image::Image& {
     next_frame = (next_frame + 1) % seg_frames.size();
     return seg_frames[next_frame];
   };
   bench_group(report,
-              {"seg/motion_map_256x192", "seg/gaussian_blur_256x192",
+              {"seg/motion_map_256x192", "seg/blur_threshold_256x192",
                "seg/open3x3_256x192"},
-              {[&] { keep(detect::motion_map(frame(), bg)); },
-               [&] { keep(image::gaussian_blur(motion, seg.blur_sigma)); },
-               [&] { keep(image::dilate3x3(image::erode3x3(mask))); }});
+              {[&] {
+                 detect::motion_map(frame(), bg, scratch);
+                 keep(scratch);
+               },
+               [&] {
+                 image::blur_threshold(motion, seg.blur_sigma, seg.diff_threshold,
+                                       scratch);
+                 keep(scratch);
+               },
+               [&] {
+                 image::erode3x3(mask, eroded);
+                 image::dilate3x3(eroded, scratch);
+                 keep(scratch);
+               }});
   std::vector<image::Image> masks;
   for (const auto& f : seg_frames) masks.push_back(detect::foreground_mask(f, bg, seg));
   std::size_t next_mask = 0;
@@ -288,11 +319,21 @@ int main(int argc, char** argv) {
                  image::resize_bilinear_into(frame(), tyolo_plan, tyolo_input);
                  keep(tyolo_input);
                }});
+  // T-YOLO on GPU0 runs on inputs an SDD worker already resized.
+  std::vector<image::Image> tyolo_inputs(seg_frames.size());
+  for (std::size_t i = 0; i < seg_frames.size(); ++i) {
+    tyolo.prepare(seg_frames[i], tyolo_inputs[i]);
+  }
+  std::size_t next_input = 0;
   bench_group(report,
               {"detect/sdd_distance", "detect/tyolo_detect",
-               "detect/reference_detect_256x192"},
+               "detect/tyolo_detect_prepared", "detect/reference_detect_256x192"},
               {[&] { keep(sdd.distance(frame())); },
                [&] { keep(tyolo.detect(frame())); },
+               [&] {
+                 next_input = (next_input + 1) % tyolo_inputs.size();
+                 keep(tyolo.detect_prepared(tyolo_inputs[next_input]));
+               },
                [&] { keep(reference.detect(frame())); }});
 
   bench::print_rule();

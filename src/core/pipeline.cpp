@@ -46,7 +46,22 @@ struct Item {
   /// regardless of the degrade policy, so one pathological input cannot
   /// keep wedging stage after stage (DESIGN.md Section 14).
   int wedges = 0;
+  /// The frame's GPU0 inputs (DESIGN.md Section 8), built by prepare_gpu0()
+  /// on the thread that passed it through SDD: the SNM difference map,
+  /// freed once scored, and the T-YOLO detector input, freed once detected.
+  /// Empty until prepared.
+  std::vector<float> snm_input{};
+  image::Image tyolo_input{};
 };
+
+/// Builds a frame's GPU0 inputs, so the GPU0 executor runs models only.
+/// Both preparations are const and per-thread staged, so SDD workers may
+/// prepare frames of streams that share one model concurrently; neither
+/// fires a fault hook.
+void prepare_gpu0(const detect::StreamModels& m, Item& item) {
+  m.snm->prepare(item.frame.image, item.snm_input);
+  m.tyolo->prepare(item.frame.image, item.tyolo_input);
+}
 
 telemetry::TraceBuffer& trace() { return telemetry::TraceBuffer::global(); }
 
@@ -692,24 +707,27 @@ void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online) {
       // back to the pixel SDD, whose distance re-anchors the chain. The
       // frame was ingested either way; survivors go straight to snm_q.
       s->sdd_in.fetch_add(1, std::memory_order_relaxed);
+      const bool hinted = hint_decision == detect::HintDecision::kPass;
+      (hinted ? s->hint_passes : s->hint_fallbacks)
+          .fetch_add(1, std::memory_order_relaxed);
       bool pass = true;
-      if (hint_decision == detect::HintDecision::kPass) {
-        s->hint_passes.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        s->hint_fallbacks.fetch_add(1, std::memory_order_relaxed);
-        const CallOutcome oc = model_call(s->prefetch_call, s->id, [&] {
-          telemetry::ScopedSpan sp(trace(), "sdd.filter", telemetry::Stage::kSdd,
-                                   s->id, item.frame.index);
+      bool measured = hinted;
+      const CallOutcome oc = model_call(s->prefetch_call, s->id, [&] {
+        telemetry::ScopedSpan sp(trace(), "sdd.filter", telemetry::Stage::kSdd,
+                                 s->id, item.frame.index);
+        if (!hinted) {
           const double dist = s->models.sdd->distance(item.frame.image);
           csdd->anchor(dist);
+          measured = true;
           pass = dist > s->models.sdd->config().delta_diff;
-        });
-        if (oc != CallOutcome::kOk) {
-          // Same per-frame contract as the SDD worker pool; an unmeasured
-          // frame leaves the chain unanchored.
-          csdd->invalidate();
-          pass = s->failed(item, oc, /*last_stage=*/false);
         }
+        if (pass) prepare_gpu0(s->models, item);
+      });
+      if (oc != CallOutcome::kOk) {
+        // Same per-frame contract as the SDD worker pool; an unmeasured
+        // frame leaves the chain unanchored.
+        if (!measured) csdd->invalidate();
+        pass = s->failed(item, oc, /*last_stage=*/false);
       }
       if (pass) {
         s->sdd_passed.fetch_add(1, std::memory_order_relaxed);
@@ -810,6 +828,7 @@ void FfsVaInstance::sdd_worker_loop(int worker) {
           telemetry::ScopedSpan sp(trace(), "sdd.filter", telemetry::Stage::kSdd,
                                    s.id, item->frame.index);
           pass = s.models.sdd->pass(item->frame.image);
+          if (pass) prepare_gpu0(s.models, *item);
         });
         // Degrade per frame, never per stream.
         if (oc != CallOutcome::kOk) pass = s.failed(*item, oc, /*last_stage=*/false);
@@ -854,7 +873,8 @@ void FfsVaInstance::gpu0_loop() {
   std::vector<char> snm_done;
   std::vector<int> tyolo_depths;
   std::vector<Item> items;
-  std::vector<const image::Image*> imgs;
+  std::vector<const float*> snm_inputs;
+  std::vector<double> scores;
   items.reserve(static_cast<std::size_t>(std::max(1, config_.batch_size)));
   bool running = true;
 
@@ -892,11 +912,18 @@ void FfsVaInstance::gpu0_loop() {
       bool pass = false;
       detect::DetectionResult det;
       const CallOutcome oc = model_call(gpu0_call_, s.id, [&] {
-        det = s.models.tyolo->detect(item->frame.image);
+        const detect::TYoloDetector& tyolo = *s.models.tyolo;
+        // A frame arrives without its input only if the SNM call failed
+        // before preparing it.
+        if (item->tyolo_input.empty()) {
+          tyolo.prepare(item->frame.image, item->tyolo_input);
+        }
+        det = tyolo.detect_prepared(item->tyolo_input);
         pass = det.count_target(s.models.target,
-                                s.models.tyolo->config().confidence_threshold) >=
+                                tyolo.config().confidence_threshold) >=
                config_.number_of_objects;
       });
+      item->tyolo_input = image::Image{};
       if (oc != CallOutcome::kOk) pass = s.failed(*item, oc, /*last_stage=*/false);
       ++served;
       if (pass) {
@@ -965,14 +992,17 @@ void FfsVaInstance::gpu0_loop() {
       }
       if (items.empty()) continue;
       did_work = true;
-      imgs.clear();
-      for (const auto& it : items) imgs.push_back(&it.frame.image);
       hot_.batch_size->record(static_cast<double>(items.size()));
-      std::vector<double> scores;
       const CallOutcome oc = model_call(gpu0_call_, s.id, [&] {
         telemetry::ScopedSpan sp(trace(), "snm.batch", telemetry::Stage::kSnm, s.id,
                                  -1, static_cast<int>(items.size()));
-        scores = s.models.snm->predict_batch(imgs);
+        snm_inputs.clear();
+        for (Item& it : items) {
+          // A frame degraded at SDD under kBypass arrives unprepared.
+          if (it.snm_input.empty()) prepare_gpu0(s.models, it);
+          snm_inputs.push_back(it.snm_input.data());
+        }
+        s.models.snm->score(snm_inputs, scores);
       });
       const double t_pre = s.models.snm->t_pre();
       // Every popped frame is accounted, even when `running` flips false
@@ -980,6 +1010,7 @@ void FfsVaInstance::gpu0_loop() {
       // routed terminates as discarded rather than vanishing. The device
       // call is batched, so a failed call fails every frame in it.
       for (std::size_t j = 0; j < items.size(); ++j) {
+        std::vector<float>().swap(items[j].snm_input);
         s.snm_in.fetch_add(1, std::memory_order_relaxed);
         const bool pass = oc == CallOutcome::kOk
                               ? scores[j] >= t_pre

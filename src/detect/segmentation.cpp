@@ -9,11 +9,12 @@
 
 namespace ffsva::detect {
 
-image::Image motion_map(const image::Image& frame, const image::Image& background) {
+void motion_map(const image::Image& frame, const image::Image& background,
+                image::Image& out) {
   if (!frame.same_shape(background)) {
     throw std::invalid_argument("motion_map: frame/background shape mismatch");
   }
-  image::Image out(frame.width(), frame.height(), 1);
+  out.reset(frame.width(), frame.height(), 1);
   const std::uint8_t* a = frame.data();
   const std::uint8_t* b = background.data();
   std::uint8_t* o = out.data();
@@ -33,27 +34,45 @@ image::Image motion_map(const image::Image& frame, const image::Image& backgroun
           std::abs(static_cast<int>(a[i]) - static_cast<int>(b[i])));
     }
   }
-  return out;
 }
+
+namespace {
+/// The segmentation chain's per-thread buffers: a detector may be shared
+/// across threads, so they live per thread, and a warm chain at a fixed
+/// frame geometry never touches the heap.
+struct MaskScratch {
+  image::Image motion, mask, eroded, opened;
+};
+
+/// The opened mask of foreground_mask(), in the calling thread's scratch;
+/// valid until the thread's next call.
+const image::Image& mask_in_scratch(const image::Image& frame,
+                                    const image::Image& background,
+                                    const SegmentationParams& params) {
+  static thread_local MaskScratch s;
+  // Cancellation boundaries between the full-resolution passes: each pass
+  // is O(pixels), so a cancelled segmentation unwinds within one pass.
+  motion_map(frame, background, s.motion);
+  runtime::check_cancel();
+  image::blur_threshold(s.motion, params.blur_sigma, params.diff_threshold, s.mask);
+  runtime::check_cancel();
+  if (!params.morph_open) return s.mask;
+  image::erode3x3(s.mask, s.eroded);
+  image::dilate3x3(s.eroded, s.opened);
+  runtime::check_cancel();
+  return s.opened;
+}
+}  // namespace
 
 image::Image foreground_mask(const image::Image& frame, const image::Image& background,
                              const SegmentationParams& params) {
-  // Cancellation boundaries between the full-resolution passes: each pass
-  // is O(pixels), so a cancelled segmentation unwinds within one pass.
-  image::Image diff = motion_map(frame, background);
-  runtime::check_cancel();
-  if (params.blur_sigma > 0.0) diff = image::gaussian_blur(diff, params.blur_sigma);
-  runtime::check_cancel();
-  image::Image mask = image::threshold(diff, params.diff_threshold);
-  if (params.morph_open) mask = image::dilate3x3(image::erode3x3(mask));
-  runtime::check_cancel();
-  return mask;
+  return mask_in_scratch(frame, background, params);
 }
 
 std::vector<image::Component> foreground_components(const image::Image& frame,
                                                     const image::Image& background,
                                                     const SegmentationParams& params) {
-  return image::connected_components(foreground_mask(frame, background, params),
+  return image::connected_components(mask_in_scratch(frame, background, params),
                                      params.min_pixels);
 }
 

@@ -27,14 +27,18 @@ struct SegmentationParams {
   bool morph_open = true;            ///< Erode+dilate to kill speckle.
 };
 
-/// Per-pixel max-channel absolute difference: a 1-channel motion map.
-image::Image motion_map(const image::Image& frame, const image::Image& background);
+/// Per-pixel max-channel absolute difference into `out`: a 1-channel motion
+/// map, allocation-free once `out` is warm.
+void motion_map(const image::Image& frame, const image::Image& background,
+                image::Image& out);
 
 /// The opened binary foreground mask that foreground_components() labels.
 image::Image foreground_mask(const image::Image& frame, const image::Image& background,
                              const SegmentationParams& params);
 
-/// Segment the foreground of `frame` against `background`.
+/// Segment the foreground of `frame` against `background`. Once the calling
+/// thread has segmented a frame of this geometry, the returned list is the
+/// only allocation.
 std::vector<image::Component> foreground_components(const image::Image& frame,
                                                     const image::Image& background,
                                                     const SegmentationParams& params);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <istream>
 #include <numeric>
 #include <ostream>
@@ -13,6 +14,7 @@
 #include "nn/optim.hpp"
 #include "runtime/binary_io.hpp"
 #include "runtime/cancel.hpp"
+#include "runtime/parallel_for.hpp"
 
 namespace ffsva::detect {
 
@@ -43,17 +45,61 @@ SnmFilter::SnmFilter(SnmConfig config, const image::Image& background,
       .add(std::make_unique<nn::Linear>(fc_features_, 1, rng));
 }
 
-nn::Tensor SnmFilter::preprocess(const image::Image& frame) const {
-  nn::Tensor x(1, 1, config_.input_size, config_.input_size);
-  diff_preprocess(frame, background_small_, config_.input_size, scratch_.pre, x, 0);
-  return x;
+void SnmFilter::prepare(const image::Image& frame, std::vector<float>& out) const {
+  static thread_local image::ResizePlan plan;
+  static thread_local image::Image resized;
+  const int s = config_.input_size;
+  plan.ensure(frame.width(), frame.height(), s, s);
+  image::resize_bilinear_into(frame, plan, resized);
+
+  // Max-over-channels |frame - background|, matching the detectors' motion
+  // map so chromatic-only objects (a luma-neutral red car) stay visible.
+  const int channels = background_small_.channels();
+  const int rc = resized.channels();
+  const std::uint8_t* a = resized.data();
+  const std::uint8_t* b = background_small_.data();
+  const std::size_t pixels = static_cast<std::size_t>(s) * s;
+  out.resize(pixels);
+  float* dst = out.data();
+  constexpr float kInv255 = 1.0f / 255.0f;
+  if (channels == 1 && rc == 1) {
+    for (std::size_t i = 0; i < pixels; ++i) {
+      dst[i] = static_cast<float>(std::abs(static_cast<int>(a[i]) -
+                                           static_cast<int>(b[i]))) * kInv255;
+    }
+  } else {
+    for (std::size_t i = 0; i < pixels; ++i) {
+      int d = 0;
+      for (int c = 0; c < channels; ++c) {
+        d = std::max(d, std::abs(static_cast<int>(a[i * rc + c]) -
+                                 static_cast<int>(b[i * channels + c])));
+      }
+      dst[i] = static_cast<float>(d) * kInv255;
+    }
+  }
+}
+
+void SnmFilter::prepare_all(const std::vector<const image::Image*>& frames) const {
+  auto& prepared = scratch_.prepared;
+  if (prepared.size() < frames.size()) prepared.resize(frames.size());
+  runtime::parallel_for(0, static_cast<std::int64_t>(frames.size()), /*grain=*/4,
+                        [&](std::int64_t b, std::int64_t e) {
+                          for (auto i = static_cast<std::size_t>(b);
+                               i < static_cast<std::size_t>(e); ++i) {
+                            prepare(*frames[i], prepared[i]);
+                          }
+                        });
 }
 
 nn::Tensor SnmFilter::preprocess_batch(
     const std::vector<const image::Image*>& frames) const {
-  nn::Tensor x;
-  diff_preprocess_batch(frames, background_small_, config_.input_size,
-                        scratch_.pre_batch, x);
+  const int s = config_.input_size;
+  const std::size_t size = static_cast<std::size_t>(s) * s;
+  nn::Tensor x(static_cast<int>(frames.size()), 1, s, s);
+  prepare_all(frames);
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    std::copy_n(scratch_.prepared[i].data(), size, x.data() + i * size);
+  }
   return x;
 }
 
@@ -97,28 +143,42 @@ nn::Tensor SnmFilter::preprocess_batch_augmented(
   return out;
 }
 
-double SnmFilter::predict(const image::Image& frame) const {
+void SnmFilter::score(std::span<const float* const> inputs,
+                      std::vector<double>& scores) const {
+  scores.clear();
+  if (inputs.empty()) return;
   FaultHook::on_call(FaultStage::kSnm);
   runtime::check_cancel();
   const int s = config_.input_size;
-  scratch_.input.resize(1, 1, s, s);
-  diff_preprocess(frame, background_small_, s, scratch_.pre, scratch_.input, 0);
+  const std::size_t size = static_cast<std::size_t>(s) * s;
+  scratch_.input.resize(static_cast<int>(inputs.size()), 1, s, s);
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    std::copy_n(inputs[i], size, scratch_.input.data() + i * size);
+  }
   const nn::Tensor& logits = net_->forward_inference(scratch_.input, scratch_.net);
-  return nn::sigmoid(logits.at(0, 0, 0, 0));
+  scores.reserve(inputs.size());
+  for (int i = 0; i < logits.n(); ++i) {
+    scores.push_back(nn::sigmoid(logits.at(i, 0, 0, 0)));
+  }
+}
+
+double SnmFilter::predict(const image::Image& frame) const {
+  if (scratch_.prepared.empty()) scratch_.prepared.resize(1);
+  prepare(frame, scratch_.prepared[0]);
+  const float* input = scratch_.prepared[0].data();
+  score({&input, 1}, scratch_.scores);
+  return scratch_.scores[0];
 }
 
 std::vector<double> SnmFilter::predict_batch(
     const std::vector<const image::Image*>& frames) const {
   std::vector<double> out;
-  if (frames.empty()) return out;
-  FaultHook::on_call(FaultStage::kSnm);
-  runtime::check_cancel();
-  diff_preprocess_batch(frames, background_small_, config_.input_size,
-                        scratch_.pre_batch, scratch_.input);
-  const nn::Tensor& logits = net_->forward_inference(scratch_.input, scratch_.net);
-  out.reserve(frames.size());
-  for (int i = 0; i < logits.n(); ++i)
-    out.push_back(nn::sigmoid(logits.at(i, 0, 0, 0)));
+  prepare_all(frames);
+  scratch_.inputs.clear();
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    scratch_.inputs.push_back(scratch_.prepared[i].data());
+  }
+  score(scratch_.inputs, out);
   return out;
 }
 

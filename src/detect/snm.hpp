@@ -20,9 +20,9 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <vector>
 
-#include "detect/preproc.hpp"
 #include "image/image.hpp"
 #include "nn/layers.hpp"
 #include "video/frame.hpp"
@@ -59,6 +59,18 @@ struct SnmConfig {
   double augment_scale = 0.30;  ///< Scale factor drawn from 1 +- this.
 };
 
+/// What one filter instance needs for allocation-free scoring and
+/// prediction: prepared-input staging for predict()/predict_batch(), the
+/// network input tensor, and the Sequential inference workspace. Warm after
+/// one call per batch size.
+struct SnmScratch {
+  std::vector<std::vector<float>> prepared;
+  std::vector<const float*> inputs;
+  std::vector<double> scores;
+  nn::Tensor input;
+  nn::InferenceScratch net;
+};
+
 struct SnmTrainReport {
   double final_loss = 0.0;
   double train_accuracy = 0.0;
@@ -73,12 +85,25 @@ class SnmFilter {
  public:
   SnmFilter(SnmConfig config, const image::Image& background, std::uint64_t seed);
 
-  /// Predicted probability that the frame contains the target object.
-  /// Not safe for concurrent calls on one instance (each stream owns its
-  /// SNM and one stage thread, matching the paper's deployment).
+  /// The frame's network input (the input_size^2 difference map against
+  /// the background), written to `out`. Const and safe to call
+  /// concurrently, also on one shared instance: its staging is per
+  /// thread. Fires no fault hook; the scoring call does.
+  void prepare(const image::Image& frame, std::vector<float>& out) const;
+
+  /// Score prepared inputs (each from prepare()) as one batch — the unit the
+  /// dynamic batcher feeds to the GPU: scores[i] is the predicted
+  /// probability c for inputs[i]. Allocation-free once `scores` and the
+  /// instance's scratch are warm. Not safe for concurrent calls on one
+  /// instance (the GPU0 executor is its one caller in the engine).
+  void score(std::span<const float* const> inputs, std::vector<double>& scores) const;
+
+  /// Predicted probability that the frame contains the target object:
+  /// prepare() + score() on one frame. Not safe for concurrent calls on one
+  /// instance.
   double predict(const image::Image& frame) const;
 
-  /// Batched prediction — the unit the dynamic batcher feeds to the GPU.
+  /// prepare() over the frames, spread across the compute pool, + score().
   std::vector<double> predict_batch(
       const std::vector<const image::Image*>& frames) const;
 
@@ -109,7 +134,9 @@ class SnmFilter {
   nn::Sequential& network() { return *net_; }
 
  private:
-  nn::Tensor preprocess(const image::Image& frame) const;
+  /// prepare() over the frames into scratch_.prepared, spread across the
+  /// compute pool.
+  void prepare_all(const std::vector<const image::Image*>& frames) const;
   nn::Tensor preprocess_batch(const std::vector<const image::Image*>& frames) const;
   /// Training-only: preprocess with a random shift/flip per sample.
   nn::Tensor preprocess_batch_augmented(const std::vector<const image::Image*>& frames,
@@ -121,8 +148,8 @@ class SnmFilter {
   image::Image background_small_;           ///< Gray at input_size.
   mutable std::unique_ptr<nn::Sequential> net_;
   int fc_features_ = 0;
-  /// Warm buffers for the allocation-free predict path. Safe as a member
-  /// because one instance is never called concurrently (see predict()).
+  /// Warm buffers for the allocation-free scoring path. Safe as a member
+  /// because score() is never called concurrently on one instance.
   mutable SnmScratch scratch_;
 };
 

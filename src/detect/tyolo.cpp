@@ -16,19 +16,28 @@ TYoloDetector::TYoloDetector(TYoloConfig config, const image::Image& background)
       scale_x_(static_cast<double>(background.width()) / config.input_size),
       scale_y_(static_cast<double>(background.height()) / config.input_size) {}
 
+void TYoloDetector::prepare(const image::Image& frame, image::Image& out) const {
+  // A detector instance may be shared across threads, so the plan tables
+  // live per thread, not per instance. Steady state (fixed frame geometry)
+  // resizes allocation-free once `out` is warm.
+  static thread_local image::ResizePlan plan;
+  plan.ensure(frame.width(), frame.height(), config_.input_size, config_.input_size);
+  image::resize_bilinear_into(frame, plan, out);
+}
+
 DetectionResult TYoloDetector::detect(const image::Image& frame) const {
+  static thread_local image::Image input;
+  prepare(frame, input);
+  return detect_prepared(input);
+}
+
+DetectionResult TYoloDetector::detect_prepared(const image::Image& input) const {
   FaultHook::on_call(FaultStage::kTyolo);
   runtime::check_cancel();
   DetectionResult out;
-  // Plan-based resize into thread-local staging: a detector instance may be
-  // shared across threads, so the warm buffers live per thread, not per
-  // instance. Steady state (fixed frame geometry) resizes allocation-free.
-  static thread_local image::ResizePlan plan;
-  static thread_local image::Image small;
-  plan.ensure(frame.width(), frame.height(), config_.input_size, config_.input_size);
-  image::resize_bilinear_into(frame, plan, small);
   const auto comps =
-      foreground_components(small, background_small_, config_.segmentation);
+      foreground_components(input, background_small_, config_.segmentation);
+  out.detections.reserve(comps.size());
 
   // Grid occupancy: at most boxes_per_cell detections per cell.
   const int cell_px = std::max(1, config_.input_size / config_.grid);

@@ -43,6 +43,15 @@ class TYoloDetector {
   /// and the execution engine models exactly that sharing.)
   TYoloDetector(TYoloConfig config, const image::Image& background);
 
+  /// The detector input: `frame` resized to input_size^2, written to
+  /// `out`. Const and safe to call concurrently: its resize tables are per
+  /// thread. Fires no fault hook; detect_prepared() does.
+  void prepare(const image::Image& frame, image::Image& out) const;
+
+  /// Detect on an input from prepare(), with boxes in frame coordinates.
+  DetectionResult detect_prepared(const image::Image& input) const;
+
+  /// prepare() + detect_prepared().
   DetectionResult detect(const image::Image& frame) const;
 
   /// The cascade predicate: does the frame carry at least

@@ -196,11 +196,20 @@ void weighted_sum(const double* const* rows, const double* kv, int taps,
 }
 }  // namespace
 
-Image gaussian_blur(const Image& src, double sigma) {
-  if (sigma <= 0.0 || src.empty()) return src;
+void blur_threshold(const Image& src, double sigma, std::uint8_t t, Image& out) {
+  const int w = src.width(), h = src.height(), c = src.channels();
+  out.reset(w, h, c);
+  const std::size_t row_len = static_cast<std::size_t>(w) * c;
+  const std::uint8_t* in = src.data();
+  std::uint8_t* o = out.data();
+  if (sigma <= 0.0 || src.empty()) {
+    for (std::size_t i = 0; i < src.size_bytes(); ++i) o[i] = in[i] > t ? 255 : 0;
+    return;
+  }
   const int radius = std::max(1, static_cast<int>(std::ceil(3.0 * sigma)));
   const int taps = 2 * radius + 1;
-  std::vector<double> kernel(static_cast<std::size_t>(taps));
+  static thread_local std::vector<double> kernel;
+  kernel.resize(static_cast<std::size_t>(taps));
   double sum = 0.0;
   for (int i = -radius; i <= radius; ++i) {
     kernel[i + radius] = std::exp(-(i * i) / (2.0 * sigma * sigma));
@@ -208,26 +217,59 @@ Image gaussian_blur(const Image& src, double sigma) {
   }
   for (auto& k : kernel) k /= sum;
 
-  // Each output adds its taps in ascending order from 0.0, in double, over
-  // edge-replicated (clamped) indices, exactly as a per-pixel loop would.
-  // Only the `radius` border columns clamp; the interior and the vertical
-  // pass are contiguous sweeps. The vertical pass reads horizontally
-  // filtered rows from a ring of `taps` rows (source row yy in slot
-  // yy % taps) instead of a frame-sized buffer.
-  const int w = src.width(), h = src.height(), c = src.channels();
-  const std::size_t row_len = static_cast<std::size_t>(w) * c;
+  // Where the blur can cross the threshold. An output is a convex
+  // combination of its (2r+1)x(2r+1) window: the weights are positive and
+  // sum to 1 within a few ulp, and every partial sum adds nonnegative
+  // products, so the computed value is at most max(window) *
+  // (1 + ~30 * 2^-53). If no window value exceeds t (t <= 255), that is
+  // below t + 0.5, rounds to at most t, and thresholds to 0. So an output
+  // row whose 2r+1 window rows all have maximum <= t is zero unfiltered,
+  // and so is every column farther than r from the hot pixels of its
+  // window rows. hot_lo/hot_hi: row yy's first and last column above t
+  // (hot_lo > hot_hi when there is none).
+  static thread_local std::vector<int> hot_lo, hot_hi;
+  hot_lo.resize(static_cast<std::size_t>(h));
+  hot_hi.resize(static_cast<std::size_t>(h));
+  for (int yy = 0; yy < h; ++yy) {
+    const std::uint8_t* s = in + static_cast<std::size_t>(yy) * row_len;
+    std::uint8_t peak = 0;
+    for (std::size_t i = 0; i < row_len; ++i) peak = std::max(peak, s[i]);
+    if (peak <= t) {
+      hot_lo[yy] = w;
+      hot_hi[yy] = -1;
+      continue;
+    }
+    std::size_t i = 0;
+    while (s[i] <= t) ++i;
+    std::size_t j = row_len - 1;
+    while (s[j] <= t) --j;
+    hot_lo[yy] = static_cast<int>(i) / c;
+    hot_hi[yy] = static_cast<int>(j) / c;
+  }
+
+  // Everything else is blurred exactly: each output adds its taps in
+  // ascending order from 0.0, in double, over edge-replicated (clamped)
+  // indices, as a per-pixel loop would. Only the `radius` border columns
+  // clamp; the interior and the vertical pass are contiguous sweeps. The
+  // vertical pass reads horizontally filtered rows from a ring of `taps`
+  // rows (source row yy in slot yy % taps; slot_row names the row a slot
+  // holds), so a row is filtered once, and only if an output row needs it.
   static thread_local std::vector<double> ring;
   static thread_local std::vector<double> line;  // a source row, then a sum
+  static thread_local std::vector<const double*> rows;
+  static thread_local std::vector<int> slot_row;
   ring.resize(static_cast<std::size_t>(taps) * row_len);
   line.resize(row_len);
-  std::vector<const double*> rows(static_cast<std::size_t>(taps));
+  rows.resize(static_cast<std::size_t>(taps));
+  slot_row.assign(static_cast<std::size_t>(taps), -1);
   // Columns whose whole tap window lies inside the row.
   const int x_lo = std::min(radius, w);
   const int x_hi = std::max(x_lo, w - radius);
 
   const auto filter_row = [&](int yy) {
-    const std::uint8_t* s = src.data() + static_cast<std::size_t>(yy) * row_len;
+    const std::uint8_t* s = in + static_cast<std::size_t>(yy) * row_len;
     for (std::size_t i = 0; i < row_len; ++i) line[i] = s[i];
+    slot_row[static_cast<std::size_t>(yy % taps)] = yy;
     double* d = ring.data() + static_cast<std::size_t>(yy % taps) * row_len;
     const auto clamped = [&](int x) {
       for (int ch = 0; ch < c; ++ch) {
@@ -250,32 +292,37 @@ Image gaussian_blur(const Image& src, double sigma) {
                  static_cast<std::size_t>(x_hi) * c - lo, d + lo);
   };
 
-  Image out(w, h, c);
-  int filtered = 0;  // rows [0, filtered) have passed the horizontal filter
   for (int y = 0; y < h; ++y) {
-    for (const int last = std::min(h - 1, y + radius); filtered <= last; ++filtered) {
-      filter_row(filtered);
+    std::uint8_t* orow = o + static_cast<std::size_t>(y) * row_len;
+    const int top = std::max(0, y - radius), bottom = std::min(h - 1, y + radius);
+    int lo = w, hi = -1;  // hot columns of the window rows
+    for (int yy = top; yy <= bottom; ++yy) {
+      lo = std::min(lo, hot_lo[yy]);
+      hi = std::max(hi, hot_hi[yy]);
     }
+    if (hi < lo) {
+      std::fill(orow, orow + row_len, std::uint8_t{0});
+      continue;
+    }
+    for (int yy = top; yy <= bottom; ++yy) {
+      if (slot_row[static_cast<std::size_t>(yy % taps)] != yy) filter_row(yy);
+    }
+    // The span [lo - r, hi + r] holds every column whose window reaches a
+    // hot pixel; the vertical sums outside it are never needed.
+    const auto b = static_cast<std::size_t>(std::max(0, lo - radius)) * c;
+    const auto e = static_cast<std::size_t>(std::min(w - 1, hi + radius) + 1) * c;
     for (int k = 0; k < taps; ++k) {
       const int yy = std::clamp(y + k - radius, 0, h - 1);
-      rows[k] = ring.data() + static_cast<std::size_t>(yy % taps) * row_len;
+      rows[k] = ring.data() + static_cast<std::size_t>(yy % taps) * row_len + b;
     }
-    weighted_sum(rows.data(), kernel.data(), taps, row_len, line.data());
-    std::uint8_t* o = out.data() + static_cast<std::size_t>(y) * row_len;
-    for (std::size_t i = 0; i < row_len; ++i) {
-      o[i] = static_cast<std::uint8_t>(std::clamp(line[i] + 0.5, 0.0, 255.0));
+    weighted_sum(rows.data(), kernel.data(), taps, e - b, line.data());
+    std::fill(orow, orow + b, std::uint8_t{0});
+    for (std::size_t i = b; i < e; ++i) {
+      const double v = std::clamp(line[i - b] + 0.5, 0.0, 255.0);
+      orow[i] = static_cast<std::uint8_t>(v) > t ? 255 : 0;
     }
+    std::fill(orow + e, orow + row_len, std::uint8_t{0});
   }
-  return out;
-}
-
-Image threshold(const Image& src, std::uint8_t t) {
-  Image out(src.width(), src.height(), src.channels());
-  const std::uint8_t* pi = src.data();
-  std::uint8_t* po = out.data();
-  const std::size_t n = src.size_bytes();
-  for (std::size_t i = 0; i < n; ++i) po[i] = pi[i] > t ? 255 : 0;
-  return out;
 }
 
 std::uint8_t otsu_threshold(const Image& gray) {
@@ -340,21 +387,27 @@ void morph3x3(const Image& binary, Image& out, std::uint8_t* col) {
 }
 
 template <bool kErode>
-Image morph3x3(const Image& binary) {
-  Image out(binary.width(), binary.height(), binary.channels());
-  if (binary.empty()) return out;
-  std::vector<std::uint8_t> col(static_cast<std::size_t>(binary.width()));
+void morph3x3(const Image& binary, Image& out) {
+  out.reset(binary.width(), binary.height(), binary.channels());
+  if (binary.empty()) return;
+  static thread_local std::vector<std::uint8_t> col;
+  col.resize(static_cast<std::size_t>(binary.width()));
   if (binary.channels() == 3) {
+    out.fill(0);  // only channel 0 is written
     morph3x3<3, kErode>(binary, out, col.data());
   } else {
     morph3x3<1, kErode>(binary, out, col.data());
   }
-  return out;
 }
 }  // namespace
 
-Image erode3x3(const Image& binary) { return morph3x3</*kErode=*/true>(binary); }
-Image dilate3x3(const Image& binary) { return morph3x3</*kErode=*/false>(binary); }
+void erode3x3(const Image& binary, Image& out) {
+  morph3x3</*kErode=*/true>(binary, out);
+}
+
+void dilate3x3(const Image& binary, Image& out) {
+  morph3x3</*kErode=*/false>(binary, out);
+}
 
 std::vector<std::uint64_t> integral_image(const Image& gray) {
   const int w = gray.width(), h = gray.height();

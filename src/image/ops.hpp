@@ -54,18 +54,22 @@ double sad(const Image& a, const Image& b);
 /// |a - b| per pixel.
 Image abs_diff(const Image& a, const Image& b);
 
-/// Separable Gaussian blur; sigma <= 0 returns a copy.
-Image gaussian_blur(const Image& src, double sigma);
-
-/// Binary threshold: out = src > t ? 255 : 0 (per channel).
-Image threshold(const Image& src, std::uint8_t t);
+/// Separable Gaussian blur of `src`, then a binary threshold, into `out`:
+/// out = blur(src, sigma) > t ? 255 : 0 per channel (sigma <= 0: no blur).
+/// Byte-identical to thresholding the rounded blur, but only the rows and
+/// columns whose blur window holds a value above t are filtered.
+/// Allocation-free once the calling thread's scratch and `out` are warm;
+/// `out` must not alias `src`.
+void blur_threshold(const Image& src, double sigma, std::uint8_t t, Image& out);
 
 /// Otsu's automatic threshold for a grayscale image.
 std::uint8_t otsu_threshold(const Image& gray);
 
-/// 3x3 binary erosion / dilation (values treated as 0 / nonzero).
-Image erode3x3(const Image& binary);
-Image dilate3x3(const Image& binary);
+/// 3x3 binary erosion / dilation (values treated as 0 / nonzero) into
+/// `out`, which must not alias `binary`. Allocation-free once `out` and the
+/// calling thread's scratch are warm.
+void erode3x3(const Image& binary, Image& out);
+void dilate3x3(const Image& binary, Image& out);
 
 /// Summed-area table; out[y][x] = sum of gray pixels in [0,x] x [0,y].
 /// Gray input only.

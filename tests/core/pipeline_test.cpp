@@ -13,6 +13,7 @@
 #include <string>
 
 #include "core/trace.hpp"
+#include "detect/fault_hook.hpp"
 #include "video/profiles.hpp"
 #include "video/source.hpp"
 
@@ -93,6 +94,60 @@ TEST(Pipeline, MatchesSequentialCascade) {
   std::set<std::int64_t> got;
   for (const auto& ev : instance.outputs()) got.insert(ev.frame.index);
   EXPECT_EQ(got, expected);
+}
+
+// SDD workers prepare each surviving frame's GPU0 inputs; a frame degraded
+// at SDD under kBypass reaches GPU0 unprepared and is prepared there. With
+// every third SDD call throwing, every frame still ends once and gets the
+// sequential cascade's verdict (a degraded frame skips SDD only), and the
+// SNM and T-YOLO hooks fire once per GPU0 call: preparation fires none.
+TEST(Pipeline, UnpreparedBypassFramesKeepTheirVerdicts) {
+  auto& s = shared_stream();
+  constexpr std::int64_t kBegin = 1000, kEnd = 1200, kPeriod = 3;
+  // One stream's SDD calls run in frame order, so call i serves frame
+  // kBegin + i, and the hook throws at every call i with i % kPeriod == 0.
+  const auto degraded = [](std::int64_t i) { return (i - kBegin) % kPeriod == 0; };
+  std::set<std::int64_t> expected;
+  for (std::int64_t i = kBegin; i < kEnd; ++i) {
+    const auto f = s.sim->render(i);
+    bool alive = degraded(i) || s.models.sdd->pass(f.image);
+    if (alive) alive = s.models.snm->pass(f.image);
+    if (alive) alive = s.models.tyolo->pass(f.image, s.models.target, 1);
+    if (alive) expected.insert(i);
+  }
+
+  detect::FaultHook hook({detect::ModelFaultSpec{
+      detect::FaultStage::kSdd, detect::ModelFaultSpec::Kind::kThrow,
+      /*offset=*/0, /*period=*/kPeriod, /*max_triggers=*/1'000'000}});
+  hook.install();
+  FfsVaConfig cfg;
+  cfg.number_of_objects = 1;
+  cfg.degrade_policy = DegradePolicy::kBypass;
+  FfsVaInstance instance(cfg);
+  instance.add_stream(std::make_unique<LiveSource>(s.sim, 0, kBegin, kEnd), s.models);
+  const auto stats = instance.run(/*online=*/false);
+  detect::FaultHook::uninstall();
+
+  const auto& st = stats.streams[0];
+  const auto frames = static_cast<std::uint64_t>(kEnd - kBegin);
+  EXPECT_EQ(st.prefetch.passed, frames);
+  EXPECT_EQ(st.latency_ms.count, frames);
+  EXPECT_EQ(st.sdd.in, frames);
+  EXPECT_EQ(st.snm.in, st.sdd.passed);
+  EXPECT_EQ(st.tyolo.in, st.snm.passed);
+  EXPECT_EQ(st.ref.in, st.tyolo.passed);
+  EXPECT_EQ(st.fault.degraded_frames, (frames + kPeriod - 1) / kPeriod);
+
+  std::set<std::int64_t> got;
+  for (const auto& ev : instance.outputs()) got.insert(ev.frame.index);
+  EXPECT_EQ(got, expected);
+
+  const auto metrics = instance.metrics().snapshot();
+  EXPECT_EQ(hook.calls(detect::FaultStage::kSdd), static_cast<std::int64_t>(frames));
+  EXPECT_EQ(hook.calls(detect::FaultStage::kSnm),
+            static_cast<std::int64_t>(metrics.counter_or("executor.snm_batches")));
+  EXPECT_EQ(hook.calls(detect::FaultStage::kTyolo),
+            static_cast<std::int64_t>(st.tyolo.in));
 }
 
 TEST(Pipeline, OutputSinkReceivesEvents) {

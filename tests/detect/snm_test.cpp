@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "runtime/parallel_for.hpp"
 #include "video/profiles.hpp"
 
 namespace ffsva::detect {
@@ -72,6 +73,41 @@ TEST(SnmFilter, BatchMatchesSingle) {
     EXPECT_NEAR(scores[static_cast<std::size_t>(i)],
                 t.snm->predict(*batch[static_cast<std::size_t>(i)]), 1e-6);
   }
+}
+
+// The engine's hand-off: SDD workers prepare inputs, concurrently and from
+// one shared filter, and GPU0 scores them. The scores must be the bits
+// predict_batch gives, whatever the batch size or compute parallelism.
+TEST(SnmFilter, ScoringPreparedInputsMatchesPredictBatchBitwise) {
+  auto& t = trained();
+  const int saved = runtime::compute_parallelism();
+  for (const int parallelism : {1, 4}) {
+    runtime::set_compute_parallelism(parallelism);
+    for (const int batch : {1, 7, 16}) {
+      SCOPED_TRACE(testing::Message() << "parallelism " << parallelism << ", batch "
+                                      << batch);
+      const auto n = static_cast<std::size_t>(batch);
+      std::vector<const image::Image*> frames;
+      for (std::size_t i = 0; i < n; ++i) {
+        frames.push_back(&t.frames[(i * 13 + 5) % t.frames.size()].image);
+      }
+      const auto want = t.snm->predict_batch(frames);
+      std::vector<std::vector<float>> prepared(n);
+      runtime::parallel_for(0, batch, 1, [&](std::int64_t b, std::int64_t e) {
+        for (auto i = static_cast<std::size_t>(b); i < static_cast<std::size_t>(e);
+             ++i) {
+          t.snm->prepare(*frames[i], prepared[i]);
+        }
+      });
+      std::vector<const float*> inputs;
+      for (const auto& p : prepared) inputs.push_back(p.data());
+      std::vector<double> got = {-1.0};  // a stale score must not survive
+      t.snm->score(inputs, got);
+      ASSERT_EQ(got.size(), n);
+      for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(got[i], want[i]) << i;
+    }
+  }
+  runtime::set_compute_parallelism(saved);
 }
 
 TEST(SnmFilter, EmptyBatch) {

@@ -18,6 +18,37 @@ image::Image with_car(const image::Image& bg, int x, int y, int w = 46, int h = 
   return frame;
 }
 
+// The engine's hand-off: an SDD worker prepares the detector input and GPU0
+// detects on it. Every detection must equal what detect(frame) reports.
+TEST(TYolo, DetectPreparedMatchesDetect) {
+  video::SceneConfig cfg = video::jackson_profile();
+  cfg.width = 256;
+  cfg.height = 192;
+  cfg.tor = 0.7;
+  const video::SceneSimulator sim(cfg, 43, 64);
+  const TYoloDetector tyolo(TYoloConfig{}, sim.background());
+  int detections = 0;
+  for (int i = 0; i < 64; i += 3) {
+    const image::Image frame = sim.render(i).image;
+    image::Image input;
+    tyolo.prepare(frame, input);
+    const DetectionResult want = tyolo.detect(frame);
+    const DetectionResult got = tyolo.detect_prepared(input);
+    ASSERT_EQ(got.detections.size(), want.detections.size()) << "frame " << i;
+    for (std::size_t k = 0; k < got.detections.size(); ++k) {
+      const Detection& g = got.detections[k];
+      const Detection& w = want.detections[k];
+      EXPECT_EQ(g.cls, w.cls);
+      EXPECT_EQ(g.box, w.box);
+      EXPECT_EQ(g.confidence, w.confidence);
+      EXPECT_EQ(g.instances, w.instances);
+      EXPECT_EQ(g.pixels, w.pixels);
+    }
+    detections += static_cast<int>(got.detections.size());
+  }
+  EXPECT_GT(detections, 0);
+}
+
 TEST(TYolo, DetectsFullCar) {
   const auto bg = street_bg();
   TYoloDetector tyolo(TYoloConfig{}, bg);

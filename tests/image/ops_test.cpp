@@ -160,41 +160,58 @@ TEST(AbsDiff, MatchesManualComputation) {
   EXPECT_EQ(abs_diff(b, a).at(0, 0), 7);
 }
 
-TEST(GaussianBlur, NonPositiveSigmaIsCopy) {
-  const Image img = random_image(10, 10, 1, 8);
-  EXPECT_EQ(gaussian_blur(img, 0.0), img);
-  EXPECT_EQ(gaussian_blur(img, -1.0), img);
+Image erode(const Image& binary) {
+  Image out;
+  erode3x3(binary, out);
+  return out;
 }
 
-TEST(GaussianBlur, PreservesConstantImage) {
-  const Image img(12, 12, 1, 77);
-  const Image out = gaussian_blur(img, 1.5);
-  for (int y = 0; y < 12; ++y) {
-    for (int x = 0; x < 12; ++x) EXPECT_NEAR(out.at(x, y), 77, 1);
-  }
+Image dilate(const Image& binary) {
+  Image out;
+  dilate3x3(binary, out);
+  return out;
 }
 
-TEST(GaussianBlur, SmoothsAnImpulse) {
-  Image img(11, 11, 1, 0);
-  img.at(5, 5) = 255;
-  const Image out = gaussian_blur(img, 1.0);
-  EXPECT_LT(out.at(5, 5), 255);
-  EXPECT_GT(out.at(4, 5), 0);
-  EXPECT_GT(out.at(5, 4), 0);
-  // Energy decays with distance from the impulse.
-  EXPECT_GT(out.at(5, 5), out.at(3, 5));
-  EXPECT_GT(out.at(4, 5), out.at(2, 5));
+Image blur_threshold(const Image& src, double sigma, std::uint8_t t) {
+  Image out;
+  image::blur_threshold(src, sigma, t, out);
+  return out;
 }
 
-TEST(Threshold, BinaryOutput) {
+TEST(BlurThreshold, NonPositiveSigmaOnlyThresholds) {
   Image img(3, 1, 1);
   img.at(0, 0) = 10;
   img.at(1, 0) = 100;
   img.at(2, 0) = 200;
-  const Image out = threshold(img, 100);
+  for (const double sigma : {0.0, -1.0}) {
+    const Image out = blur_threshold(img, sigma, 100);
+    EXPECT_EQ(out.at(0, 0), 0);
+    EXPECT_EQ(out.at(1, 0), 0);  // strictly greater-than
+    EXPECT_EQ(out.at(2, 0), 255);
+  }
+}
+
+TEST(BlurThreshold, ConstantImageStaysOnItsSide) {
+  const Image img(12, 12, 1, 77);
+  const Image above = blur_threshold(img, 1.5, 76);
+  const Image below = blur_threshold(img, 1.5, 77);
+  for (int y = 0; y < 12; ++y) {
+    for (int x = 0; x < 12; ++x) {
+      EXPECT_EQ(above.at(x, y), 255);
+      EXPECT_EQ(below.at(x, y), 0);
+    }
+  }
+}
+
+TEST(BlurThreshold, SpreadsAnImpulse) {
+  Image img(11, 11, 1, 0);
+  img.at(5, 5) = 255;
+  const Image out = blur_threshold(img, 1.0, 10);
+  EXPECT_EQ(out.at(5, 5), 255);
+  EXPECT_EQ(out.at(4, 5), 255);
+  EXPECT_EQ(out.at(5, 4), 255);
+  EXPECT_EQ(out.at(1, 5), 0);  // the tail falls below the threshold
   EXPECT_EQ(out.at(0, 0), 0);
-  EXPECT_EQ(out.at(1, 0), 0);  // strictly greater-than
-  EXPECT_EQ(out.at(2, 0), 255);
 }
 
 TEST(Otsu, SeparatesBimodalHistogram) {
@@ -210,14 +227,14 @@ TEST(Otsu, SeparatesBimodalHistogram) {
 TEST(Morphology, ErodeRemovesIsolatedPixel) {
   Image img(9, 9, 1, 0);
   img.at(4, 4) = 255;
-  const Image out = erode3x3(img);
+  const Image out = erode(img);
   EXPECT_EQ(out.at(4, 4), 0);
 }
 
 TEST(Morphology, DilateGrowsRegion) {
   Image img(9, 9, 1, 0);
   img.at(4, 4) = 255;
-  const Image out = dilate3x3(img);
+  const Image out = dilate(img);
   EXPECT_EQ(out.at(4, 4), 255);
   EXPECT_EQ(out.at(3, 4), 255);
   EXPECT_EQ(out.at(5, 5), 255);
@@ -229,7 +246,7 @@ TEST(Morphology, OpeningPreservesLargeBlob) {
   for (int y = 5; y < 15; ++y) {
     for (int x = 5; x < 15; ++x) img.at(x, y) = 255;
   }
-  const Image opened = dilate3x3(erode3x3(img));
+  const Image opened = dilate(erode(img));
   EXPECT_EQ(opened.at(10, 10), 255);
   EXPECT_EQ(opened.at(0, 0), 0);
 }
@@ -309,6 +326,14 @@ Image gaussian_blur(const Image& src, double sigma) {
   return out;
 }
 
+Image threshold(const Image& src, std::uint8_t t) {
+  Image out(src.width(), src.height(), src.channels());
+  for (std::size_t i = 0; i < src.size_bytes(); ++i) {
+    out.data()[i] = src.data()[i] > t ? 255 : 0;
+  }
+  return out;
+}
+
 Image morph3x3(const Image& binary, bool erode) {
   Image out(binary.width(), binary.height(), binary.channels());
   const int w = binary.width(), h = binary.height();
@@ -371,35 +396,81 @@ Image random_mask(int w, int h, int c, double density, std::uint64_t seed) {
   return img;
 }
 
-TEST(ExactnessOracle, GaussianBlurMatchesClampedLoops) {
+/// A map whose rows straddle threshold `t`: rows of zeros, rows of values
+/// up to exactly t, full-range rows, rows with a lone t + 1, and a block of
+/// t + 1 large enough to hold a whole blur window. So every way a window can
+/// sit at, just above or far above t occurs.
+Image straddling_map(int w, int h, int c, std::uint8_t t, std::uint64_t seed) {
+  Image img(w, h, c);
+  runtime::Xoshiro256 rng(seed);
+  const int up = std::min(255, t + 1);
+  for (int y = 0; y < h; ++y) {
+    const auto kind = rng.below(5);
+    std::uint8_t* row = img.data() + static_cast<std::size_t>(y) * w * c;
+    for (int i = 0; i < w * c; ++i) {
+      std::uint64_t v = 0;
+      switch (kind) {
+        case 0: break;
+        case 1: v = rng.below(t + 1u); break;
+        case 2: v = rng.below(256); break;
+        default: v = t - rng.below(std::min<std::uint64_t>(t, 3) + 1);  // t-3 .. t
+      }
+      row[i] = static_cast<std::uint8_t>(v);
+    }
+    if (kind == 3) {
+      row[rng.below(static_cast<std::uint64_t>(w) * c)] = static_cast<std::uint8_t>(up);
+    }
+  }
+  const int bw = std::min(w, 19), bh = std::min(h, 19);
+  const int x0 = static_cast<int>(rng.below(static_cast<std::uint64_t>(w - bw + 1)));
+  const int y0 = static_cast<int>(rng.below(static_cast<std::uint64_t>(h - bh + 1)));
+  for (int y = y0; y < y0 + bh; ++y) {
+    for (int x = x0; x < x0 + bw; ++x) {
+      for (int ch = 0; ch < c; ++ch) img.at(x, y, ch) = static_cast<std::uint8_t>(up);
+    }
+  }
+  return img;
+}
+
+/// The fused kernel against thresholding the plain-loop blur.
+void expect_blur_threshold_exact(const Image& img, double sigma, std::uint8_t t) {
+  EXPECT_EQ(blur_threshold(img, sigma, t),
+            oracle::threshold(oracle::gaussian_blur(img, sigma), t))
+      << "sigma " << sigma << ", t " << int{t} << ", " << img.width() << "x"
+      << img.height() << "x" << img.channels();
+}
+
+constexpr double kSigmas[] = {0.5, 0.7, 1.0, 1.6, 2.5};
+constexpr std::uint8_t kThresholds[] = {0, 24, 28, 254, 255};
+
+TEST(ExactnessOracle, BlurThresholdMatchesClampedLoops) {
   std::uint64_t seed = 100;
-  for (const double sigma : {0.5, 0.7, 1.0, 1.6, 2.5}) {
+  for (const double sigma : kSigmas) {
     const int r = std::max(1, static_cast<int>(std::ceil(3.0 * sigma)));
     const std::vector<int> sizes = {1, 2, r, 2 * r + 1, 37};
-    for (const int c : {1, 3}) {
-      for (const int w : sizes) {
-        for (const int h : sizes) {
-          const Image img = random_image(w, h, c, ++seed);
-          EXPECT_EQ(gaussian_blur(img, sigma), oracle::gaussian_blur(img, sigma))
-              << "sigma " << sigma << ", " << w << "x" << h << "x" << c;
+    for (const std::uint8_t t : kThresholds) {
+      for (const int c : {1, 3}) {
+        for (const int w : sizes) {
+          for (const int h : sizes) {
+            expect_blur_threshold_exact(straddling_map(w, h, c, t, ++seed), sigma, t);
+            expect_blur_threshold_exact(random_image(w, h, c, ++seed), sigma, t);
+          }
         }
+        expect_blur_threshold_exact(straddling_map(256, 192, c, t, ++seed), sigma, t);
       }
-      const Image frame = random_image(256, 192, c, ++seed);
-      EXPECT_EQ(gaussian_blur(frame, sigma), oracle::gaussian_blur(frame, sigma))
-          << "sigma " << sigma << ", 256x192x" << c;
     }
   }
 }
 
-TEST(ExactnessOracle, GaussianBlurOfSaturatedBlocks) {
+TEST(ExactnessOracle, BlurThresholdOfSaturatedBlocks) {
   // Hard 0/255 edges drive sums to the ends of the output range, where the
   // final clamp and rounding decide the byte.
   Image img(64, 48, 1, 0);
   for (int y = 8; y < 40; ++y) {
     for (int x = 10; x < 50; ++x) img.at(x, y) = 255;
   }
-  for (const double sigma : {0.5, 0.7, 1.0, 1.6, 2.5}) {
-    EXPECT_EQ(gaussian_blur(img, sigma), oracle::gaussian_blur(img, sigma)) << sigma;
+  for (const double sigma : kSigmas) {
+    for (const std::uint8_t t : kThresholds) expect_blur_threshold_exact(img, sigma, t);
   }
 }
 
@@ -411,15 +482,15 @@ TEST(ExactnessOracle, MorphologyMatchesClampedLoops) {
       for (const int w : sizes) {
         for (const int h : sizes) {
           const Image mask = random_mask(w, h, c, density, ++seed);
-          EXPECT_EQ(erode3x3(mask), oracle::morph3x3(mask, /*erode=*/true))
+          EXPECT_EQ(erode(mask), oracle::morph3x3(mask, /*erode=*/true))
               << w << "x" << h << "x" << c << " density " << density;
-          EXPECT_EQ(dilate3x3(mask), oracle::morph3x3(mask, /*erode=*/false))
+          EXPECT_EQ(dilate(mask), oracle::morph3x3(mask, /*erode=*/false))
               << w << "x" << h << "x" << c << " density " << density;
         }
       }
       const Image frame = random_mask(256, 192, c, density, ++seed);
-      EXPECT_EQ(erode3x3(frame), oracle::morph3x3(frame, true)) << density;
-      EXPECT_EQ(dilate3x3(frame), oracle::morph3x3(frame, false)) << density;
+      EXPECT_EQ(erode(frame), oracle::morph3x3(frame, true)) << density;
+      EXPECT_EQ(dilate(frame), oracle::morph3x3(frame, false)) << density;
     }
   }
 }

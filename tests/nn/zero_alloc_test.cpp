@@ -3,7 +3,8 @@
 // The steady-state contract of the scratch-threaded forward pass is "warm
 // calls never touch the heap": GemmScratch / InferenceScratch / SnmScratch
 // buffers are grow-only and sized on the first call, after which predict()
-// and forward_inference() must perform zero allocations. This test counts
+// and forward_inference() must perform zero allocations, and the batched
+// and segmentation calls only the allocations each test names. This test counts
 // them directly by overriding the global allocation functions, which is
 // why it lives in its own binary rather than nn_tests.
 //
@@ -59,7 +60,9 @@ void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 #pragma GCC diagnostic pop
 
+#include "detect/reference.hpp"
 #include "detect/snm.hpp"
+#include "detect/tyolo.hpp"
 #include "image/components.hpp"
 #include "image/ops.hpp"
 #include "nn/layers.hpp"
@@ -67,6 +70,8 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 #include "runtime/rng.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/spans.hpp"
+#include "video/profiles.hpp"
+#include "video/scene.hpp"
 
 namespace ffsva {
 namespace {
@@ -136,25 +141,97 @@ TEST(ZeroAlloc, WarmSnmPredictIsAllocationFree) {
   runtime::set_compute_parallelism(1);
 }
 
-TEST(ZeroAlloc, WarmSnmPredictBatchIsAllocationFree) {
-  runtime::set_compute_parallelism(1);
-  const image::Image background = noise_image(160, 120, 11);
-  detect::SnmFilter snm(detect::SnmConfig{}, background, 99);
+// Both SNM conv layers fan a 4-frame batch's samples out over the compute
+// pool (conv2d_im2col_into), and each fan-out allocates one parallel_for
+// LoopState. At parallelism 1 nothing fans out. The worker queue (a deque)
+// also takes a node every 32 posts; set_compute_parallelism() starts each
+// parallelism with fresh workers, so these few calls never reach one.
+long conv_fan_outs(int parallelism) { return parallelism > 1 ? 2 : 0; }
 
+// The GPU0 SNM call scores inputs an SDD worker prepared, into a
+// caller-owned buffer: warm, it allocates only the conv fan-outs.
+// predict_batch() is prepare + score and adds only its returned vector.
+TEST(ZeroAlloc, WarmSnmScoreAllocatesOnlyConvFanOuts) {
+  const image::Image background = noise_image(160, 120, 11);
   std::vector<image::Image> frames;
   for (int i = 0; i < 4; ++i) frames.push_back(noise_image(160, 120, 20u + i));
   std::vector<const image::Image*> ptrs;
   for (const auto& f : frames) ptrs.push_back(&f);
 
-  (void)snm.predict_batch(ptrs);
-  (void)snm.predict_batch(ptrs);
+  for (const int parallelism : kParallelisms) {
+    SCOPED_TRACE(parallelism);
+    runtime::set_compute_parallelism(parallelism);
+    detect::SnmFilter snm(detect::SnmConfig{}, background, 99);
+    std::vector<std::vector<float>> prepared(frames.size());
+    std::vector<const float*> inputs;
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      snm.prepare(frames[i], prepared[i]);
+      inputs.push_back(prepared[i].data());
+    }
+    std::vector<double> scores;
+    snm.score(inputs, scores);
+    (void)snm.predict_batch(ptrs);
 
-  // The returned vector<double> itself must allocate; everything else is
-  // warm. Allow exactly the result allocations for the two calls.
+    {
+      AllocWindow window;
+      snm.score(inputs, scores);
+      EXPECT_EQ(window.count(), conv_fan_outs(parallelism));
+    }
+    AllocWindow window;
+    const auto probs = snm.predict_batch(ptrs);
+    EXPECT_EQ(window.count(), 1 + conv_fan_outs(parallelism));
+    EXPECT_EQ(probs, scores);
+  }
+  runtime::set_compute_parallelism(1);
+}
+
+/// A busy frame of a 256x192 jackson camera and the camera's background.
+struct BusyFrame {
+  image::Image frame, background;
+};
+
+const BusyFrame& busy_frame() {
+  static const BusyFrame* f = [] {
+    video::SceneConfig cfg = video::jackson_profile();
+    cfg.width = 256;
+    cfg.height = 192;
+    cfg.tor = 0.7;
+    const video::SceneSimulator sim(cfg, 43, 64);
+    return new BusyFrame{sim.render(20).image, sim.background()};
+  }();
+  return *f;
+}
+
+// Warm, a T-YOLO detect on a prepared input and a reference detect allocate
+// only their two result lists: the component list and the detection list.
+// The motion map, the mask, the opening and the blur ring are per-thread
+// scratch.
+TEST(ZeroAlloc, WarmTYoloDetectPreparedAllocatesOnlyItsResults) {
+  runtime::set_compute_parallelism(1);
+  const BusyFrame& f = busy_frame();
+  const detect::TYoloDetector tyolo(detect::TYoloConfig{}, f.background);
+  image::Image input;
+  tyolo.prepare(f.frame, input);
+  (void)tyolo.detect_prepared(input);
+  (void)tyolo.detect_prepared(input);
+
   AllocWindow window;
-  const auto probs = snm.predict_batch(ptrs);
-  EXPECT_LE(window.count(), 1);
-  EXPECT_EQ(4u, probs.size());
+  const auto result = tyolo.detect_prepared(input);
+  EXPECT_EQ(window.count(), 2);
+  EXPECT_FALSE(result.detections.empty());
+}
+
+TEST(ZeroAlloc, WarmReferenceDetectAllocatesOnlyItsResults) {
+  runtime::set_compute_parallelism(1);
+  const BusyFrame& f = busy_frame();
+  const detect::ReferenceDetector reference(detect::ReferenceConfig{}, f.background);
+  (void)reference.detect(f.frame);
+  (void)reference.detect(f.frame);
+
+  AllocWindow window;
+  const auto result = reference.detect(f.frame);
+  EXPECT_EQ(window.count(), 2);
+  EXPECT_FALSE(result.detections.empty());
 }
 
 // The segmentation kernels every detector runs per frame keep their scratch
