@@ -8,8 +8,8 @@
 // kernel by design, so there is nothing to compare. The binary exits
 // non-zero when the two kernels disagree.
 //
-// The CPU kernels nothing else measures: scene rendering, the SDD-input
-// resize, SNM batch inference at 1/8/16 frames, delta-RLE decode, the three
+// The CPU kernels nothing else measures: scene rendering, the plan-based
+// SDD-input resize, SNM batch inference at 1/8/16 frames, delta-RLE decode, the three
 // convolution paths (direct, im2col, im2col over pruned weights), and two
 // pipeline primitives (bounded-queue push/pop, the T-YOLO scheduler).
 //
@@ -17,9 +17,10 @@
 // reference model segment frames against the background; they run no
 // network) at a 256x192 camera: the motion map, the Gaussian blur, the 3x3
 // opening, connected components of the opened mask, the plan-based resize
-// to T-YOLO's 104x104 input, and whole SDD distance, T-YOLO detect and
-// reference detect calls. The engine benchmark measures the same filters
-// inside the engine (enginebench/probes.cpp).
+// to T-YOLO's 104x104 input, SDD's moment kernel on a resized 100x100
+// pair, and whole SDD distance, T-YOLO detect and reference detect calls.
+// The engine benchmark measures the same filters inside the engine
+// (enginebench/probes.cpp).
 //
 // Every row's fps is calls per second (SNM rows add frames_per_sec). One
 // run is a batch of calls at least 10 ms long, so clock resolution vanishes.
@@ -193,8 +194,14 @@ int main(int argc, char** argv) {
                 keep(sim.render(next_render));
                 next_render = (next_render + 1) % 200;
               }});
-  bench_group(report, {"resize_to_sdd_input"},
-              {[&] { keep(image::resize_bilinear(frames[0].image, 100, 100)); }});
+  // The resize half of SDD's distance: the plan-based resize it runs.
+  image::ResizePlan sdd_plan;
+  sdd_plan.ensure(cfg.width, cfg.height, 100, 100);
+  image::Image sdd_input;
+  bench_group(report, {"resize_to_sdd_input"}, {[&] {
+                image::resize_bilinear_into(frames[0].image, sdd_plan, sdd_input);
+                keep(sdd_input);
+              }});
 
   for (const int batch : {1, 8, 16}) {
     std::vector<const image::Image*> imgs;
@@ -325,10 +332,22 @@ int main(int argc, char** argv) {
     tyolo.prepare(seg_frames[i], tyolo_inputs[i]);
   }
   std::size_t next_input = 0;
+  // The moments half of SDD's distance, on frames already resized to 100x100.
+  const image::Image sdd_ref = image::resize_bilinear(bg, 100, 100);
+  std::vector<image::Image> sdd_inputs;
+  for (const auto& f : seg_frames) {
+    sdd_inputs.push_back(image::resize_bilinear(f, 100, 100));
+  }
+  std::size_t next_sdd = 0;
   bench_group(report,
-              {"detect/sdd_distance", "detect/tyolo_detect",
-               "detect/tyolo_detect_prepared", "detect/reference_detect_256x192"},
+              {"detect/sdd_distance", "detect/sdd_moments_100x100",
+               "detect/tyolo_detect", "detect/tyolo_detect_prepared",
+               "detect/reference_detect_256x192"},
               {[&] { keep(sdd.distance(frame())); },
+               [&] {
+                 next_sdd = (next_sdd + 1) % sdd_inputs.size();
+                 keep(image::gain_compensated_mse(sdd_inputs[next_sdd], sdd_ref));
+               },
                [&] { keep(tyolo.detect(frame())); },
                [&] {
                  next_input = (next_input + 1) % tyolo_inputs.size();

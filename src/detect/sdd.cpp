@@ -32,53 +32,6 @@ SddFilter::SddFilter(SddConfig config, const image::Image& reference_background)
   }
 }
 
-namespace {
-
-/// Gain-compensated distance over `pixels` pixels of C interleaved channels:
-/// remove the per-channel mean frame-vs-reference offset (global
-/// illumination / white balance) and measure what is left (local content
-/// change) as the mean of |d| (kAbs) or of d^2.
-template <int C, bool kAbs>
-double gain_compensated(const std::uint8_t* a, const std::uint8_t* b,
-                        std::size_t pixels) {
-  // The offsets are integers and every partial sum is far below 2^53, so an
-  // integer sum gives the same double as summing the differences in double.
-  std::int64_t offset[C] = {};
-  for (std::size_t p = 0; p < pixels; ++p) {
-    for (int ch = 0; ch < C; ++ch) {
-      offset[ch] += static_cast<int>(a[p * C + ch]) - static_cast<int>(b[p * C + ch]);
-    }
-  }
-  const std::size_t n = pixels * C;
-  const double per_channel = static_cast<double>(n) / C;
-  double mean[C];
-  for (int ch = 0; ch < C; ++ch) {
-    mean[ch] = static_cast<double>(offset[ch]) / per_channel;
-  }
-  double acc = 0.0;
-  for (std::size_t p = 0; p < pixels; ++p) {
-    for (int ch = 0; ch < C; ++ch) {
-      const double d = static_cast<double>(a[p * C + ch]) -
-                       static_cast<double>(b[p * C + ch]) - mean[ch];
-      if constexpr (kAbs) {
-        acc += std::abs(d);
-      } else {
-        acc += d * d;
-      }
-    }
-  }
-  return acc / static_cast<double>(n);
-}
-
-template <bool kAbs>
-double gain_compensated(const image::Image& a, const image::Image& b) {
-  const std::size_t pixels = static_cast<std::size_t>(a.width()) * a.height();
-  return a.channels() == 3 ? gain_compensated<3, kAbs>(a.data(), b.data(), pixels)
-                           : gain_compensated<1, kAbs>(a.data(), b.data(), pixels);
-}
-
-}  // namespace
-
 double SddFilter::distance(const image::Image& frame) const {
   FaultHook::on_call(FaultStage::kSdd);
   runtime::check_cancel();
@@ -106,10 +59,10 @@ double SddFilter::distance(const image::Image& frame) const {
     return 0.0;
   }
   switch (config_.metric) {
-    case SddMetric::kMse: return gain_compensated<false>(small, reference_);
+    case SddMetric::kMse: return image::gain_compensated_mse(small, reference_);
     case SddMetric::kNrmse:
-      return std::sqrt(gain_compensated<false>(small, reference_)) / 255.0;
-    case SddMetric::kSad: return gain_compensated<true>(small, reference_);
+      return std::sqrt(image::gain_compensated_mse(small, reference_)) / 255.0;
+    case SddMetric::kSad: return image::gain_compensated_sad(small, reference_);
   }
   return 0.0;
 }

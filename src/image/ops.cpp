@@ -162,6 +162,111 @@ double sad(const Image& a, const Image& b) {
   return static_cast<double>(acc) / static_cast<double>(n);
 }
 
+namespace {
+
+// The moment kernels sum kLanes values at a time into kLanes accumulators.
+// kLanes is a multiple of both channel counts, so lane j only ever sees
+// channel j % channels, and the fixed-length lane loop vectorises.
+constexpr std::size_t kLanes = 48;
+// Lane sums of squares stay in int32 for kFoldBlocks blocks (1024 * 255^2 <
+// 2^31), then fold into the int64 channel totals.
+constexpr std::size_t kFoldBlocks = 1024;
+// N * Q_c summed over 3 channels is at most 3 * 255^2 * N^2 < 2^63.
+constexpr std::size_t kMaxMomentPixels = std::size_t{1} << 22;
+
+struct ChannelMoments {
+  std::int64_t sum[3] = {};     ///< S_c: sum of a - b over channel c.
+  std::int64_t sum_sq[3] = {};  ///< Q_c: sum of (a - b)^2 over channel c.
+};
+
+void require_moment_shape(const Image& a, const Image& b) {
+  require_same_shape(a, b);
+  if (static_cast<std::size_t>(a.width()) * a.height() > kMaxMomentPixels) {
+    throw std::invalid_argument("gain-compensated distance: image too large");
+  }
+}
+
+ChannelMoments channel_moments(const Image& a, const Image& b) {
+  const std::uint8_t* pa = a.data();
+  const std::uint8_t* pb = b.data();
+  const std::size_t n = a.size_bytes();
+  const std::size_t lane_end = n - n % kLanes;
+  const std::size_t channels = static_cast<std::size_t>(a.channels());
+  ChannelMoments m;
+  std::size_t i = 0;
+  while (i < lane_end) {
+    std::int32_t s[kLanes] = {};
+    std::int32_t q[kLanes] = {};
+    const std::size_t fold_end = std::min(lane_end, i + kFoldBlocks * kLanes);
+    for (; i < fold_end; i += kLanes) {
+      for (std::size_t j = 0; j < kLanes; ++j) {
+        const std::int32_t x =
+            static_cast<std::int32_t>(pa[i + j]) - static_cast<std::int32_t>(pb[i + j]);
+        s[j] += x;
+        q[j] += x * x;
+      }
+    }
+    for (std::size_t j = 0; j < kLanes; ++j) {
+      m.sum[j % channels] += s[j];
+      m.sum_sq[j % channels] += q[j];
+    }
+  }
+  for (; i < n; ++i) {
+    const std::int64_t x = static_cast<int>(pa[i]) - static_cast<int>(pb[i]);
+    m.sum[i % channels] += x;
+    m.sum_sq[i % channels] += x * x;
+  }
+  return m;
+}
+
+}  // namespace
+
+double gain_compensated_mse(const Image& a, const Image& b) {
+  require_moment_shape(a, b);
+  if (a.empty()) return 0.0;
+  const ChannelMoments m = channel_moments(a, b);
+  const auto pixels = static_cast<std::int64_t>(a.width()) * a.height();
+  std::int64_t numerator = 0;  // N * sum of squared residuals; exact.
+  for (int c = 0; c < a.channels(); ++c) {
+    numerator += pixels * m.sum_sq[c] - m.sum[c] * m.sum[c];
+  }
+  return static_cast<double>(numerator) /
+         (static_cast<double>(pixels) * static_cast<double>(a.size_bytes()));
+}
+
+double gain_compensated_sad(const Image& a, const Image& b) {
+  require_moment_shape(a, b);
+  if (a.empty()) return 0.0;
+  const ChannelMoments m = channel_moments(a, b);
+  const auto pixels = static_cast<std::int64_t>(a.width()) * a.height();
+  const std::uint8_t* pa = a.data();
+  const std::uint8_t* pb = b.data();
+  const std::size_t n = a.size_bytes();
+  const std::size_t lane_end = n - n % kLanes;
+  const std::size_t channels = static_cast<std::size_t>(a.channels());
+  // |N * x - S_c| is N times the distance of x from the exact channel mean.
+  std::int64_t mean_n[kLanes];
+  std::int64_t acc[kLanes] = {};
+  for (std::size_t j = 0; j < kLanes; ++j) mean_n[j] = m.sum[j % channels];
+  std::size_t i = 0;
+  for (; i < lane_end; i += kLanes) {
+    for (std::size_t j = 0; j < kLanes; ++j) {
+      const std::int64_t x = static_cast<int>(pa[i + j]) - static_cast<int>(pb[i + j]);
+      const std::int64_t r = pixels * x - mean_n[j];
+      acc[j] += r < 0 ? -r : r;
+    }
+  }
+  std::int64_t numerator = 0;
+  for (std::size_t j = 0; j < kLanes; ++j) numerator += acc[j];
+  for (; i < n; ++i) {
+    const std::int64_t x = static_cast<int>(pa[i]) - static_cast<int>(pb[i]);
+    const std::int64_t r = pixels * x - m.sum[i % channels];
+    numerator += r < 0 ? -r : r;
+  }
+  return static_cast<double>(numerator) /
+         (static_cast<double>(pixels) * static_cast<double>(n));
+}
+
 Image abs_diff(const Image& a, const Image& b) {
   require_same_shape(a, b);
   Image out(a.width(), a.height(), a.channels());

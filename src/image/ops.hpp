@@ -51,6 +51,18 @@ double nrmse(const Image& a, const Image& b);
 /// Mean of absolute differences (SAD normalized by pixel count).
 double sad(const Image& a, const Image& b);
 
+/// Gain-compensated MSE and SAD: the per-channel mean of x = a - b (a global
+/// illumination / white-balance offset) is removed before measuring what is
+/// left. With N pixels, n = N * channels values, and S_c, Q_c the sum and
+/// sum of squares of x over channel c, they are
+///   sum_c (N * Q_c - S_c^2) / (N * n)   and   sum |N * x - S_c| / (N * n),
+/// exact integer numerators over an exact denominator divided once. Up to
+/// ~2e5 pixels the numerators stay below 2^53, so each result is its
+/// definition (exact mean S_c / N) correctly rounded. Shapes must match and
+/// hold at most 2^22 pixels (the int64 numerators' bound); allocation-free.
+double gain_compensated_mse(const Image& a, const Image& b);
+double gain_compensated_sad(const Image& a, const Image& b);
+
 /// |a - b| per pixel.
 Image abs_diff(const Image& a, const Image& b);
 

@@ -1,6 +1,6 @@
 // GPU1 reference-stage batching in the live engine, against two oracles: a
-// ref_batch_size = 1 run (the paper's one-frame loop) fixes the emitted
-// frame set, the global order and the degraded counts, and a direct
+// ref_batch_size = 1 run (the paper's one-frame loop) fixes each stream's
+// emitted frame sequence and the degraded counts, and a direct
 // per-frame reference->detect() call fixes every emitted frame's
 // detections. RefMode::kBatch must match both; a frame the reference model
 // cannot evaluate must be dropped alone (per-frame drop-on-error inside a
@@ -138,6 +138,15 @@ RunResult run_one_frame(int streams, std::int64_t begin, std::int64_t end,
                     /*ref_batch_size=*/1);
 }
 
+/// Each stream's emitted frame indices, in emission order: what the
+/// per-stream FIFO contract fixes. How streams interleave is not fixed.
+std::map<int, std::vector<std::int64_t>> per_stream(
+    const std::vector<std::pair<int, std::int64_t>>& outputs) {
+  std::map<int, std::vector<std::int64_t>> seq;
+  for (const auto& [stream, index] : outputs) seq[stream].push_back(index);
+  return seq;
+}
+
 void expect_same_detections(const detect::DetectionResult& got,
                             const detect::DetectionResult& want) {
   ASSERT_EQ(got.detections.size(), want.detections.size());
@@ -150,13 +159,15 @@ void expect_same_detections(const detect::DetectionResult& got,
 TEST(RefBatch, BatchedOutputsEqualOneFrameLoopAndPerFrameOracle) {
   const auto one = run_one_frame(2, 700, 1000);
   const auto batched = run_window(RefMode::kBatch, 2, 700, 1000);
-  // Identical emitted frames in identical global order is stronger than the
-  // contract (which fixes only per-stream order), but it holds here because
-  // every batch size emits in pop order from the same FIFO ref_q.
-  ASSERT_EQ(batched.outputs, one.outputs);
+  // Every stream emits the same frames in the same order; how the two
+  // streams interleave depends on thread timing and may differ between runs.
+  ASSERT_EQ(per_stream(batched.outputs), per_stream(one.outputs));
   ASSERT_GT(batched.outputs.size(), 0u);
+  // Each run's detections against the oracle on its own emitted frames.
   for (std::size_t i = 0; i < batched.results.size(); ++i) {
     expect_same_detections(batched.results[i], batched.oracle[i]);
+  }
+  for (std::size_t i = 0; i < one.results.size(); ++i) {
     expect_same_detections(one.results[i], one.oracle[i]);
   }
   EXPECT_GT(batched.ref_batches, 0u);
@@ -214,10 +225,11 @@ TEST(RefCropPack, EmitsSameFramesAndAgreesWithPerFrameOracle) {
   auto& s = shared_stream();
   const auto one = run_one_frame(2, 1000, 1300);
   const auto packed = run_window(RefMode::kCropPack, 2, 1000, 1300);
-  // Every mode emits every frame the reference stage could evaluate, so the
-  // emitted frame sets match exactly; what kCropPack may change (bounded by
-  // the fallback policy) is the detections.
-  ASSERT_EQ(packed.outputs, one.outputs);
+  // Every mode emits every frame the reference stage could evaluate, so each
+  // stream's emitted sequence matches exactly; what kCropPack may change
+  // (bounded by the fallback policy) is the detections, compared below
+  // against the oracle on the packed run's own frames.
+  ASSERT_EQ(per_stream(packed.outputs), per_stream(one.outputs));
   ASSERT_GT(packed.outputs.size(), 0u);
   const double conf = s.models.reference->config().confidence_threshold;
   int agree = 0;

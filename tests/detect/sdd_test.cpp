@@ -5,6 +5,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "image/draw.hpp"
 #include "image/ops.hpp"
@@ -195,10 +197,11 @@ TEST(SddFilter, ToStringCoversMetrics) {
   EXPECT_STREQ(to_string(SddMetric::kSad), "SAD");
 }
 
-/// Exactness oracle: SddFilter::distance as first written, with a fresh
-/// resize and luma conversion per call and a flat `i % channels` loop for
-/// the gain-compensated metrics.
-double oracle_distance(const SddConfig& config,
+/// SddFilter::distance before exact moments: a fresh resize and luma
+/// conversion per call, and the gain-compensated metrics as a serial
+/// `double` sum of (a - b - mean)^2 or |a - b - mean| over a flat
+/// `i % channels` loop, with the channel mean rounded to `double` first.
+double serial_distance(const SddConfig& config,
                        const image::Image& reference_background,
                        const image::Image& frame) {
   const image::Image reference =
@@ -247,6 +250,59 @@ double oracle_distance(const SddConfig& config,
   return 0.0;
 }
 
+using u128 = unsigned __int128;
+
+/// p / q rounded once: reduced to lowest terms, both are exact doubles, and
+/// IEEE division rounds their quotient correctly.
+double rounded_ratio(u128 p, u128 q) {
+  u128 x = p, y = q;
+  while (y != 0) {
+    const u128 r = x % y;
+    x = y;
+    y = r;
+  }
+  p /= x;
+  q /= x;
+  constexpr u128 kExact = u128{1} << 53;
+  EXPECT_LT(p, kExact);
+  EXPECT_LT(q, kExact);
+  return static_cast<double>(static_cast<std::uint64_t>(p)) /
+         static_cast<double>(static_cast<std::uint64_t>(q));
+}
+
+/// Exact oracle: the gain-compensated metric's definition with the exact
+/// channel mean S_c / N, from 128-bit per-value residuals N * x - S_c (not
+/// the kernel's moments) and one final rounding: MSE = sum (N x - S_c)^2 /
+/// (N^2 n), SAD = sum |N x - S_c| / (N n). Other paths as in serial_distance.
+double exact_distance(const SddConfig& config,
+                      const image::Image& reference_background,
+                      const image::Image& frame) {
+  if (!config.gain_compensate || frame.channels() != reference_background.channels()) {
+    return serial_distance(config, reference_background, frame);
+  }
+  const image::Image reference =
+      image::resize_bilinear(reference_background, config.width, config.height);
+  const image::Image small = image::resize_bilinear(frame, config.width, config.height);
+  const std::size_t channels = static_cast<std::size_t>(small.channels());
+  const std::size_t n = small.size_bytes();
+  const auto pixels = static_cast<__int128>(n / channels);
+  __int128 sum[3] = {0, 0, 0};
+  for (std::size_t i = 0; i < n; ++i) {
+    sum[i % channels] += static_cast<int>(small.data()[i]) - reference.data()[i];
+  }
+  u128 numerator = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const __int128 x = static_cast<int>(small.data()[i]) - reference.data()[i];
+    const __int128 r = pixels * x - sum[i % channels];
+    numerator += static_cast<u128>(config.metric == SddMetric::kSad ? (r < 0 ? -r : r)
+                                                                     : r * r);
+  }
+  const u128 denominator = static_cast<u128>(pixels) * n;
+  if (config.metric == SddMetric::kSad) return rounded_ratio(numerator, denominator);
+  const double mse = rounded_ratio(numerator, denominator * static_cast<u128>(pixels));
+  return config.metric == SddMetric::kMse ? mse : std::sqrt(mse) / 255.0;
+}
+
 image::Image random_image(int w, int h, int c, std::uint64_t seed) {
   image::Image img(w, h, c);
   runtime::Xoshiro256 rng(seed);
@@ -256,9 +312,11 @@ image::Image random_image(int w, int h, int c, std::uint64_t seed) {
   return img;
 }
 
-TEST(SddFilter, DistanceMatchesOracleBitwise) {
+TEST(SddFilter, DistanceMatchesExactOracleBitwise) {
   // Rendered frames (small, realistic distances) and random ones (large),
-  // colour and gray on either side, at the feature size and off it.
+  // colour and gray on either side, at the feature size and off it. The
+  // distance is its definition correctly rounded; the serial double sum it
+  // replaced differs from it only by that sum's rounding.
   const video::SceneSimulator sim(video::jackson_profile(), 11, 40);
   const image::Image& bg = sim.background();
   const image::Image bg_gray = image::to_gray(bg);
@@ -277,15 +335,59 @@ TEST(SddFilter, DistanceMatchesOracleBitwise) {
         cfg.gain_compensate = gain;
         const SddFilter sdd(cfg, *ref);
         for (const auto& f : frames) {
+          SCOPED_TRACE(testing::Message()
+                       << to_string(metric) << " gain " << gain << " ref channels "
+                       << ref->channels() << " frame " << f.width() << "x"
+                       << f.height() << "x" << f.channels());
           const double got = sdd.distance(f);
-          const double want = oracle_distance(cfg, *ref, f);
+          const double want = exact_distance(cfg, *ref, f);
           EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
                     std::bit_cast<std::uint64_t>(want))
-              << to_string(metric) << " gain " << gain << " ref channels "
-              << ref->channels() << " frame " << f.width() << "x" << f.height() << "x"
-              << f.channels() << ": " << got << " vs " << want;
+              << got << " vs " << want;
+          const double serial = serial_distance(cfg, *ref, f);
+          EXPECT_LE(std::abs(serial - got), 1e-12 * std::abs(got))
+              << got << " vs serial " << serial;
         }
       }
+    }
+  }
+}
+
+TEST(SddCalibrateOn, SerialAndExactDistancesGiveSameVerdicts) {
+  // Calibrated on either distance, the filter passes and fails the same
+  // frames: the two differ by far less than any gap between frames.
+  const std::pair<const char*, video::SceneConfig> scenes[] = {
+      {"jackson", video::jackson_profile()}, {"coral", video::coral_profile()}};
+  for (auto [scene, cfg] : scenes) {
+    cfg.width = 128;
+    cfg.height = 96;
+    cfg.tor = 0.4;
+    video::SceneSimulator sim(cfg, 23, 400);
+    std::vector<video::Frame> frames;
+    for (int i = 0; i < 400; ++i) frames.push_back(sim.render(i));
+    for (const SddMetric metric :
+         {SddMetric::kMse, SddMetric::kNrmse, SddMetric::kSad}) {
+      SCOPED_TRACE(testing::Message() << scene << " " << to_string(metric));
+      SddConfig sc;
+      sc.metric = metric;
+      SddFilter exact(sc, sim.background());
+      SddFilter serial(sc, sim.background());
+      exact.calibrate_on(frames, cfg.target);
+      std::vector<double> serial_d;
+      std::vector<bool> labels;
+      for (const auto& f : frames) {
+        serial_d.push_back(serial_distance(sc, sim.background(), f.image));
+        labels.push_back(f.gt.any_target(cfg.target));
+      }
+      serial.calibrate(serial_d, labels);
+      int passed = 0;
+      for (std::size_t i = 0; i < frames.size(); ++i) {
+        const bool pass = exact.pass(frames[i].image);
+        EXPECT_EQ(pass, serial_d[i] > serial.config().delta_diff) << "frame " << i;
+        passed += pass ? 1 : 0;
+      }
+      EXPECT_GT(passed, 0);
+      EXPECT_LT(passed, static_cast<int>(frames.size()));
     }
   }
 }

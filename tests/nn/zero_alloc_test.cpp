@@ -49,6 +49,19 @@ void* operator new[](std::size_t size) {
   throw std::bad_alloc();
 }
 
+// The nothrow forms (std::stable_sort's temporary buffer uses them) must be
+// malloc-backed too, or the delete replacements below free memory that
+// another allocator handed out.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  count_alloc();
+  return std::malloc(size ? size : 1);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  count_alloc();
+  return std::malloc(size ? size : 1);
+}
+
 // GCC's -Wmismatched-new-delete pairs an inlined free() with the new
 // expression that produced the pointer; it cannot see that the replacement
 // operator new above is itself malloc-backed, which makes the pairing valid.
@@ -61,6 +74,7 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 #pragma GCC diagnostic pop
 
 #include "detect/reference.hpp"
+#include "detect/sdd.hpp"
 #include "detect/snm.hpp"
 #include "detect/tyolo.hpp"
 #include "image/components.hpp"
@@ -137,6 +151,42 @@ TEST(ZeroAlloc, WarmSnmPredictIsAllocationFree) {
     EXPECT_LE(pa, 1.0);
     EXPECT_GE(pb, 0.0);
     EXPECT_LE(pb, 1.0);
+  }
+  runtime::set_compute_parallelism(1);
+}
+
+// SDD's distance resizes into per-thread staging and sums its moments on the
+// calling thread: nothing fans out, so the compute parallelism must not
+// matter.
+TEST(ZeroAlloc, WarmSddDistanceIsAllocationFree) {
+  video::SceneConfig cfg = video::jackson_profile();
+  cfg.width = 256;
+  cfg.height = 192;
+  cfg.tor = 0.7;
+  const video::SceneSimulator sim(cfg, 43, 8);
+  const image::Image frame_a = sim.render(2).image;
+  const image::Image frame_b = sim.render(6).image;
+
+  for (const int parallelism : kParallelisms) {
+    SCOPED_TRACE(parallelism);
+    runtime::set_compute_parallelism(parallelism);
+    using detect::SddMetric;
+    for (const SddMetric metric :
+         {SddMetric::kMse, SddMetric::kNrmse, SddMetric::kSad}) {
+      SCOPED_TRACE(detect::to_string(metric));
+      detect::SddConfig sc;
+      sc.metric = metric;
+      const detect::SddFilter sdd(sc, sim.background());
+      (void)sdd.distance(frame_a);  // Warm-up sizes the resize plan + staging.
+      (void)sdd.distance(frame_b);
+
+      AllocWindow window;
+      const double da = sdd.distance(frame_a);
+      const double db = sdd.distance(frame_b);
+      EXPECT_EQ(0, window.count());
+      EXPECT_GT(da, 0.0);
+      EXPECT_GT(db, 0.0);
+    }
   }
   runtime::set_compute_parallelism(1);
 }
