@@ -19,6 +19,9 @@
 // opening, connected components of the opened mask, the plan-based resize
 // to T-YOLO's 104x104 input, SDD's moment kernel on a resized 100x100
 // pair, and whole SDD distance, T-YOLO detect and reference detect calls.
+// The resize/* rows time the resizes at the engine benchmark's frame sizes:
+// SDD's 100x100 input from offline_stored's 192x144 frames and SNM's 50x50
+// input from offline_busy's 256x192 frames.
 // The engine benchmark measures the same filters inside the engine
 // (enginebench/probes.cpp).
 //
@@ -325,6 +328,26 @@ int main(int argc, char** argv) {
                [&] {
                  image::resize_bilinear_into(frame(), tyolo_plan, tyolo_input);
                  keep(tyolo_input);
+               }});
+  std::vector<image::Image> stored_frames;
+  for (const auto& f : seg_frames) {
+    stored_frames.push_back(image::resize_bilinear(f, 192, 144));
+  }
+  std::size_t next_stored = 0;
+  image::ResizePlan sdd_stored_plan, snm_plan;
+  sdd_stored_plan.ensure(192, 144, 100, 100);
+  snm_plan.ensure(seg_cfg.width, seg_cfg.height, 50, 50);
+  image::Image sdd_stored_input, snm_input;
+  bench_group(report, {"resize/192x144_to_100x100", "resize/256x192_to_50x50"},
+              {[&] {
+                 next_stored = (next_stored + 1) % stored_frames.size();
+                 image::resize_bilinear_into(stored_frames[next_stored],
+                                             sdd_stored_plan, sdd_stored_input);
+                 keep(sdd_stored_input);
+               },
+               [&] {
+                 image::resize_bilinear_into(frame(), snm_plan, snm_input);
+                 keep(snm_input);
                }});
   // T-YOLO on GPU0 runs on inputs an SDD worker already resized.
   std::vector<image::Image> tyolo_inputs(seg_frames.size());

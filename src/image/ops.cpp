@@ -2,8 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 #include <vector>
+
+#ifdef __AVX512F__
+#include <immintrin.h>
+#endif
 
 namespace ffsva::image {
 
@@ -39,6 +44,51 @@ void build_axis(int src, int out, std::vector<std::int32_t>& i0,
         static_cast<std::int32_t>(std::lround(std::clamp(f - a, 0.0, 1.0) * kOne));
   }
 }
+
+/// Blend-row lanes two AVX-512 loads put in reach; the row is padded by it.
+constexpr int kWindow = 32;
+
+#ifdef __AVX512F__
+constexpr int kVecLanes = 16;  ///< int32 lanes per vector.
+
+/// The 3-channel column groups of `plan` (see ResizePlan::group): the
+/// largest g <= 5 whose every group's taps fit one window. g = 1 always
+/// fits, since a pixel's taps are at most one source pixel apart.
+void build_groups(ResizePlan& plan) {
+  const auto at = [](const std::vector<std::int32_t>& v, int i) {
+    return v[static_cast<std::size_t>(i)];
+  };
+  const auto fits = [&](int g) {
+    for (int p = 0; p < plan.out_w; p += g) {
+      const int last = std::min(p + g, plan.out_w) - 1;
+      if ((at(plan.x1, last) - at(plan.x0, p)) * 3 + 2 >= kWindow) return false;
+    }
+    return true;
+  };
+  int g = kVecLanes / 3;
+  while (!fits(g)) --g;
+  const int groups = (plan.out_w + g - 1) / g;
+  plan.group = g;
+  const auto lanes = static_cast<std::size_t>(groups) * kVecLanes;
+  plan.g_base.assign(static_cast<std::size_t>(groups), 0);
+  plan.g_a.assign(lanes, 0);  // Unused lanes read window lane 0 with weight 0.
+  plan.g_b.assign(lanes, 0);
+  plan.g_w.assign(lanes, 0);
+  for (int k = 0; k < groups; ++k) {
+    const int base = at(plan.x0, k * g) * 3;
+    plan.g_base[static_cast<std::size_t>(k)] = base;
+    for (int p = k * g; p < std::min(k * g + g, plan.out_w); ++p) {
+      for (int ch = 0; ch < 3; ++ch) {
+        const auto lane =
+            static_cast<std::size_t>(k * kVecLanes + (p - k * g) * 3 + ch);
+        plan.g_a[lane] = at(plan.x0, p) * 3 + ch - base;
+        plan.g_b[lane] = at(plan.x1, p) * 3 + ch - base;
+        plan.g_w[lane] = at(plan.wx, p);
+      }
+    }
+  }
+}
+#endif
 }  // namespace
 
 void ResizePlan::ensure(int src_width, int src_height, int out_width,
@@ -60,6 +110,9 @@ void ResizePlan::ensure(int src_width, int src_height, int out_width,
   out_h = out_height;
   build_axis(src_w, out_w, x0, x1, wx);
   build_axis(src_h, out_h, y0, y1, wy);
+#ifdef __AVX512F__
+  build_groups(*this);
+#endif
 }
 
 namespace {
@@ -84,6 +137,57 @@ void resize_row(const std::int32_t* blend, const ResizePlan& plan, std::uint8_t*
     }
   }
 }
+
+#ifdef __AVX512F__
+/// Lanes with GCC/Clang vector operators, so the arithmetic reads as the
+/// formula and the narrowing is one __builtin_convertvector.
+using I32x16 = std::int32_t __attribute__((vector_size(64)));
+using U8x16 = std::uint8_t __attribute__((vector_size(16)));
+
+/// resize_row<3> from the plan's column groups, byte-identical: per group
+/// two window loads, two permutes, then (a << 11) + (b - a) * w, which is
+/// a * ux + b * vx exactly. `blend` carries kWindow lanes of padding. A
+/// group's 16 bytes are stored whole while they end inside the row; the
+/// last groups copy only their own bytes, so nothing lands past the row.
+void resize_row_rgb(const std::int32_t* blend, const ResizePlan& plan,
+                    std::uint8_t* out) {
+  constexpr int kBits = ResizePlan::kWeightBits;
+  constexpr int kHalf = 1 << (2 * kBits - 1);
+  // Table pointers held in locals: `out` may alias anything, so members
+  // would be reloaded after every store.
+  const std::int32_t* base = plan.g_base.data();
+  const std::int32_t* ia = plan.g_a.data();
+  const std::int32_t* ib = plan.g_b.data();
+  const std::int32_t* wx = plan.g_w.data();
+  const auto group = [&](std::size_t k) {
+    const std::int32_t* win = blend + base[k];
+    const __m512i lo = _mm512_loadu_si512(win);
+    const __m512i hi = _mm512_loadu_si512(win + kVecLanes);
+    const std::size_t at = k * kVecLanes;
+    const auto tap = [&](const std::int32_t* index) {
+      return I32x16(_mm512_permutex2var_epi32(lo, _mm512_loadu_si512(index + at), hi));
+    };
+    const I32x16 a = tap(ia), b = tap(ib);
+    const auto w = I32x16(_mm512_loadu_si512(wx + at));
+    return __builtin_convertvector(
+        ((a << kBits) + (b - a) * w + kHalf) >> (2 * kBits), U8x16);
+  };
+  const auto groups = plan.g_base.size();
+  const int step = 3 * plan.group;
+  const int row_bytes = 3 * plan.out_w;
+  std::size_t k = 0;
+  for (; k < groups && step * static_cast<int>(k) + kVecLanes <= row_bytes; ++k) {
+    const U8x16 px = group(k);
+    std::memcpy(out + k * step, &px, sizeof px);
+  }
+  for (; k < groups; ++k) {
+    const U8x16 px = group(k);
+    const int at = step * static_cast<int>(k);
+    const int bytes = std::min(step, row_bytes - at);
+    std::memcpy(out + at, &px, static_cast<std::size_t>(bytes));
+  }
+}
+#endif
 }  // namespace
 
 void resize_bilinear_into(const Image& src, const ResizePlan& plan, Image& dst) {
@@ -95,7 +199,7 @@ void resize_bilinear_into(const Image& src, const ResizePlan& plan, Image& dst) 
   //   == (r0a*uy + r1a*vy)*ux + (r0b*uy + r1b*vy)*vx
   // exactly, so the horizontal-first result is unchanged.
   static thread_local std::vector<std::int32_t> blend;
-  blend.resize(row_stride);
+  blend.resize(row_stride + kWindow);
   std::int32_t* b = blend.data();
   constexpr int kOne = 1 << ResizePlan::kWeightBits;
   for (int y = 0; y < plan.out_h; ++y) {
@@ -107,7 +211,11 @@ void resize_bilinear_into(const Image& src, const ResizePlan& plan, Image& dst) 
     for (std::size_t i = 0; i < row_stride; ++i) b[i] = r0[i] * uy + r1[i] * vy;
     std::uint8_t* out = dst.data() + yi * plan.out_w * c;
     if (c == 3) {
+#ifdef __AVX512F__
+      resize_row_rgb(b, plan, out);
+#else
       resize_row<3>(b, plan, out);
+#endif
     } else {
       resize_row<1>(b, plan, out);
     }

@@ -1,7 +1,10 @@
 // Core raster operations used by the filters and the scene simulator.
 //
 // The per-filter resize costs the paper reports (40us / 150us / 400us for
-// SDD / SNM / T-YOLO, Section 4.1) correspond to resize_bilinear here; the
+// SDD / SNM / T-YOLO, Section 4.1) correspond to resize_bilinear_into here:
+// on a 4-vCPU AVX-512 Xeon about 12us for SDD's 100x100 input from a
+// 192x144 frame, 9us for SNM's 50x50 and 18us for T-YOLO's 104x104 from a
+// 256x192 frame (bench_kernels resize/* and seg/resize_into_* rows). The
 // SDD distance metrics of Section 3.2.1 are mse / nrmse / sad.
 #pragma once
 
@@ -20,11 +23,21 @@ Image to_gray(const Image& src);
 /// geometry, so every filter that resizes each frame to a fixed input
 /// size amortizes the floor/clamp/divide work to zero: ensure() rebuilds
 /// the tables only when the geometry actually changes, and
-/// resize_bilinear_into() then runs integer-only per pixel.
+/// resize_bilinear_into() then runs integer-only per pixel. Builds with
+/// AVX-512F (chosen at compile time) resize 3-channel rows from permute
+/// tables; every build writes the same bytes.
 struct ResizePlan {
   int src_w = -1, src_h = -1, out_w = -1, out_h = -1;
   std::vector<std::int32_t> x0, x1, wx;  ///< Per output column.
   std::vector<std::int32_t> y0, y1, wy;  ///< Per output row.
+
+  /// 3-channel column tables for AVX-512F builds (empty otherwise): output
+  /// pixels in groups of `group` (<= 5, so 3 * group <= 16 lanes) whose taps
+  /// all lie in a 32-lane window of the vertically blended row. Per group:
+  /// the window's offset, and 16 lanes each of a-tap index, b-tap index
+  /// (both relative to the window) and weight.
+  int group = 0;
+  std::vector<std::int32_t> g_base, g_a, g_b, g_w;
 
   static constexpr int kWeightBits = 11;  ///< Q11: weights in [0, 2048].
 

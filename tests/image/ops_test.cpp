@@ -516,6 +516,47 @@ TEST(ExactnessOracle, ResizeMatchesGenericChannelLoop) {
       }
     }
   }
+  // Edges of the 3-channel column groups on AVX-512 builds (g pixels per
+  // group, largest g <= 5 whose taps fit a 32-lane window of the row).
+  struct Case {
+    int sw, sh, ow, oh;
+  };
+  const std::vector<Case> edges = {
+      {320, 240, 100, 100},  // g = 3, partial last group (1 pixel).
+      {99, 77, 37, 23},      // g = 4, partial last group; odd widths.
+      {192, 192, 50, 50},    // g = 3, partial last group (2 pixels).
+      {192, 144, 100, 100},  // g = 5, full last group ends at the row end.
+      {256, 192, 50, 50},    // g = 2, full last group ends at the row end.
+      {1000, 4, 7, 3},       // g = 1: extreme downscale, one-pixel groups.
+      {5, 4, 13, 3},         // Source row (15 lanes) shorter than a window.
+      {3, 2, 1000, 5},       // Upscale: clamped right taps, 9-lane row.
+      {99, 77, 100, 100},    {320, 240, 99, 77}, {77, 99, 99, 77}};
+  for (const int c : {1, 3}) {
+    for (const auto& [sw, sh, ow, oh] : edges) {
+      const Image img = random_image(sw, sh, c, ++seed);
+      ResizePlan plan;
+      plan.ensure(sw, sh, ow, oh);
+      Image got, want;
+      resize_bilinear_into(img, plan, got);
+      oracle::resize_bilinear_into(img, plan, want);
+      EXPECT_EQ(got, want) << sw << "x" << sh << " -> " << ow << "x" << oh << "x" << c;
+    }
+  }
+}
+
+// SDD's per-thread plan sees gray and colour frames of one geometry; the
+// column-group tables are 3-channel, so one ensured plan must serve both.
+TEST(ResizePlan, OnePlanServesGrayAndColour) {
+  ResizePlan plan;
+  plan.ensure(192, 144, 100, 100);
+  std::uint64_t seed = 900;
+  for (const int c : {1, 3, 1, 3}) {
+    const Image img = random_image(192, 144, c, ++seed);
+    Image got, want;
+    resize_bilinear_into(img, plan, got);
+    oracle::resize_bilinear_into(img, plan, want);
+    EXPECT_EQ(got, want) << c;
+  }
 }
 
 }  // namespace

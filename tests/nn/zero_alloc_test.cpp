@@ -303,22 +303,33 @@ TEST(ZeroAlloc, WarmConnectedComponentsAllocatesOnlyItsResult) {
   EXPECT_EQ(12u, comps.size());
 }
 
+// At each geometry the engine resizes (T-YOLO 104x104 and SNM 50x50 from
+// 256x192, SDD 100x100 from 192x144), a warm call allocates nothing: the
+// column-group tables are built in ensure(), which is a no-op once warm.
 TEST(ZeroAlloc, WarmResizeIntoIsAllocationFree) {
-  runtime::Xoshiro256 rng(41);
-  image::Image frame(256, 192, 3);
-  for (std::size_t i = 0; i < frame.size_bytes(); ++i) {
-    frame.data()[i] = static_cast<std::uint8_t>(rng.next() & 0xff);
-  }
-  image::ResizePlan plan;
-  plan.ensure(256, 192, 104, 104);
-  image::Image small;
-  image::resize_bilinear_into(frame, plan, small);
-  image::resize_bilinear_into(frame, plan, small);
+  struct Geometry {
+    int sw, sh, ow, oh;
+  };
+  for (const auto& [sw, sh, ow, oh] : {Geometry{256, 192, 104, 104},
+                                       Geometry{192, 144, 100, 100},
+                                       Geometry{256, 192, 50, 50}}) {
+    runtime::Xoshiro256 rng(41);
+    image::Image frame(sw, sh, 3);
+    for (std::size_t i = 0; i < frame.size_bytes(); ++i) {
+      frame.data()[i] = static_cast<std::uint8_t>(rng.next() & 0xff);
+    }
+    image::ResizePlan plan;
+    plan.ensure(sw, sh, ow, oh);
+    image::Image small;
+    image::resize_bilinear_into(frame, plan, small);
+    image::resize_bilinear_into(frame, plan, small);
 
-  AllocWindow window;
-  image::resize_bilinear_into(frame, plan, small);
-  EXPECT_EQ(0, window.count());
-  EXPECT_EQ(104, small.width());
+    AllocWindow window;
+    plan.ensure(sw, sh, ow, oh);
+    image::resize_bilinear_into(frame, plan, small);
+    EXPECT_EQ(0, window.count()) << sw << "x" << sh << " -> " << ow << "x" << oh;
+    EXPECT_EQ(ow, small.width());
+  }
 }
 
 // The telemetry hot path shares the zero-allocation contract: with metrics
