@@ -9,8 +9,9 @@
 // non-zero when the two kernels disagree.
 //
 // The CPU kernels nothing else measures: scene rendering, the plan-based
-// SDD-input resize, SNM batch inference at 1/8/16 frames, delta-RLE decode, the three
-// convolution paths (direct, im2col, im2col over pruned weights), and two
+// SDD-input resize, SNM batch inference at 1/8/16 frames, delta-RLE decode, an
+// SNM conv layer (the direct reference loop nn::conv2d_direct, then the
+// layer's im2col forward over dense and over pruned weights), and two
 // pipeline primitives (bounded-queue push/pop, the T-YOLO scheduler).
 //
 // The per-frame kernels of the segmentation detectors (T-YOLO and the
@@ -246,21 +247,27 @@ int main(int argc, char** argv) {
                 keep(frame);
               }});
 
-  // SNM-sized conv layer (8 -> 16 channels, 3x3 stride 2) over a 25x25 map.
+  // SNM-sized conv layer (8 -> 16 channels, 3x3 stride 2) over a 25x25 map:
+  // the direct reference loop against the layer's forward, dense and pruned.
   runtime::Xoshiro256 conv_rng(5);
-  nn::Conv2d direct(8, 16, 3, 2, 1, conv_rng);
-  direct.set_use_im2col(false);
-  nn::Conv2d im2col = direct;
-  im2col.set_use_im2col(true);
-  nn::Conv2d pruned = im2col;
+  nn::Conv2d conv(8, 16, 3, 2, 1, conv_rng);
+  nn::Conv2d pruned = conv;
   // Hand-prune half the weights; gemm() skips exact zeros.
   for (std::size_t i = 0; i < pruned.weight.size(); i += 2) pruned.weight[i] = 0.0f;
   nn::Tensor x(1, 8, 25, 25);
   for (std::size_t i = 0; i < x.size(); ++i) x[i] = static_cast<float>(i % 13) * 0.1f;
+  nn::Tensor conv_y;
+  nn::GemmScratch conv_ws;
   bench_group(report, {"conv2d/direct", "conv2d/im2col", "conv2d/im2col_pruned50"},
-              {[&] { keep(direct.forward(x, false)); },
-               [&] { keep(im2col.forward(x, false)); },
-               [&] { keep(pruned.forward(x, false)); }});
+              {[&] { keep(nn::conv2d_direct(x, conv.weight, conv.bias, 2, 1)); },
+               [&] {
+                 conv.forward(x, conv_y, conv_ws, /*train=*/false);
+                 keep(conv_y);
+               },
+               [&] {
+                 pruned.forward(x, conv_y, conv_ws, /*train=*/false);
+                 keep(conv_y);
+               }});
 
   runtime::BoundedQueue<int> queue(64);
   core::TYoloScheduler sched(4);

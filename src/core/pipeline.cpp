@@ -622,6 +622,15 @@ void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online) {
 
   int consecutive_retries = 0;
   int restarts_used = 0;
+  // Restart the source under the restart budget; false once the budget is
+  // spent or the source cannot restart, which ends the stream.
+  const auto try_restart = [&] {
+    if (restarts_used >= kSourceMaxRestarts || !s->source->restart()) return false;
+    s->restarts.fetch_add(1, std::memory_order_relaxed);
+    backoff(restarts_used++);
+    consecutive_retries = 0;
+    return true;
+  };
   while (!aborted()) {
     // Consult the hint *before* paying any decode: a frame the hint proves
     // SDD would drop is skipped outright — the reader only moves its
@@ -669,12 +678,7 @@ void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online) {
       // by the watchdog that issued it.)
       if (aborted()) break;
       s->decode_errors.fetch_add(1, std::memory_order_relaxed);
-      if (restarts_used < kSourceMaxRestarts && s->source->restart()) {
-        s->restarts.fetch_add(1, std::memory_order_relaxed);
-        backoff(restarts_used++);
-        consecutive_retries = 0;
-        continue;
-      }
+      if (try_restart()) continue;
       break;
     } catch (const video::SourceError& e) {
       s->decode_errors.fetch_add(1, std::memory_order_relaxed);
@@ -685,12 +689,7 @@ void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online) {
         backoff(consecutive_retries++);
         continue;
       }
-      if (restarts_used < kSourceMaxRestarts && s->source->restart()) {
-        s->restarts.fetch_add(1, std::memory_order_relaxed);
-        backoff(restarts_used++);
-        consecutive_retries = 0;
-        continue;
-      }
+      if (try_restart()) continue;
       break;  // unrecoverable: end this stream; downstream drains normally
     } catch (...) {
       s->decode_errors.fetch_add(1, std::memory_order_relaxed);

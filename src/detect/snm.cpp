@@ -155,7 +155,7 @@ void SnmFilter::score(std::span<const float* const> inputs,
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     std::copy_n(inputs[i], size, scratch_.input.data() + i * size);
   }
-  const nn::Tensor& logits = net_->forward_inference(scratch_.input, scratch_.net);
+  const nn::Tensor& logits = net_->forward(scratch_.input, scratch_.net);
   scores.reserve(inputs.size());
   for (int i = 0; i < logits.n(); ++i) {
     scores.push_back(nn::sigmoid(logits.at(i, 0, 0, 0)));
@@ -244,6 +244,7 @@ SnmTrainReport SnmFilter::train(const std::vector<video::Frame>& frames,
 
   nn::Sgd optimizer(net_->params(), {config_.lr, 0.9, 1e-4});
   double lr = config_.lr;
+  nn::ForwardScratch ws;
 
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
     // Re-shuffle the training prefix each epoch.
@@ -263,7 +264,7 @@ SnmTrainReport SnmFilter::train(const std::vector<video::Frame>& frames,
         targets.push_back(labels[order[i]] ? 1.0f : 0.0f);
       }
       const nn::Tensor x = preprocess_batch_augmented(imgs, rng);
-      const nn::Tensor logits = net_->forward(x, /*train=*/true);
+      const nn::Tensor& logits = net_->forward(x, ws, /*train=*/true);
       nn::Tensor grad;
       epoch_loss += nn::bce_with_logits(logits, targets, grad);
       ++batches;

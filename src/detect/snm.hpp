@@ -68,7 +68,7 @@ struct SnmScratch {
   std::vector<const float*> inputs;
   std::vector<double> scores;
   nn::Tensor input;
-  nn::InferenceScratch net;
+  nn::ForwardScratch net;
 };
 
 struct SnmTrainReport {

@@ -375,20 +375,6 @@ double gain_compensated_sad(const Image& a, const Image& b) {
          (static_cast<double>(pixels) * static_cast<double>(n));
 }
 
-Image abs_diff(const Image& a, const Image& b) {
-  require_same_shape(a, b);
-  Image out(a.width(), a.height(), a.channels());
-  const std::uint8_t* pa = a.data();
-  const std::uint8_t* pb = b.data();
-  std::uint8_t* po = out.data();
-  const std::size_t n = a.size_bytes();
-  for (std::size_t i = 0; i < n; ++i) {
-    po[i] = static_cast<std::uint8_t>(
-        std::abs(static_cast<int>(pa[i]) - static_cast<int>(pb[i])));
-  }
-  return out;
-}
-
 namespace {
 /// acc[i] = 0.0 + kv[0] * rows[0][i] + ... + kv[taps-1] * rows[taps-1][i],
 /// added in that order. The sweeps take two taps at a time, which halves
@@ -538,36 +524,6 @@ void blur_threshold(const Image& src, double sigma, std::uint8_t t, Image& out) 
   }
 }
 
-std::uint8_t otsu_threshold(const Image& gray) {
-  if (gray.channels() != 1 || gray.empty()) return 128;
-  std::uint64_t hist[256] = {};
-  const std::uint8_t* p = gray.data();
-  const std::size_t n = gray.size_bytes();
-  for (std::size_t i = 0; i < n; ++i) ++hist[p[i]];
-
-  double total_sum = 0.0;
-  for (int i = 0; i < 256; ++i) total_sum += static_cast<double>(i) * hist[i];
-
-  double best_var = -1.0;
-  int best_t = 128;
-  double w0 = 0.0, sum0 = 0.0;
-  for (int t = 0; t < 256; ++t) {
-    w0 += static_cast<double>(hist[t]);
-    if (w0 == 0.0) continue;
-    const double w1 = static_cast<double>(n) - w0;
-    if (w1 == 0.0) break;
-    sum0 += static_cast<double>(t) * hist[t];
-    const double mu0 = sum0 / w0;
-    const double mu1 = (total_sum - sum0) / w1;
-    const double between = w0 * w1 * (mu0 - mu1) * (mu0 - mu1);
-    if (between > best_var) {
-      best_var = between;
-      best_t = t;
-    }
-  }
-  return static_cast<std::uint8_t>(best_t);
-}
-
 namespace {
 /// 3x3 erosion (kErode: AND) or dilation (OR) of channel 0 of a C-channel
 /// mask, edge-replicated at the borders, as a 3-tap pass down each column
@@ -620,31 +576,6 @@ void erode3x3(const Image& binary, Image& out) {
 
 void dilate3x3(const Image& binary, Image& out) {
   morph3x3</*kErode=*/false>(binary, out);
-}
-
-std::vector<std::uint64_t> integral_image(const Image& gray) {
-  const int w = gray.width(), h = gray.height();
-  std::vector<std::uint64_t> out(static_cast<std::size_t>(w) * h, 0);
-  for (int y = 0; y < h; ++y) {
-    std::uint64_t row = 0;
-    for (int x = 0; x < w; ++x) {
-      row += gray.at(x, y);
-      out[static_cast<std::size_t>(y) * w + x] =
-          row + (y > 0 ? out[static_cast<std::size_t>(y - 1) * w + x] : 0);
-    }
-  }
-  return out;
-}
-
-std::uint64_t box_sum(const std::vector<std::uint64_t>& integral, int img_w,
-                      int x0, int y0, int x1, int y1) {
-  if (x1 <= x0 || y1 <= y0) return 0;
-  auto at = [&](int x, int y) -> std::uint64_t {
-    if (x < 0 || y < 0) return 0;
-    return integral[static_cast<std::size_t>(y) * img_w + x];
-  };
-  return at(x1 - 1, y1 - 1) - at(x0 - 1, y1 - 1) - at(x1 - 1, y0 - 1) +
-         at(x0 - 1, y0 - 1);
 }
 
 }  // namespace ffsva::image

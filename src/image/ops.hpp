@@ -76,9 +76,6 @@ double sad(const Image& a, const Image& b);
 double gain_compensated_mse(const Image& a, const Image& b);
 double gain_compensated_sad(const Image& a, const Image& b);
 
-/// |a - b| per pixel.
-Image abs_diff(const Image& a, const Image& b);
-
 /// Separable Gaussian blur of `src`, then a binary threshold, into `out`:
 /// out = blur(src, sigma) > t ? 255 : 0 per channel (sigma <= 0: no blur).
 /// Byte-identical to thresholding the rounded blur, but only the rows and
@@ -87,21 +84,10 @@ Image abs_diff(const Image& a, const Image& b);
 /// `out` must not alias `src`.
 void blur_threshold(const Image& src, double sigma, std::uint8_t t, Image& out);
 
-/// Otsu's automatic threshold for a grayscale image.
-std::uint8_t otsu_threshold(const Image& gray);
-
 /// 3x3 binary erosion / dilation (values treated as 0 / nonzero) into
 /// `out`, which must not alias `binary`. Allocation-free once `out` and the
 /// calling thread's scratch are warm.
 void erode3x3(const Image& binary, Image& out);
 void dilate3x3(const Image& binary, Image& out);
-
-/// Summed-area table; out[y][x] = sum of gray pixels in [0,x] x [0,y].
-/// Gray input only.
-std::vector<std::uint64_t> integral_image(const Image& gray);
-
-/// Box sum over the half-open rect using a table from integral_image().
-std::uint64_t box_sum(const std::vector<std::uint64_t>& integral, int img_w,
-                      int x0, int y0, int x1, int y1);
 
 }  // namespace ffsva::image

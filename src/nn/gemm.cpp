@@ -67,6 +67,40 @@ void gemm_naive(const float* a, const float* b, float* c, int m, int k, int n) {
   }
 }
 
+Tensor conv2d_direct(const Tensor& x, const Tensor& weight, const Tensor& bias,
+                     int stride, int pad) {
+  if (x.c() != weight.c()) {
+    throw std::invalid_argument("conv2d_direct: channel mismatch");
+  }
+  const int in_ch = weight.c(), out_ch = weight.n(), kernel = weight.h();
+  const int oh = (x.h() + 2 * pad - kernel) / stride + 1;
+  const int ow = (x.w() + 2 * pad - kernel) / stride + 1;
+  Tensor y(x.n(), out_ch, oh, ow);
+  for (int n = 0; n < x.n(); ++n) {
+    for (int oc = 0; oc < out_ch; ++oc) {
+      const float b = bias.at(oc, 0, 0, 0);
+      for (int oy = 0; oy < oh; ++oy) {
+        for (int ox = 0; ox < ow; ++ox) {
+          float acc = b;
+          for (int ic = 0; ic < in_ch; ++ic) {
+            for (int ky = 0; ky < kernel; ++ky) {
+              const int iy = oy * stride + ky - pad;
+              if (iy < 0 || iy >= x.h()) continue;
+              for (int kx = 0; kx < kernel; ++kx) {
+                const int ix = ox * stride + kx - pad;
+                if (ix < 0 || ix >= x.w()) continue;
+                acc += weight.at(oc, ic, ky, kx) * x.at(n, ic, iy, ix);
+              }
+            }
+          }
+          y.at(n, oc, oy, ox) = acc;
+        }
+      }
+    }
+  }
+  return y;
+}
+
 namespace {
 
 // Register micro-tile (MR x NR accumulators: 4x16 floats = 16 AVX2 lanes
@@ -298,14 +332,6 @@ void conv2d_im2col_into(const Tensor& x, const Tensor& weight, const Tensor& bia
   } else {
     for (int n = 0; n < x.n(); ++n) run_sample(n, ws);
   }
-}
-
-Tensor conv2d_im2col(const Tensor& x, const Tensor& weight, const Tensor& bias,
-                     int stride, int pad) {
-  static thread_local GemmScratch ws;
-  Tensor y;
-  conv2d_im2col_into(x, weight, bias, stride, pad, y, ws);
-  return y;
 }
 
 }  // namespace ffsva::nn

@@ -1,12 +1,13 @@
-// im2col + GEMM convolution path.
+// im2col + GEMM convolution, the one convolution the SNM runs.
 //
-// The forward pass of Conv2d can be computed either directly (simple,
-// gradient-checked — see layers.cpp) or by lowering to a matrix multiply:
-// unfold every receptive field into a column (im2col), multiply by the
-// [out_ch x in_ch*k*k] filter matrix, add bias. The GEMM form is how the
-// GPU frameworks the paper builds on execute convolutions, and it is the
-// faster CPU path for inference; the pipeline's SNM uses it for batched
-// prediction.
+// Conv2d's forward lowers to a matrix multiply: unfold every receptive
+// field into a column (im2col), multiply by the [out_ch x in_ch*k*k]
+// filter matrix, add bias. The GEMM form is how the GPU frameworks the
+// paper builds on execute convolutions, and it is the faster CPU path.
+// Two plain loops stay as reference implementations, not as modes:
+// gemm_naive() (the seed kernel) and conv2d_direct() (the direct
+// convolution), the oracles of the tests and the baselines of
+// bench_kernels.
 //
 // gemm() is a cache-blocked kernel in the BLIS mold: the operands are
 // copied into packed panels (A in MR-row slabs, B in NR-column slabs) so
@@ -59,15 +60,16 @@ void gemm(const float* a, const float* b, float* c, int m, int k, int n,
 /// baseline in bench_kernels.
 void gemm_naive(const float* a, const float* b, float* c, int m, int k, int n);
 
+/// The direct convolution loop, allocating its output. Kept as the
+/// reference implementation that conv2d_im2col_into is checked against.
+Tensor conv2d_direct(const Tensor& x, const Tensor& weight, const Tensor& bias,
+                     int stride, int pad);
+
 /// Full convolution via im2col+GEMM into a caller-owned output tensor.
 /// weight: [out_ch, in_ch, k, k]; bias: [out_ch,1,1,1]. y is reshaped to
 /// the output geometry; with a warm scratch the call does not allocate.
-/// Numerically identical (up to FP reassociation) to Conv2d::forward.
+/// Numerically identical (up to FP reassociation) to conv2d_direct.
 void conv2d_im2col_into(const Tensor& x, const Tensor& weight, const Tensor& bias,
                         int stride, int pad, Tensor& y, GemmScratch& ws);
-
-/// Allocating wrapper around conv2d_im2col_into (thread-local scratch).
-Tensor conv2d_im2col(const Tensor& x, const Tensor& weight, const Tensor& bias,
-                     int stride, int pad);
 
 }  // namespace ffsva::nn

@@ -18,11 +18,29 @@ void he_init(Tensor& t, int fan_in, runtime::Xoshiro256& rng) {
     t[i] = static_cast<float>(rng.normal() * std_dev);
   }
 }
-}  // namespace
 
-void Layer::forward_into(const Tensor& x, Tensor& y, GemmScratch&) {
-  y = forward(x, /*train=*/false);
+/// acc + w.x in index order: the reduction training uses. The specialised
+/// SNM weights are trained on this order, so another one would move them.
+float dot_serial(const float* w, const float* x, int n, float acc) {
+  for (int i = 0; i < n; ++i) acc += w[i] * x[i];
+  return acc;
 }
+
+/// acc + w.x over eight explicit partial sums: the reduction inference
+/// uses. A single-accumulator FP reduction cannot be vectorized without
+/// reassociation, which -O3 alone does not grant, and GPU0 runs this for
+/// every frame; another order would move its scores and its time.
+float dot_partial8(const float* w, const float* x, int n, float acc) {
+  float part[8] = {};
+  const int tail = n & ~7;
+  for (int i = 0; i < tail; i += 8) {
+    for (int u = 0; u < 8; ++u) part[u] += w[i + u] * x[i + u];
+  }
+  for (int i = tail; i < n; ++i) acc += w[i] * x[i];
+  return acc + (((part[0] + part[1]) + (part[2] + part[3])) +
+                ((part[4] + part[5]) + (part[6] + part[7])));
+}
+}  // namespace
 
 // ---------------------------------------------------------------- Conv2d --
 
@@ -37,40 +55,10 @@ Conv2d::Conv2d(int in_channels, int out_channels, int kernel, int stride, int pa
   he_init(weight, in_channels * kernel * kernel, rng);
 }
 
-Tensor Conv2d::forward(const Tensor& x, bool train) {
+void Conv2d::forward(const Tensor& x, Tensor& y, GemmScratch& ws, bool train) {
   if (x.c() != in_ch_) throw std::invalid_argument("Conv2d: channel mismatch");
-  if (use_im2col_) {
-    if (train) cached_input_ = x;
-    return conv2d_im2col(x, weight, bias, stride_, pad_);
-  }
-  const int oh = out_h(x.h()), ow = out_w(x.w());
-  Tensor y(x.n(), out_ch_, oh, ow);
-  // Direct convolution: for 50x50-class inputs this is within 2x of an
-  // im2col+GEMM and considerably simpler to verify.
-  for (int n = 0; n < x.n(); ++n) {
-    for (int oc = 0; oc < out_ch_; ++oc) {
-      const float b = bias.at(oc, 0, 0, 0);
-      for (int oy = 0; oy < oh; ++oy) {
-        for (int ox = 0; ox < ow; ++ox) {
-          float acc = b;
-          for (int ic = 0; ic < in_ch_; ++ic) {
-            for (int ky = 0; ky < kernel_; ++ky) {
-              const int iy = oy * stride_ + ky - pad_;
-              if (iy < 0 || iy >= x.h()) continue;
-              for (int kx = 0; kx < kernel_; ++kx) {
-                const int ix = ox * stride_ + kx - pad_;
-                if (ix < 0 || ix >= x.w()) continue;
-                acc += weight.at(oc, ic, ky, kx) * x.at(n, ic, iy, ix);
-              }
-            }
-          }
-          y.at(n, oc, oy, ox) = acc;
-        }
-      }
-    }
-  }
   if (train) cached_input_ = x;
-  return y;
+  conv2d_im2col_into(x, weight, bias, stride_, pad_, y, ws);
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out) {
@@ -102,85 +90,8 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   return grad_in;
 }
 
-void Conv2d::forward_into(const Tensor& x, Tensor& y, GemmScratch& ws) {
-  if (x.c() != in_ch_) throw std::invalid_argument("Conv2d: channel mismatch");
-  conv2d_im2col_into(x, weight, bias, stride_, pad_, y, ws);
-}
-
 std::vector<Param> Conv2d::params() {
   return {{&weight, &weight_grad}, {&bias, &bias_grad}};
-}
-
-// ------------------------------------------------------------- MaxPool2d --
-
-MaxPool2d::MaxPool2d(int kernel, int stride) : kernel_(kernel), stride_(stride) {}
-
-Tensor MaxPool2d::forward(const Tensor& x, bool train) {
-  const int oh = (x.h() - kernel_) / stride_ + 1;
-  const int ow = (x.w() - kernel_) / stride_ + 1;
-  Tensor y(x.n(), x.c(), oh, ow);
-  argmax_.assign(y.size(), 0);
-  std::size_t oi = 0;
-  for (int n = 0; n < x.n(); ++n) {
-    for (int c = 0; c < x.c(); ++c) {
-      for (int oy = 0; oy < oh; ++oy) {
-        for (int ox = 0; ox < ow; ++ox, ++oi) {
-          float best = -std::numeric_limits<float>::infinity();
-          std::uint32_t best_idx = 0;
-          for (int ky = 0; ky < kernel_; ++ky) {
-            for (int kx = 0; kx < kernel_; ++kx) {
-              const int iy = oy * stride_ + ky;
-              const int ix = ox * stride_ + kx;
-              const float v = x.at(n, c, iy, ix);
-              if (v > best) {
-                best = v;
-                best_idx = static_cast<std::uint32_t>(
-                    ((static_cast<std::size_t>(n) * x.c() + c) * x.h() + iy) * x.w() +
-                    ix);
-              }
-            }
-          }
-          y.at(n, c, oy, ox) = best;
-          argmax_[oi] = best_idx;
-        }
-      }
-    }
-  }
-  if (train) {
-    cached_input_ = x;
-  }
-  out_shape_ = y.shape();
-  return y;
-}
-
-void MaxPool2d::forward_into(const Tensor& x, Tensor& y, GemmScratch&) {
-  // Inference variant of forward(): no argmax bookkeeping, no input cache.
-  const int oh = (x.h() - kernel_) / stride_ + 1;
-  const int ow = (x.w() - kernel_) / stride_ + 1;
-  y.resize(x.n(), x.c(), oh, ow);
-  for (int n = 0; n < x.n(); ++n) {
-    for (int c = 0; c < x.c(); ++c) {
-      for (int oy = 0; oy < oh; ++oy) {
-        for (int ox = 0; ox < ow; ++ox) {
-          float best = -std::numeric_limits<float>::infinity();
-          for (int ky = 0; ky < kernel_; ++ky) {
-            for (int kx = 0; kx < kernel_; ++kx) {
-              best = std::max(best, x.at(n, c, oy * stride_ + ky, ox * stride_ + kx));
-            }
-          }
-          y.at(n, c, oy, ox) = best;
-        }
-      }
-    }
-  }
-}
-
-Tensor MaxPool2d::backward(const Tensor& grad_out) {
-  Tensor grad_in = Tensor::zeros_like(cached_input_);
-  for (std::size_t i = 0; i < grad_out.size(); ++i) {
-    grad_in[argmax_[i]] += grad_out[i];
-  }
-  return grad_in;
 }
 
 // ---------------------------------------------------------------- Linear --
@@ -194,22 +105,22 @@ Linear::Linear(int in_features, int out_features, runtime::Xoshiro256& rng)
   he_init(weight, in_features, rng);
 }
 
-Tensor Linear::forward(const Tensor& x, bool train) {
+void Linear::forward(const Tensor& x, Tensor& y, GemmScratch&, bool train) {
   const int feat = x.c() * x.h() * x.w();
   if (feat != in_features_) throw std::invalid_argument("Linear: feature mismatch");
-  Tensor y(x.n(), out_features_, 1, 1);
+  if (train) cached_input_ = x;
+  y.resize(x.n(), out_features_, 1, 1);
   const float* xd = x.data();
   for (int n = 0; n < x.n(); ++n) {
     const float* xin = xd + static_cast<std::size_t>(n) * feat;
     for (int o = 0; o < out_features_; ++o) {
       const float* wrow = weight.data() + static_cast<std::size_t>(o) * in_features_;
-      float acc = bias.at(o, 0, 0, 0);
-      for (int i = 0; i < in_features_; ++i) acc += wrow[i] * xin[i];
-      y.at(n, o, 0, 0) = acc;
+      // Training and inference keep their own reduction orders (above).
+      const float b = bias.at(o, 0, 0, 0);
+      y.at(n, o, 0, 0) = train ? dot_serial(wrow, xin, in_features_, b)
+                               : dot_partial8(wrow, xin, in_features_, b);
     }
   }
-  if (train) cached_input_ = x;
-  return y;
 }
 
 Tensor Linear::backward(const Tensor& grad_out) {
@@ -234,47 +145,14 @@ Tensor Linear::backward(const Tensor& grad_out) {
   return grad_in;
 }
 
-void Linear::forward_into(const Tensor& x, Tensor& y, GemmScratch&) {
-  const int feat = x.c() * x.h() * x.w();
-  if (feat != in_features_) throw std::invalid_argument("Linear: feature mismatch");
-  y.resize(x.n(), out_features_, 1, 1);
-  const float* xd = x.data();
-  for (int n = 0; n < x.n(); ++n) {
-    const float* xin = xd + static_cast<std::size_t>(n) * feat;
-    for (int o = 0; o < out_features_; ++o) {
-      const float* wrow = weight.data() + static_cast<std::size_t>(o) * in_features_;
-      // Eight explicit partial sums: a single-accumulator FP reduction
-      // cannot be vectorized without reassociation, which -O3 alone does
-      // not grant. (Inference-only; forward() keeps the serial order the
-      // gradient checks expect.)
-      float part[8] = {};
-      const int tail = in_features_ & ~7;
-      for (int i = 0; i < tail; i += 8) {
-        for (int u = 0; u < 8; ++u) part[u] += wrow[i + u] * xin[i + u];
-      }
-      float acc = bias.at(o, 0, 0, 0);
-      for (int i = tail; i < in_features_; ++i) acc += wrow[i] * xin[i];
-      acc += ((part[0] + part[1]) + (part[2] + part[3])) +
-             ((part[4] + part[5]) + (part[6] + part[7]));
-      y.at(n, o, 0, 0) = acc;
-    }
-  }
-}
-
 std::vector<Param> Linear::params() {
   return {{&weight, &weight_grad}, {&bias, &bias_grad}};
 }
 
 // ------------------------------------------------------------ activations --
 
-Tensor ReLU::forward(const Tensor& x, bool train) {
-  Tensor y = x;
-  for (std::size_t i = 0; i < y.size(); ++i) y[i] = std::max(0.0f, y[i]);
+void ReLU::forward(const Tensor& x, Tensor& y, GemmScratch&, bool train) {
   if (train) cached_input_ = x;
-  return y;
-}
-
-void ReLU::forward_into(const Tensor& x, Tensor& y, GemmScratch&) {
   y.resize(x.n(), x.c(), x.h(), x.w());
   const float* in = x.data();
   float* out = y.data();
@@ -289,42 +167,9 @@ Tensor ReLU::backward(const Tensor& grad_out) {
   return grad_in;
 }
 
-Tensor Sigmoid::forward(const Tensor& x, bool train) {
-  Tensor y = x;
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    y[i] = 1.0f / (1.0f + std::exp(-y[i]));
-  }
-  if (train) cached_output_ = y;
-  return y;
-}
-
-void Sigmoid::forward_into(const Tensor& x, Tensor& y, GemmScratch&) {
-  y.resize(x.n(), x.c(), x.h(), x.w());
-  const float* in = x.data();
-  float* out = y.data();
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    out[i] = 1.0f / (1.0f + std::exp(-in[i]));
-  }
-}
-
-Tensor Sigmoid::backward(const Tensor& grad_out) {
-  Tensor grad_in = grad_out;
-  for (std::size_t i = 0; i < grad_in.size(); ++i) {
-    const float s = cached_output_[i];
-    grad_in[i] *= s * (1.0f - s);
-  }
-  return grad_in;
-}
-
 // ------------------------------------------------------------- Sequential --
 
-Tensor Sequential::forward(const Tensor& x, bool train) {
-  Tensor cur = x;
-  for (auto& l : layers_) cur = l->forward(cur, train);
-  return cur;
-}
-
-const Tensor& Sequential::forward_inference(const Tensor& x, InferenceScratch& ws) {
+const Tensor& Sequential::forward(const Tensor& x, ForwardScratch& ws, bool train) {
   if (layers_.empty()) {
     ws.acts[0] = x;
     return ws.acts[0];
@@ -333,10 +178,11 @@ const Tensor& Sequential::forward_inference(const Tensor& x, InferenceScratch& w
   int slot = 0;
   for (auto& l : layers_) {
     // Cancellation boundary between layers: layers whose kernels have no
-    // internal check (activations, pooling) still unwind within one layer.
+    // internal check (activations, the linear head) still unwind within
+    // one layer.
     runtime::check_cancel();
     Tensor& out = ws.acts[slot];
-    l->forward_into(*cur, out, ws.gemm);
+    l->forward(*cur, out, ws.gemm, train);
     cur = &out;
     slot ^= 1;
   }
@@ -358,10 +204,6 @@ std::vector<Param> Sequential::params() {
     out.insert(out.end(), p.begin(), p.end());
   }
   return out;
-}
-
-void Sequential::zero_grad() {
-  for (auto p : params()) p.grad->fill(0.0f);
 }
 
 std::size_t Sequential::num_parameters() {

@@ -1,9 +1,12 @@
-// Neural-network layers with forward + backward passes.
+// The SNM's layers (paper Section 3.2.2: CONV, CONV, FC with ReLUs between)
+// and the Sequential container that runs them.
 //
-// Each layer caches what it needs from the forward pass; backward() returns
-// the gradient w.r.t. the input and accumulates parameter gradients, which
-// the optimizer consumes and zeroes. All backward implementations are
-// validated against central-difference numerical gradients in the tests.
+// Each layer has one forward, into a caller-owned output, which training
+// and inference share. With `train` set, a layer also caches what it needs
+// for backward(); backward() returns the gradient w.r.t. the input and
+// accumulates parameter gradients, which the optimizer consumes and zeroes.
+// All backward implementations are validated against central-difference
+// numerical gradients in the tests.
 #pragma once
 
 #include <iosfwd>
@@ -23,12 +26,12 @@ struct Param {
   Tensor* grad = nullptr;
 };
 
-/// Reusable buffers for Sequential::forward_inference(): GEMM packing /
-/// im2col staging plus the two ping-pong activation tensors the layer
-/// chain alternates between. After one warming forward per input shape,
-/// every buffer has reached its steady-state capacity and repeated
-/// inference performs zero heap allocations.
-struct InferenceScratch {
+/// Reusable buffers for Sequential::forward(): GEMM packing / im2col
+/// staging plus the two ping-pong activation tensors the layer chain
+/// alternates between. After one warming forward per input shape, every
+/// buffer has reached its steady-state capacity and repeated inference
+/// performs zero heap allocations.
+struct ForwardScratch {
   GemmScratch gemm;
   Tensor acts[2];
 };
@@ -37,37 +40,25 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  virtual Tensor forward(const Tensor& x, bool train) = 0;
+  /// Forward into a caller-owned output (x and y must be distinct).
+  /// Allocation-free once y and ws are warm and `train` is off; with
+  /// `train` set, the layer also caches its input for backward().
+  virtual void forward(const Tensor& x, Tensor& y, GemmScratch& ws, bool train) = 0;
   virtual Tensor backward(const Tensor& grad_out) = 0;
   virtual std::vector<Param> params() { return {}; }
   virtual std::string name() const = 0;
-
-  /// Inference-only forward into a caller-owned output (x and y must be
-  /// distinct). Allocation-free once y and ws are warm. The default
-  /// falls back to the allocating forward().
-  virtual void forward_into(const Tensor& x, Tensor& y, GemmScratch& ws);
 };
 
-/// 2-D convolution (im2col + GEMM), zero padding, square kernel.
+/// 2-D convolution (im2col + GEMM, nn/gemm.hpp), zero padding, square kernel.
 class Conv2d final : public Layer {
  public:
   Conv2d(int in_channels, int out_channels, int kernel, int stride, int pad,
          runtime::Xoshiro256& rng);
 
-  Tensor forward(const Tensor& x, bool train) override;
+  void forward(const Tensor& x, Tensor& y, GemmScratch& ws, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
-  void forward_into(const Tensor& x, Tensor& y, GemmScratch& ws) override;
   std::vector<Param> params() override;
   std::string name() const override { return "conv2d"; }
-
-  int out_h(int in_h) const { return (in_h + 2 * pad_ - kernel_) / stride_ + 1; }
-  int out_w(int in_w) const { return (in_w + 2 * pad_ - kernel_) / stride_ + 1; }
-
-  /// Inference path selection: the im2col+GEMM lowering (nn/gemm.hpp) is
-  /// the default; the direct loop remains for verification and training
-  /// caches. Both produce identical results up to FP reassociation.
-  void set_use_im2col(bool on) { use_im2col_ = on; }
-  bool use_im2col() const { return use_im2col_; }
 
   Tensor weight;  ///< [out_ch, in_ch, k, k]
   Tensor bias;    ///< [out_ch, 1, 1, 1]
@@ -76,25 +67,7 @@ class Conv2d final : public Layer {
 
  private:
   int in_ch_, out_ch_, kernel_, stride_, pad_;
-  bool use_im2col_ = true;
   Tensor cached_input_;
-};
-
-/// 2x2-or-larger max pooling with argmax routing on backward.
-class MaxPool2d final : public Layer {
- public:
-  MaxPool2d(int kernel, int stride);
-
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
-  void forward_into(const Tensor& x, Tensor& y, GemmScratch& ws) override;
-  std::string name() const override { return "maxpool2d"; }
-
- private:
-  int kernel_, stride_;
-  Tensor cached_input_;
-  std::vector<std::uint32_t> argmax_;
-  std::array<int, 4> out_shape_{0, 0, 0, 0};
 };
 
 /// Fully connected layer; flattens C*H*W of its input.
@@ -102,9 +75,8 @@ class Linear final : public Layer {
  public:
   Linear(int in_features, int out_features, runtime::Xoshiro256& rng);
 
-  Tensor forward(const Tensor& x, bool train) override;
+  void forward(const Tensor& x, Tensor& y, GemmScratch& ws, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
-  void forward_into(const Tensor& x, Tensor& y, GemmScratch& ws) override;
   std::vector<Param> params() override;
   std::string name() const override { return "linear"; }
 
@@ -120,24 +92,12 @@ class Linear final : public Layer {
 
 class ReLU final : public Layer {
  public:
-  Tensor forward(const Tensor& x, bool train) override;
+  void forward(const Tensor& x, Tensor& y, GemmScratch& ws, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
-  void forward_into(const Tensor& x, Tensor& y, GemmScratch& ws) override;
   std::string name() const override { return "relu"; }
 
  private:
   Tensor cached_input_;
-};
-
-class Sigmoid final : public Layer {
- public:
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
-  void forward_into(const Tensor& x, Tensor& y, GemmScratch& ws) override;
-  std::string name() const override { return "sigmoid"; }
-
- private:
-  Tensor cached_output_;
 };
 
 /// Layer pipeline with parameter-level (de)serialization.
@@ -150,17 +110,15 @@ class Sequential {
     return *this;
   }
 
-  Tensor forward(const Tensor& x, bool train = false);
-  /// Inference hot path: runs every layer's forward_into() through the
-  /// scratch's ping-pong activation buffers and returns a reference to
-  /// the last one. Zero heap allocations once ws is warm for the input
-  /// shape. The reference is invalidated by the next forward_inference.
-  const Tensor& forward_inference(const Tensor& x, InferenceScratch& ws);
+  /// Runs every layer's forward() through the scratch's ping-pong
+  /// activation buffers and returns a reference to the last one. Zero heap
+  /// allocations once ws is warm for the input shape and `train` is off.
+  /// The reference is invalidated by the next forward on the same scratch.
+  const Tensor& forward(const Tensor& x, ForwardScratch& ws, bool train = false);
   /// Backprop from dLoss/dOutput; returns dLoss/dInput.
   Tensor backward(const Tensor& grad_out);
 
   std::vector<Param> params();
-  void zero_grad();
 
   std::size_t num_layers() const { return layers_.size(); }
   Layer& layer(std::size_t i) { return *layers_[i]; }

@@ -14,11 +14,6 @@ namespace ffsva::nn {
 double bce_with_logits(const Tensor& logits, const std::vector<float>& targets,
                        Tensor& grad);
 
-/// Softmax cross-entropy over C classes. `logits`: [N,C,1,1];
-/// `labels`: class index per sample. Mean loss; `grad` = dLoss/dLogits / N.
-double softmax_cross_entropy(const Tensor& logits, const std::vector<int>& labels,
-                             Tensor& grad);
-
 /// Sigmoid of a scalar logit (the inference-side counterpart of
 /// bce_with_logits).
 double sigmoid(double x);

@@ -10,11 +10,6 @@
 
 namespace ffsva::nn {
 
-void Tensor::axpy(float alpha, const Tensor& other) {
-  assert(same_shape(other));
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += alpha * other.data_[i];
-}
-
 void Tensor::scale(float alpha) {
   for (auto& v : data_) v *= alpha;
 }

@@ -64,9 +64,6 @@ class Tensor {
     data_.resize(static_cast<std::size_t>(n) * c * h * w);
   }
 
-  /// In-place axpy: this += alpha * other. Shapes must match.
-  void axpy(float alpha, const Tensor& other);
-
   /// Scale all elements.
   void scale(float alpha);
 

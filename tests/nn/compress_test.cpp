@@ -20,10 +20,11 @@ std::unique_ptr<Sequential> small_net(std::uint64_t seed) {
 TEST(Prune, ZeroSparsityIsNoop) {
   auto net = small_net(1);
   const Tensor x(1, 1, 10, 10);
-  const auto before = net->forward(const_cast<Tensor&>(x));
+  ForwardScratch ws;
+  const Tensor before = net->forward(x, ws);
   const auto report = prune_by_magnitude(*net, 0.0);
   EXPECT_EQ(report.zeroed, 0u);
-  const auto after = net->forward(const_cast<Tensor&>(x));
+  const Tensor& after = net->forward(x, ws);
   for (std::size_t i = 0; i < before.size(); ++i) EXPECT_EQ(before[i], after[i]);
 }
 
@@ -159,10 +160,11 @@ TEST(Compression, TrainedClassifierSurvivesModeratePruning) {
     ys.push_back(pos ? 1.0f : 0.0f);
   }
   Sgd opt(net.params(), {0.05, 0.9, 1e-4});
+  ForwardScratch ws;
   for (int epoch = 0; epoch < 12; ++epoch) {
     for (int i = 0; i < n; ++i) {
       Tensor grad;
-      bce_with_logits(net.forward(xs[static_cast<std::size_t>(i)], true),
+      bce_with_logits(net.forward(xs[static_cast<std::size_t>(i)], ws, true),
                       {ys[static_cast<std::size_t>(i)]}, grad);
       net.backward(grad);
       opt.step();
@@ -171,7 +173,8 @@ TEST(Compression, TrainedClassifierSurvivesModeratePruning) {
   auto accuracy = [&] {
     int correct = 0;
     for (int i = 0; i < n; ++i) {
-      const bool pred = net.forward(xs[static_cast<std::size_t>(i)]).at(0, 0, 0, 0) > 0;
+      const bool pred =
+          net.forward(xs[static_cast<std::size_t>(i)], ws).at(0, 0, 0, 0) > 0;
       correct += pred == (ys[static_cast<std::size_t>(i)] > 0.5f);
     }
     return static_cast<double>(correct) / n;

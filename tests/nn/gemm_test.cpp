@@ -69,8 +69,8 @@ TEST(Im2Col, ZeroPaddingFillsBorders) {
   }
 }
 
-/// The central property: both convolution paths agree on random inputs
-/// across shapes, strides and paddings.
+/// The central property: the layer's im2col forward agrees with the direct
+/// reference loop on random inputs across shapes, strides and paddings.
 class ConvEquivalenceTest
     : public ::testing::TestWithParam<std::tuple<int, int, int, int, int, int, int>> {};
 
@@ -80,10 +80,10 @@ TEST_P(ConvEquivalenceTest, DirectMatchesIm2Col) {
   Conv2d conv(in_ch, out_ch, kernel, stride, pad, rng);
   const Tensor x = random_tensor(batch, in_ch, size, size, 7);
 
-  conv.set_use_im2col(false);
-  const Tensor direct = conv.forward(x, false);
-  conv.set_use_im2col(true);
-  const Tensor lowered = conv.forward(x, false);
+  const Tensor direct = conv2d_direct(x, conv.weight, conv.bias, stride, pad);
+  Tensor lowered;
+  GemmScratch ws;
+  conv.forward(x, lowered, ws, /*train=*/false);
 
   ASSERT_TRUE(direct.same_shape(lowered));
   for (std::size_t i = 0; i < direct.size(); ++i) {
@@ -106,7 +106,9 @@ TEST(ConvIm2Col, TrainingCachesInputForBackward) {
   runtime::Xoshiro256 rng(4);
   Conv2d conv(1, 2, 3, 1, 1, rng);
   const Tensor x = random_tensor(1, 1, 6, 6, 5);
-  const Tensor y = conv.forward(x, /*train=*/true);
+  Tensor y;
+  GemmScratch ws;
+  conv.forward(x, y, ws, /*train=*/true);
   Tensor g = Tensor::zeros_like(y);
   g.fill(1.0f);
   const Tensor gin = conv.backward(g);
@@ -118,7 +120,10 @@ TEST(ConvIm2Col, ChannelMismatchThrows) {
   Tensor x(1, 2, 4, 4);
   Tensor w(1, 3, 3, 3);
   Tensor b(1, 1, 1, 1);
-  EXPECT_THROW(conv2d_im2col(x, w, b, 1, 1), std::invalid_argument);
+  Tensor y;
+  GemmScratch ws;
+  EXPECT_THROW(conv2d_im2col_into(x, w, b, 1, 1, y, ws), std::invalid_argument);
+  EXPECT_THROW(conv2d_direct(x, w, b, 1, 1), std::invalid_argument);
 }
 
 /// Restores the compute parallelism a test overrides, so thread-count
@@ -216,8 +221,7 @@ TEST(ConvIm2Col, IntoReusesScratchAcrossShapes) {
     Conv2d conv(s.in_ch, s.out_ch, 3, s.stride, s.pad, rng);
     const Tensor x = random_tensor(s.batch, s.in_ch, s.size, s.size,
                                    static_cast<std::uint64_t>(s.size));
-    conv.set_use_im2col(false);
-    const Tensor want = conv.forward(x, false);
+    const Tensor want = conv2d_direct(x, conv.weight, conv.bias, s.stride, s.pad);
     conv2d_im2col_into(x, conv.weight, conv.bias, s.stride, s.pad, y, ws);
     ASSERT_TRUE(want.same_shape(y));
     for (std::size_t i = 0; i < want.size(); ++i) {

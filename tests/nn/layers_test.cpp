@@ -3,17 +3,29 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <sstream>
+
+#include "runtime/parallel_for.hpp"
 
 namespace ffsva::nn {
 namespace {
 
 runtime::Xoshiro256 rng(1234);
 
+/// One layer's forward into a fresh output tensor.
+Tensor run(Layer& layer, const Tensor& x, bool train = false) {
+  Tensor y;
+  GemmScratch ws;
+  layer.forward(x, y, ws, train);
+  return y;
+}
+
 TEST(Conv2d, OutputShape) {
   Conv2d conv(3, 8, 3, 2, 1, rng);
   Tensor x(2, 3, 50, 50);
-  const Tensor y = conv.forward(x, false);
+  const Tensor y = run(conv, x);
   EXPECT_EQ(y.n(), 2);
   EXPECT_EQ(y.c(), 8);
   EXPECT_EQ(y.h(), 25);
@@ -27,7 +39,7 @@ TEST(Conv2d, IdentityKernelReproducesInput) {
   conv.bias.fill(0.0f);
   Tensor x(1, 1, 4, 4);
   for (std::size_t i = 0; i < x.size(); ++i) x[i] = static_cast<float>(i);
-  const Tensor y = conv.forward(x, false);
+  const Tensor y = run(conv, x);
   for (std::size_t i = 0; i < x.size(); ++i) EXPECT_FLOAT_EQ(y[i], x[i]);
 }
 
@@ -36,7 +48,7 @@ TEST(Conv2d, BiasAddsUniformOffset) {
   conv.weight.fill(0.0f);
   conv.bias.at(0, 0, 0, 0) = 2.5f;
   Tensor x(1, 1, 3, 3);
-  const Tensor y = conv.forward(x, false);
+  const Tensor y = run(conv, x);
   for (std::size_t i = 0; i < y.size(); ++i) EXPECT_FLOAT_EQ(y[i], 2.5f);
 }
 
@@ -46,7 +58,7 @@ TEST(Conv2d, SumKernelComputesLocalSums) {
   conv.bias.fill(0.0f);
   Tensor x(1, 1, 3, 3);
   x.fill(1.0f);
-  const Tensor y = conv.forward(x, false);
+  const Tensor y = run(conv, x);
   EXPECT_FLOAT_EQ(y.at(0, 0, 1, 1), 9.0f);  // full window
   EXPECT_FLOAT_EQ(y.at(0, 0, 0, 0), 4.0f);  // corner: zero padding
   EXPECT_FLOAT_EQ(y.at(0, 0, 0, 1), 6.0f);  // edge
@@ -55,32 +67,7 @@ TEST(Conv2d, SumKernelComputesLocalSums) {
 TEST(Conv2d, ChannelMismatchThrows) {
   Conv2d conv(3, 4, 3, 1, 1, rng);
   Tensor x(1, 2, 8, 8);
-  EXPECT_THROW(conv.forward(x, false), std::invalid_argument);
-}
-
-TEST(MaxPool2d, SelectsMaximum) {
-  MaxPool2d pool(2, 2);
-  Tensor x(1, 1, 2, 2);
-  x.at(0, 0, 0, 0) = 1;
-  x.at(0, 0, 0, 1) = 5;
-  x.at(0, 0, 1, 0) = 3;
-  x.at(0, 0, 1, 1) = 2;
-  const Tensor y = pool.forward(x, false);
-  EXPECT_EQ(y.h(), 1);
-  EXPECT_EQ(y.w(), 1);
-  EXPECT_FLOAT_EQ(y.at(0, 0, 0, 0), 5.0f);
-}
-
-TEST(MaxPool2d, BackwardRoutesToArgmax) {
-  MaxPool2d pool(2, 2);
-  Tensor x(1, 1, 2, 2);
-  x.at(0, 0, 0, 1) = 9.0f;
-  pool.forward(x, true);
-  Tensor g(1, 1, 1, 1);
-  g.at(0, 0, 0, 0) = 4.0f;
-  const Tensor gin = pool.backward(g);
-  EXPECT_FLOAT_EQ(gin.at(0, 0, 0, 1), 4.0f);
-  EXPECT_FLOAT_EQ(gin.at(0, 0, 0, 0), 0.0f);
+  EXPECT_THROW(run(conv, x), std::invalid_argument);
 }
 
 TEST(Linear, MatrixVectorSemantics) {
@@ -92,7 +79,7 @@ TEST(Linear, MatrixVectorSemantics) {
   Tensor x(1, 3, 1, 1);
   x.at(0, 0, 0, 0) = 3.0f;
   x.at(0, 2, 0, 0) = 4.0f;
-  const Tensor y = fc.forward(x, false);
+  const Tensor y = run(fc, x);
   EXPECT_FLOAT_EQ(y.at(0, 0, 0, 0), 3.5f);
   EXPECT_FLOAT_EQ(y.at(0, 1, 0, 0), 8.0f);
 }
@@ -100,9 +87,9 @@ TEST(Linear, MatrixVectorSemantics) {
 TEST(Linear, FlattensChw) {
   Linear fc(12, 1, rng);
   Tensor x(2, 3, 2, 2);
-  EXPECT_NO_THROW(fc.forward(x, false));
+  EXPECT_NO_THROW(run(fc, x));
   Tensor bad(2, 3, 2, 3);
-  EXPECT_THROW(fc.forward(bad, false), std::invalid_argument);
+  EXPECT_THROW(run(fc, bad), std::invalid_argument);
 }
 
 TEST(ReLU, ClampsNegatives) {
@@ -111,22 +98,10 @@ TEST(ReLU, ClampsNegatives) {
   x[0] = -2;
   x[1] = 0;
   x[2] = 3;
-  const Tensor y = relu.forward(x, false);
+  const Tensor y = run(relu, x);
   EXPECT_FLOAT_EQ(y[0], 0.0f);
   EXPECT_FLOAT_EQ(y[1], 0.0f);
   EXPECT_FLOAT_EQ(y[2], 3.0f);
-}
-
-TEST(Sigmoid, KnownValues) {
-  Sigmoid s;
-  Tensor x(1, 1, 1, 3);
-  x[0] = 0.0f;
-  x[1] = 100.0f;
-  x[2] = -100.0f;
-  const Tensor y = s.forward(x, false);
-  EXPECT_FLOAT_EQ(y[0], 0.5f);
-  EXPECT_NEAR(y[1], 1.0f, 1e-6);
-  EXPECT_NEAR(y[2], 0.0f, 1e-6);
 }
 
 TEST(Sequential, ChainsLayersAndCountsParams) {
@@ -136,7 +111,8 @@ TEST(Sequential, ChainsLayersAndCountsParams) {
       .add(std::make_unique<ReLU>())
       .add(std::make_unique<Linear>(2 * 4 * 4, 1, r));
   Tensor x(1, 1, 8, 8);
-  const Tensor y = net.forward(x);
+  ForwardScratch ws;
+  const Tensor& y = net.forward(x, ws);
   EXPECT_EQ(y.n(), 1);
   EXPECT_EQ(y.c(), 1);
   // conv: 2*1*3*3 + 2 = 20; linear: 32 + 1 = 33. Total 53.
@@ -160,28 +136,62 @@ TEST(Sequential, SaveLoadRoundTrip) {
   std::stringstream ss;
   a->save(ss);
   b->load(ss);
-  const Tensor ya = a->forward(x);
-  const Tensor yb = b->forward(x);
+  ForwardScratch wa, wb;
+  const Tensor& ya = a->forward(x, wa);
+  const Tensor& yb = b->forward(x, wb);
   EXPECT_FLOAT_EQ(ya.at(0, 0, 0, 0), yb.at(0, 0, 0, 0));
 }
 
-TEST(Sequential, ZeroGradClearsAccumulation) {
-  runtime::Xoshiro256 r(5);
+TEST(Sequential, TrainAndInferenceForwardsAgree) {
+  // The SNM's stack at its shapes: 50x50 difference map, 8 and 16 filters.
+  // Training and inference share every layer's forward, so they agree
+  // bitwise up to the linear head, whose reduction order alone differs.
+  runtime::Xoshiro256 r(17);
+  constexpr std::size_t kFeatures = 16 * 13 * 13;
   Sequential net;
-  net.add(std::make_unique<Linear>(4, 2, r));
-  Tensor x(1, 4, 1, 1);
-  x.fill(1.0f);
-  net.forward(x, true);
-  Tensor g(1, 2, 1, 1);
-  g.fill(1.0f);
-  net.backward(g);
-  bool any_nonzero = false;
-  for (auto p : net.params()) {
-    if (p.grad->abs_max() > 0) any_nonzero = true;
+  net.add(std::make_unique<Conv2d>(1, 8, 3, 2, 1, r))
+      .add(std::make_unique<ReLU>())
+      .add(std::make_unique<Conv2d>(8, 16, 3, 2, 1, r))
+      .add(std::make_unique<ReLU>())
+      .add(std::make_unique<Linear>(kFeatures, 1, r));
+  const Linear& fc = static_cast<const Linear&>(net.layer(4));
+  const int saved = runtime::compute_parallelism();
+  for (const int batch : {1, 16}) {
+    for (const int parallelism : {1, 4}) {
+      SCOPED_TRACE(::testing::Message() << "batch " << batch << ", parallelism "
+                                        << parallelism);
+      runtime::set_compute_parallelism(parallelism);
+      Tensor x(batch, 1, 50, 50);
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        x[i] = static_cast<float>(r.uniform(0.0, 1.0));
+      }
+      Tensor train_in = x, infer_in = x;
+      for (std::size_t l = 0; l < net.num_layers(); ++l) {
+        SCOPED_TRACE(net.layer(l).name());
+        const Tensor train_out = run(net.layer(l), train_in, /*train=*/true);
+        const Tensor infer_out = run(net.layer(l), infer_in);
+        ASSERT_TRUE(train_out.same_shape(infer_out));
+        if (l + 1 < net.num_layers()) {
+          EXPECT_EQ(0, std::memcmp(train_out.data(), infer_out.data(),
+                                   train_out.size() * sizeof(float)));
+        } else {
+          // Relative to the magnitude of the summed terms, which bounds
+          // the rounding of any reduction order even where they cancel.
+          for (std::size_t n = 0; n < train_out.size(); ++n) {
+            double scale = std::abs(fc.bias[0]);
+            for (std::size_t i = 0; i < kFeatures; ++i) {
+              scale += std::abs(double{fc.weight[i]} * train_in[n * kFeatures + i]);
+            }
+            EXPECT_LE(std::abs(train_out[n] - infer_out[n]), 1e-5 * scale)
+                << "logit " << n;
+          }
+        }
+        train_in = train_out;
+        infer_in = infer_out;
+      }
+    }
   }
-  EXPECT_TRUE(any_nonzero);
-  net.zero_grad();
-  for (auto p : net.params()) EXPECT_EQ(p.grad->abs_max(), 0.0);
+  runtime::set_compute_parallelism(saved);
 }
 
 }  // namespace

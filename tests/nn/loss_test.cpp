@@ -57,43 +57,5 @@ TEST(BceWithLogits, ShapeMismatchThrows) {
   EXPECT_THROW(bce_with_logits(multi, {1.0f, 0.0f}, grad), std::invalid_argument);
 }
 
-TEST(SoftmaxCrossEntropy, UniformLogitsGiveLogC) {
-  Tensor logits(1, 4, 1, 1);
-  Tensor grad;
-  const double loss = softmax_cross_entropy(logits, {2}, grad);
-  EXPECT_NEAR(loss, std::log(4.0), 1e-9);
-  // Gradient: p - onehot, p = 1/4.
-  EXPECT_NEAR(grad.at(0, 0, 0, 0), 0.25, 1e-9);
-  EXPECT_NEAR(grad.at(0, 2, 0, 0), 0.25 - 1.0, 1e-9);
-}
-
-TEST(SoftmaxCrossEntropy, ConfidentCorrectIsLowLoss) {
-  Tensor logits(1, 3, 1, 1);
-  logits.at(0, 1, 0, 0) = 30.0f;
-  Tensor grad;
-  EXPECT_LT(softmax_cross_entropy(logits, {1}, grad), 1e-6);
-}
-
-TEST(SoftmaxCrossEntropy, GradientsSumToZeroPerSample) {
-  Tensor logits(2, 5, 1, 1);
-  for (std::size_t i = 0; i < logits.size(); ++i) {
-    logits[i] = static_cast<float>(i) * 0.3f - 1.0f;
-  }
-  Tensor grad;
-  softmax_cross_entropy(logits, {0, 4}, grad);
-  for (int n = 0; n < 2; ++n) {
-    double sum = 0.0;
-    for (int c = 0; c < 5; ++c) sum += grad.at(n, c, 0, 0);
-    EXPECT_NEAR(sum, 0.0, 1e-6);
-  }
-}
-
-TEST(SoftmaxCrossEntropy, BadLabelThrows) {
-  Tensor logits(1, 3, 1, 1);
-  Tensor grad;
-  EXPECT_THROW(softmax_cross_entropy(logits, {3}, grad), std::invalid_argument);
-  EXPECT_THROW(softmax_cross_entropy(logits, {0, 1}, grad), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace ffsva::nn

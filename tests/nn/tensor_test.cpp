@@ -43,19 +43,13 @@ TEST(Tensor, ZerosLike) {
   EXPECT_EQ(z.sum(), 0.0);
 }
 
-TEST(Tensor, AxpyAndScale) {
-  Tensor a(1, 1, 1, 3), b(1, 1, 1, 3);
-  a[0] = 1;
-  a[1] = 2;
-  a[2] = 3;
-  b[0] = 10;
-  b[1] = 20;
-  b[2] = 30;
-  a.axpy(0.5f, b);
-  EXPECT_FLOAT_EQ(a[0], 6.0f);
-  EXPECT_FLOAT_EQ(a[2], 18.0f);
+TEST(Tensor, Scale) {
+  Tensor a(1, 1, 1, 3);
+  a[0] = 6;
+  a[2] = 18;
   a.scale(2.0f);
   EXPECT_FLOAT_EQ(a[0], 12.0f);
+  EXPECT_FLOAT_EQ(a[2], 36.0f);
 }
 
 TEST(Tensor, SumAndAbsMax) {

@@ -75,6 +75,7 @@ TEST(Training, LearnsLinearlySeparableBlobs) {
   Sequential net;
   net.add(std::make_unique<Linear>(8, 1, rng));
   Sgd opt(net.params(), {0.1, 0.9, 1e-4});
+  ForwardScratch ws;
 
   for (int epoch = 0; epoch < 10; ++epoch) {
     for (int i = 0; i < n_train; i += 16) {
@@ -88,7 +89,7 @@ TEST(Training, LearnsLinearlySeparableBlobs) {
         batch_labels.push_back(labels[idx]);
       }
       Tensor grad;
-      bce_with_logits(net.forward(batch, true), batch_labels, grad);
+      bce_with_logits(net.forward(batch, ws, true), batch_labels, grad);
       net.backward(grad);
       opt.step();
     }
@@ -96,7 +97,7 @@ TEST(Training, LearnsLinearlySeparableBlobs) {
 
   int correct = 0;
   for (int i = 0; i < n_train; ++i) {
-    const Tensor y = net.forward(samples[static_cast<std::size_t>(i)]);
+    const Tensor& y = net.forward(samples[static_cast<std::size_t>(i)], ws);
     const bool pred = y.at(0, 0, 0, 0) > 0.0f;
     if (pred == (labels[static_cast<std::size_t>(i)] > 0.5f)) ++correct;
   }
@@ -136,6 +137,7 @@ TEST(Training, SnmShapedCnnLearnsBlobPresence) {
       .add(std::make_unique<ReLU>())
       .add(std::make_unique<Linear>(8 * 3 * 3, 1, rng));
   Sgd opt(net.params(), {0.05, 0.9, 1e-4});
+  ForwardScratch ws;
 
   for (int epoch = 0; epoch < 15; ++epoch) {
     for (int i = 0; i < n; i += 8) {
@@ -151,7 +153,7 @@ TEST(Training, SnmShapedCnnLearnsBlobPresence) {
         bl.push_back(ys[idx]);
       }
       Tensor grad;
-      bce_with_logits(net.forward(batch, true), bl, grad);
+      bce_with_logits(net.forward(batch, ws, true), bl, grad);
       net.backward(grad);
       opt.step();
     }
@@ -160,7 +162,7 @@ TEST(Training, SnmShapedCnnLearnsBlobPresence) {
   int correct = 0;
   for (int i = 0; i < n; ++i) {
     const bool pred =
-        net.forward(xs[static_cast<std::size_t>(i)]).at(0, 0, 0, 0) > 0.0f;
+        net.forward(xs[static_cast<std::size_t>(i)], ws).at(0, 0, 0, 0) > 0.0f;
     if (pred == (ys[static_cast<std::size_t>(i)] > 0.5f)) ++correct;
   }
   EXPECT_GT(static_cast<double>(correct) / n, 0.9);

@@ -1,9 +1,9 @@
 // Allocation-count checks for the inference hot path.
 //
 // The steady-state contract of the scratch-threaded forward pass is "warm
-// calls never touch the heap": GemmScratch / InferenceScratch / SnmScratch
+// calls never touch the heap": GemmScratch / ForwardScratch / SnmScratch
 // buffers are grow-only and sized on the first call, after which predict()
-// and forward_inference() must perform zero allocations, and the batched
+// and an inference forward() must perform zero allocations, and the batched
 // and segmentation calls only the allocations each test names. This test counts
 // them directly by overriding the global allocation functions, which is
 // why it lives in its own binary rather than nn_tests.
@@ -110,8 +110,7 @@ TEST(ZeroAlloc, SequentialForwardInferenceIsAllocationFree) {
       .add(std::make_unique<nn::ReLU>())
       .add(std::make_unique<nn::Conv2d>(8, 16, 3, 2, 1, rng))
       .add(std::make_unique<nn::ReLU>())
-      .add(std::make_unique<nn::MaxPool2d>(2, 2))
-      .add(std::make_unique<nn::Linear>(16 * 6 * 6, 1, rng));
+      .add(std::make_unique<nn::Linear>(16 * 13 * 13, 1, rng));
 
   nn::Tensor x(1, 1, 50, 50);
   for (std::size_t i = 0; i < x.size(); ++i) x[i] = 0.01f * static_cast<float>(i % 97);
@@ -119,12 +118,12 @@ TEST(ZeroAlloc, SequentialForwardInferenceIsAllocationFree) {
   for (const int parallelism : kParallelisms) {
     SCOPED_TRACE(parallelism);
     runtime::set_compute_parallelism(parallelism);
-    nn::InferenceScratch ws;
-    net.forward_inference(x, ws);  // Warm-up sizes every buffer.
-    net.forward_inference(x, ws);
+    nn::ForwardScratch ws;
+    net.forward(x, ws);  // Warm-up sizes every buffer.
+    net.forward(x, ws);
 
     AllocWindow window;
-    const nn::Tensor& y = net.forward_inference(x, ws);
+    const nn::Tensor& y = net.forward(x, ws);
     EXPECT_EQ(0, window.count());
     EXPECT_EQ(1u, y.size());
   }
